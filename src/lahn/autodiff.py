@@ -8,6 +8,12 @@ them. Everything is 64-bit and single-threaded; there is no broadcasting
 beyond scalar ``scale`` and the explicit row-wise bias add, which keeps every
 backward rule short enough to audit by hand.
 
+The encoder and the in-batch SCL loss run as whole-batch ops, one tape entry
+each: ``embed_mean_pool`` gathers and mean-pools every example's embedding
+rows at once, ``cosine_matrix`` takes all pairwise cosines of a feature
+matrix, and ``masked_softmax_cross_entropy`` scores every row of a masked
+logit matrix against weighted targets.
+
 Ops that take no active tape (or whose inputs carry no gradient) just compute
 values, so evaluation paths pay nothing for the machinery.
 """
@@ -137,62 +143,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds into the table.
+def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
+    """Masked mean of embedding rows per example: [V x d], [B x T] -> [B x d].
 
-    Repeated ids accumulate each upstream gradient into the same row.
+    Row b is the mean of ``table[ids[b, t]]`` over the positions t where
+    ``mask[b, t]`` is true; masked positions contribute nothing. Only the
+    leading columns up to the last unmasked one are gathered. Backward
+    scatter-adds each example's ``g[b] / count[b]`` into the table rows it
+    used, summing within an example first and then across examples in
+    descending order, so a repeated id accumulates exactly as one
+    gather-and-pool per example would.
     """
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"ids must be a flat sequence, got shape {idx.shape}")
+    keep = np.asarray(mask, dtype=bool)
+    if idx.ndim != 2 or keep.shape != idx.shape:
+        raise ShapeError(f"embed_mean_pool needs [B x T] ids and mask, got {idx.shape} and {keep.shape}")
     n_rows = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         bad = idx[(idx < 0) | (idx >= n_rows)][0]
         raise IndexError(f"id {int(bad)} out of range for table with {n_rows} rows")
-    out = Tensor(table.values[idx])
+    counts = keep.sum(axis=1)
+    if (counts == 0).any():
+        raise ValueError("embed_mean_pool over an all-false mask row (empty sequence)")
+    width = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1 if idx.size else 0
+    idx, keep = idx[:, :width], keep[:, :width]
+    gathered = np.where(keep[:, :, None], table.values[idx], 0.0)
+    out = Tensor(gathered.sum(axis=1) / counts[:, None])
 
     def rule(g: np.ndarray) -> None:
-        if table.requires_grad:
-            gt = np.zeros_like(table.values)
-            np.add.at(gt, idx, g)
-            _accum(table, gt)
+        example, _ = np.nonzero(keep)
+        pairs, slot = np.unique(example * n_rows + idx[keep], return_inverse=True)
+        per_example = np.zeros((pairs.size, table.shape[1]))
+        np.add.at(per_example, slot, (g / counts[:, None])[example])
+        if table.grad is None:
+            table.grad = np.zeros_like(table.values)
+        np.add.at(table.grad, pairs[::-1] % n_rows, per_example[::-1])
 
     return _record(out, (table,), rule)
-
-
-def mean_pool(x: Tensor, mask: Sequence[bool]) -> Tensor:
-    """Mean of the rows of ``x`` where ``mask`` is true; others contribute nothing."""
-    keep = np.asarray(mask, dtype=bool)
-    if x.values.ndim != 2 or keep.shape != (x.shape[0],):
-        raise ShapeError(f"mean_pool needs [T x d] and mask of length T, got {x.shape} and {keep.shape}")
-    count = int(keep.sum())
-    if count == 0:
-        raise ValueError("mean_pool over an all-false mask (empty sequence)")
-    out = Tensor(x.values[keep].mean(axis=0))
-
-    def rule(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.values)
-        gx[keep] = g / count
-        _accum(x, gx)
-
-    return _record(out, (x,), rule)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a matrix, one per row."""
-    if not rows:
-        raise ValueError("stack_rows of an empty sequence")
-    d = rows[0].shape
-    for r in rows:
-        if r.values.ndim != 1 or r.shape != d:
-            raise ShapeError(f"stack_rows needs equal 1-D shapes, got {d} and {r.shape}")
-    out = Tensor(np.stack([r.values for r in rows]))
-
-    def rule(g: np.ndarray) -> None:
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-
-    return _record(out, tuple(rows), rule)
 
 
 def row(x: Tensor, i: int) -> Tensor:
@@ -254,18 +241,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def rule(g: np.ndarray) -> None:
         _accum(a, g)
         _accum(b, g)
-
-    return _record(out, (a, b), rule)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.values * b.values)
-
-    def rule(g: np.ndarray) -> None:
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
 
     return _record(out, (a, b), rule)
 
@@ -424,6 +399,27 @@ def cosine_many(a: Tensor, rows: Tensor, eps: float = _COS_EPS) -> Tensor:
     return _record(out, (a, rows), rule)
 
 
+def cosine_matrix(x: Tensor, eps: float = _COS_EPS) -> Tensor:
+    """Pairwise cosines of the rows of ``x``: [B x d] -> [B x B].
+
+    Row norms are clamped below at eps, and a clamped norm is a constant in
+    backward, as in cosine_similarity.
+    """
+    if x.values.ndim != 2:
+        raise ShapeError(f"cosine_matrix needs a [B x d] matrix, got shape {x.shape}")
+    norms_raw = np.linalg.norm(x.values, axis=1)
+    norms = np.maximum(norms_raw, eps)
+    unit = x.values / norms[:, None]
+    out = Tensor(unit @ unit.T)
+
+    def rule(g: np.ndarray) -> None:
+        g_unit = (g + g.T) @ unit
+        radial = np.where(norms_raw > eps, (g_unit * unit).sum(axis=1), 0.0)
+        _accum(x, (g_unit - radial[:, None] * unit) / norms[:, None])
+
+    return _record(out, (x,), rule)
+
+
 def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean over the batch of -log softmax(logits)[target], max-stabilized.
 
@@ -448,6 +444,37 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
         sm /= sm.sum(axis=1, keepdims=True)
         sm[np.arange(n), t] -= 1.0
         _accum(logits, float(g) * sm / n)
+
+    return _record(out, (logits,), rule)
+
+
+def masked_softmax_cross_entropy(logits: Tensor, valid, weights) -> Tensor:
+    """Weighted sum of -log softmax(logits)[i, c], the softmax of each row
+    taken over its valid entries only: sum_ic weights[i, c] * (lse_i - logits[i, c]).
+
+    ``weights`` must be zero wherever ``valid`` is false, and every row needs
+    a valid entry. A row with a single valid entry contributes exactly 0.
+    Backward is g * (rowsum(weights) * softmax - weights).
+    """
+    keep = np.asarray(valid, dtype=bool)
+    w = np.asarray(weights, dtype=np.float64)
+    if logits.values.ndim != 2 or keep.shape != logits.shape or w.shape != logits.shape:
+        raise ShapeError(
+            f"masked_softmax_cross_entropy needs equal [B x C] logits, valid and weights, "
+            f"got {logits.shape}, {keep.shape} and {w.shape}"
+        )
+    if not keep.any(axis=1).all():
+        raise ValueError("every row needs at least one valid logit")
+    if (w[~keep] != 0.0).any():
+        raise ValueError("weights must be zero on invalid logits")
+    shifted = logits.values - np.where(keep, logits.values, -np.inf).max(axis=1, keepdims=True)
+    exp = np.where(keep, np.exp(shifted), 0.0)
+    lse = np.log(exp.sum(axis=1, keepdims=True))
+    out = Tensor((w * np.where(keep, lse - shifted, 0.0)).sum())
+
+    def rule(g: np.ndarray) -> None:
+        sm = exp / exp.sum(axis=1, keepdims=True)
+        _accum(logits, float(g) * (w.sum(axis=1, keepdims=True) * sm - w))
 
     return _record(out, (logits,), rule)
 

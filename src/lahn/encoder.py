@@ -109,18 +109,14 @@ def forward(
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> EncoderOutput:
-    """feature = MLP(mean_pool(embed(ids), mask)); logits = head(feature).
+    """feature = MLP(embed_mean_pool(emb, ids, mask)); logits = head(feature).
 
     Dropout (after pooling and between the MLP layers) is active iff
     training; eval forwards are deterministic.
     """
     act = ad.gelu if params.dims.activation == "gelu" else ad.relu
     p = params.dims.dropout
-    pooled_rows = []
-    for i in range(batch.size):
-        rows = ad.embedding_lookup(params.emb, batch.token_ids[i])
-        pooled_rows.append(ad.mean_pool(rows, batch.mask[i]))
-    x = ad.stack_rows(pooled_rows)
+    x = ad.embed_mean_pool(params.emb, batch.token_ids, batch.mask)
     x = ad.dropout(x, p, training, rng)
     h = act(ad.add_rows(ad.matmul(x, params.w1), params.b1))
     h = ad.dropout(h, p, training, rng)

@@ -88,25 +88,12 @@ def scl_loss(features: ad.Tensor, labels, tau: float) -> ad.Tensor:
     if labels.shape != (b,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {b}")
 
-    rows = [ad.row(features, i) for i in range(b)]
-    cos: dict[tuple[int, int], ad.Tensor] = {}
-    for i in range(b):
-        for j in range(i + 1, b):
-            cos[(i, j)] = ad.cosine_similarity(rows[i], rows[j])
-
-    def sim(i: int, j: int) -> ad.Tensor:
-        return cos[(i, j)] if i < j else cos[(j, i)]
-
-    anchor_losses = []
-    for i in range(b):
-        others = [j for j in range(b) if j != i]
-        positives = [p for p in others if labels[p] == labels[i]]
-        if not positives:
-            continue
-        vec = ad.concat1d([ad.reshape(sim(i, j), (1,)) for j in others])
-        logits = ad.reshape(ad.scale(vec, 1.0 / tau), (1, b - 1))
-        terms = [ad.softmax_cross_entropy(logits, [others.index(p)]) for p in positives]
-        anchor_losses.append(ad.scale(ad.add_n(terms), 1.0 / len(positives)))
-    if not anchor_losses:
+    others = ~np.eye(b, dtype=bool)
+    positive = (labels[:, None] == labels[None, :]) & others
+    n_pos = positive.sum(axis=1, keepdims=True)
+    n_anchors = int((n_pos > 0).sum())
+    if n_anchors == 0:
         return ad.constant(0.0)
-    return ad.scale(ad.add_n(anchor_losses), 1.0 / len(anchor_losses))
+    weights = positive / np.maximum(n_pos, 1) / n_anchors
+    logits = ad.scale(ad.cosine_matrix(features), 1.0 / tau)
+    return ad.masked_softmax_cross_entropy(logits, others, weights)

@@ -11,6 +11,7 @@ the main parameters only, and the EMA update of the momentum parameters.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from statistics import median
@@ -29,6 +30,10 @@ from .seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFL
 log = logging.getLogger("lahn")
 
 WARMUP_FILL = 0.25
+
+# elements per Adam block (at least one leading-axis row): two scratch rows
+# of this size and the operand blocks fit in a per-core L2 cache
+_ADAM_BLOCK = 1 << 14
 
 OBJECTIVES = ("ce", "scl", "lahn")
 
@@ -70,8 +75,8 @@ class TrainConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         Strategy.parse(self.strategy)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         if not 0.0 <= self.m <= 1.0:
@@ -82,8 +87,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -126,22 +136,44 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
+    """Bias-corrected Adam: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+
+    The update runs in place, one block of leading-axis rows at a time
+    through two small scratch arrays, so a step allocates no
+    parameter-sized temporaries and each block stays in cache.
+    """
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, tensor in params.named():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        tensor.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    named = params.named()
+    scratch = np.empty((2, max([_ADAM_BLOCK] + [t.values[:1].size for _, t in named])))
+    for name, tensor in named:
+        theta, g, m, v = tensor.values, grads[name], state.m[name], state.v[name]
+        rows = max(_ADAM_BLOCK * theta.shape[0] // max(theta.size, 1), 1)
+        for lo in range(0, theta.shape[0], rows):
+            part = slice(lo, lo + rows)
+            tb, gb, mb, vb = theta[part], g[part], m[part], v[part]
+            s1 = scratch[0, : tb.size].reshape(tb.shape)
+            s2 = scratch[1, : tb.size].reshape(tb.shape)
+            # the operations of lr * (m / bc1) / (np.sqrt(v / bc2) + eps) in
+            # their order, so the update is bitwise equal to that expression's
+            mb *= beta1
+            np.multiply(gb, 1.0 - beta1, out=s1)
+            mb += s1
+            vb *= beta2
+            np.multiply(gb, 1.0 - beta2, out=s1)
+            s1 *= gb
+            vb += s1
+            np.divide(mb, bc1, out=s1)
+            s1 *= lr
+            np.divide(vb, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            tb -= s1
 
 
 @dataclass

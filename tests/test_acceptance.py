@@ -67,15 +67,16 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     chk(lambda x, y: _scalar_sum(ad.matmul(x, y)), a, b)
 
     table = ad.param(rng.normal(size=(6, 3)))
-    ids = rng.integers(0, 6, size=5)  # repeats exercise accumulation
-    chk(lambda t: _scalar_sum(ad.embedding_lookup(t, ids)), table)
+    ids = rng.integers(0, 6, size=(2, 5))  # repeats exercise accumulation
+    chk(lambda t: _scalar_sum(ad.embed_mean_pool(t, ids, np.ones((2, 5), bool))), table)
 
-    seq = ad.param(rng.normal(size=(5, 3)))
-    mask = np.array([True, True, False, True, False])
-    chk(lambda t: _scalar_sum(ad.mean_pool(t, mask)), seq)
+    seq_table = ad.param(rng.normal(size=(5, 3)))
+    seq_ids = rng.integers(0, 5, size=(2, 5))
+    mask = np.array([[True, True, False, True, False], [True, False, False, False, False]])
+    chk(lambda t: ad.softmax_cross_entropy(ad.embed_mean_pool(t, seq_ids, mask), [1, 2]), seq_table)
 
-    rows = [ad.param(rng.normal(size=3)) for _ in range(3)]
-    chk(lambda *rs: _scalar_sum(ad.stack_rows(list(rs))), *rows)
+    feats = ad.param(rng.normal(size=(3, 4)))
+    chk(lambda t: ad.softmax_cross_entropy(ad.cosine_matrix(t), [2, 0, 1]), feats)
 
     m = ad.param(rng.normal(size=(4, 3)))
     chk(lambda t: _scalar_sum(ad.row(t, 2)), m)
@@ -88,7 +89,10 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     p = ad.param(rng.normal(size=4))
     q = ad.param(rng.normal(size=4))
     chk(lambda x, y: _scalar_sum(ad.add(x, y)), p, q)
-    chk(lambda x, y: _scalar_sum(ad.mul(x, y)), p, q)
+    grid = ad.param(rng.normal(size=(3, 4)))
+    valid = np.array([[True, False, True, True], [True, True, True, True], [False, True, False, False]])
+    weights = np.where(valid, rng.uniform(0.1, 1.0, size=(3, 4)), 0.0)
+    chk(lambda t: ad.masked_softmax_cross_entropy(t, valid, weights), grid)
     chk(lambda x: _scalar_sum(ad.scale(x, -1.7)), p)
     chk(lambda x, y: _scalar_sum(ad.add_n([x, y, x])), p, q)
 

@@ -33,37 +33,43 @@ class TestValueSemantics:
 
     def test_embedding_gather_order(self):
         table = ad.constant(np.arange(6.0).reshape(3, 2))
-        out = ad.embedding_lookup(table, [2, 0])
+        out = ad.embed_mean_pool(table, [[2, 0], [0, 1]], [[True, False], [True, False]])
         np.testing.assert_array_equal(out.values, [[4.0, 5.0], [0.0, 1.0]])
 
     def test_embedding_out_of_range(self):
         with pytest.raises(IndexError, match="3"):
-            ad.embedding_lookup(ad.constant(np.zeros((3, 2))), [0, 3])
+            ad.embed_mean_pool(ad.constant(np.zeros((3, 2))), [[0, 3]], [[True, True]])
+
+    def test_embedding_out_of_range_under_mask(self):
+        # a masked position is still an id: it must name a table row
+        with pytest.raises(IndexError, match="-1"):
+            ad.embed_mean_pool(ad.constant(np.zeros((3, 2))), [[1, -1]], [[True, False]])
 
     def test_embedding_repeated_id_accumulates(self):
         table = ad.param(np.zeros((3, 2)))
         with ad.Tape() as tape:
-            out = ad.embedding_lookup(table, [1, 1])
+            out = ad.embed_mean_pool(table, [[1, 1], [1, 0]], [[True, True], [True, False]])
             loss = scalar_sum(out)
             tape.backward(loss)
         np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
     def test_mean_pool_values(self):
-        x = ad.constant([[1.0, 1.0], [3.0, 3.0]])
-        np.testing.assert_array_equal(ad.mean_pool(x, [True, True]).values, [2.0, 2.0])
-        x2 = ad.constant([[1.0, 1.0], [9.0, 9.0]])
-        np.testing.assert_array_equal(ad.mean_pool(x2, [True, False]).values, [1.0, 1.0])
+        table = ad.constant([[1.0, 1.0], [3.0, 3.0], [9.0, 9.0]])
+        out = ad.embed_mean_pool(table, [[0, 1], [0, 2]], [[True, True], [True, False]])
+        np.testing.assert_array_equal(out.values, [[2.0, 2.0], [1.0, 1.0]])
 
     def test_mean_pool_all_false_mask(self):
         with pytest.raises(ValueError, match="mask"):
-            ad.mean_pool(ad.constant(np.ones((2, 2))), [False, False])
+            ad.embed_mean_pool(
+                ad.constant(np.ones((2, 2))), [[0, 1], [1, 1]], [[True, False], [False, False]]
+            )
 
     def test_mean_pool_gradient_split(self):
-        x = ad.param(np.ones((3, 2)))
+        table = ad.param(np.ones((4, 2)))
         with ad.Tape() as tape:
-            loss = scalar_sum(ad.mean_pool(x, [True, False, True]))
+            loss = scalar_sum(ad.embed_mean_pool(table, [[0, 1, 2]], [[True, False, True]]))
             tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])
+        np.testing.assert_array_equal(table.grad, [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
 
     def test_relu(self):
         np.testing.assert_array_equal(ad.relu(ad.constant([-1.0, 2.0])).values, [0.0, 2.0])
@@ -72,12 +78,10 @@ class TestValueSemantics:
         x = ad.constant([1.5, -2.0])
         np.testing.assert_array_equal(ad.scale(x, 1.0).values, x.values)
 
-    def test_add_mul_shape_errors(self):
+    def test_add_shape_errors(self):
         a, b = ad.constant([1.0]), ad.constant([1.0, 2.0])
         with pytest.raises(ad.ShapeError):
             ad.add(a, b)
-        with pytest.raises(ad.ShapeError):
-            ad.mul(a, b)
 
     def test_softmax_ce_hand_cases(self):
         ln2 = ad.softmax_cross_entropy(ad.constant([[0.0, 0.0]]), [0])
@@ -129,6 +133,138 @@ class TestValueSemantics:
         many = ad.cosine_many(a, ad.constant(rows)).values
         singles = [ad.cosine_similarity(a, ad.constant(r)).item() for r in rows]
         np.testing.assert_allclose(many, singles, rtol=1e-12)
+
+
+def reference_pool(table, ids, mask, g):
+    """One gather-and-mean per example, then one scatter-add per example in
+    descending order: the per-example route embed_mean_pool must equal."""
+    out = np.stack([table[ids[b]][mask[b]].mean(axis=0) for b in range(len(ids))])
+    grad = None
+    for b in reversed(range(len(ids))):
+        rows = np.zeros((len(ids[b]), table.shape[1]))
+        rows[mask[b]] = g[b] / mask[b].sum()
+        part = np.zeros_like(table)
+        np.add.at(part, ids[b], rows)
+        if grad is None:
+            grad = part
+        else:
+            grad += part
+    return out, grad
+
+
+def pooled_with_grad(table_values, ids, mask, g):
+    table = ad.param(table_values.copy())
+    with ad.Tape() as tape:
+        out = ad.embed_mean_pool(table, ids, mask)
+        n = out.values.size
+        # loss = sum(out * g), so the upstream gradient of out is exactly g
+        flat = ad.matmul(ad.reshape(out, (1, n)), ad.constant(g.reshape(n, 1)))
+        tape.backward(ad.reshape(flat, ()))
+    return out.values, table.grad
+
+
+class TestEmbedMeanPool:
+    def random_case(self, rng, v, d, b, t, ragged=True):
+        ids = rng.integers(0, v, size=(b, t))
+        lens = rng.integers(1, t + 1, size=b) if ragged else np.full(b, t)
+        mask = np.arange(t)[None, :] < lens[:, None]
+        return rng.normal(size=(v, d)), ids, mask, rng.normal(size=(b, d))
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_bitwise_equal_to_per_example_route(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(30):
+            # a small vocabulary forces ids repeated within and across examples
+            case = self.random_case(rng, v=7, d=d, b=int(rng.integers(1, 17)), t=int(rng.integers(1, 40)))
+            got = pooled_with_grad(*case)
+            want = reference_pool(*case)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_trailing_pad_columns_and_interior_holes(self):
+        rng = np.random.default_rng(1)
+        table, ids, _, g = self.random_case(rng, v=5, d=4, b=6, t=12)
+        mask = rng.random((6, 12)) < 0.5
+        mask[:, 0] = True
+        mask[:, 7:] = False  # five trailing all-PAD columns
+        got = pooled_with_grad(table, ids, mask, g)
+        want = reference_pool(table, ids, mask, g)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_width_one_embedding_within_tolerance(self):
+        # at d = 1 numpy's mean sums pairwise, so only the order-free tolerance holds
+        rng = np.random.default_rng(2)
+        case = self.random_case(rng, v=9, d=1, b=5, t=50)
+        got = pooled_with_grad(*case)
+        want = reference_pool(*case)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)
+
+    def test_one_tape_entry_for_the_batch(self):
+        table = ad.param(np.ones((4, 2)))
+        with ad.Tape() as tape:
+            ad.embed_mean_pool(table, np.ones((8, 5), np.int64), np.ones((8, 5), bool))
+        assert len(tape) == 1
+
+    def test_shape_errors(self):
+        table = ad.constant(np.zeros((3, 2)))
+        with pytest.raises(ad.ShapeError):
+            ad.embed_mean_pool(table, [0, 1], [True, True])
+        with pytest.raises(ad.ShapeError):
+            ad.embed_mean_pool(table, [[0, 1]], [[True]])
+
+
+class TestCosineMatrix:
+    def test_matches_pairwise_scalar_cosines(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 4))
+        got = ad.cosine_matrix(ad.constant(x)).values
+        want = [[ad.cosine_similarity(ad.constant(a), ad.constant(b)).item() for b in x] for a in x]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_zero_row_is_guarded(self):
+        x = ad.param(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 1.0]]))
+        with ad.Tape() as tape:
+            out = ad.cosine_matrix(x)
+            tape.backward(scalar_sum(out))
+        assert np.isfinite(out.values).all() and (out.values[0] == 0.0).all()
+        assert np.isfinite(x.grad).all()
+
+
+class TestMaskedSoftmaxCrossEntropy:
+    def test_full_mask_one_hot_weights_equal_softmax_cross_entropy(self):
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=(4, 3))
+        targets = [0, 2, 1, 2]
+        weights = np.zeros((4, 3))
+        weights[np.arange(4), targets] = 0.25
+        got = ad.masked_softmax_cross_entropy(ad.constant(logits), np.ones((4, 3), bool), weights)
+        want = ad.softmax_cross_entropy(ad.constant(logits), targets)
+        np.testing.assert_allclose(got.item(), want.item(), rtol=1e-14)
+
+    def test_invalid_entries_are_left_out(self):
+        logits = ad.constant([[0.0, 50.0, 0.0]])
+        valid = [[True, False, True]]
+        out = ad.masked_softmax_cross_entropy(logits, valid, [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(out.item(), math.log(2.0), rtol=1e-14)
+
+    def test_single_valid_entry_is_exactly_zero(self):
+        logits = ad.param([[3.0, -7.0]])
+        with ad.Tape() as tape:
+            out = ad.masked_softmax_cross_entropy(logits, [[True, False]], [[1.0, 0.0]])
+            tape.backward(out)
+        assert out.item() == 0.0
+        np.testing.assert_array_equal(logits.grad, [[0.0, 0.0]])
+
+    def test_contract_errors(self):
+        logits = ad.constant(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="valid"):
+            ad.masked_softmax_cross_entropy(logits, [[True, True], [False, False]], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="zero on invalid"):
+            ad.masked_softmax_cross_entropy(logits, [[True, False], [True, True]], np.ones((2, 2)))
+        with pytest.raises(ad.ShapeError):
+            ad.masked_softmax_cross_entropy(logits, np.ones((2, 3), bool), np.zeros((2, 3)))
 
 
 class TestDropout:
@@ -206,25 +342,42 @@ class TestFiniteDifferenceOracle:
         fd_check(lambda a, b: scalar_sum(ad.matmul(a, b)), [a, b])
 
     def test_embedding_lookup(self):
+        # ids repeated within an example and across examples
         rng = np.random.default_rng(12)
         table = ad.param(rng.uniform(-1, 1, (5, 3)))
-        fd_check(lambda t: scalar_sum(ad.embedding_lookup(t, [4, 1, 1, 0])), [table])
+        ids = [[4, 1, 1, 0], [1, 3, 4, 4]]
+        fd_check(lambda t: scalar_sum(ad.embed_mean_pool(t, ids, np.ones((2, 4), bool))), [table])
 
     def test_mean_pool(self):
+        # ragged rows, an interior masked position and a trailing all-PAD column
         rng = np.random.default_rng(13)
-        x = ad.param(rng.uniform(-1, 1, (4, 3)))
-        fd_check(lambda x: scalar_sum(ad.mean_pool(x, [True, False, True, True])), [x])
+        table = ad.param(rng.uniform(-1, 1, (4, 3)))
+        ids = [[1, 2, 3, 0], [3, 0, 0, 0], [2, 2, 1, 0]]
+        mask = [[True, False, True, False], [True, False, False, False], [True, True, True, False]]
+        fd_check(
+            lambda t: ad.softmax_cross_entropy(ad.embed_mean_pool(t, ids, mask), [0, 2, 1]), [table]
+        )
 
-    def test_stack_rows_and_row(self):
+    def test_cosine_matrix_and_row(self):
         rng = np.random.default_rng(14)
-        r1, r2 = ad.param(rng.uniform(-1, 1, 3)), ad.param(rng.uniform(-1, 1, 3))
-        fd_check(lambda r1, r2: scalar_sum(ad.row(ad.stack_rows([r1, r2]), 1)), [r1, r2])
+        x = ad.param(rng.uniform(-1, 1, (4, 3)))
+        fd_check(
+            lambda x: ad.softmax_cross_entropy(ad.reshape(ad.row(ad.cosine_matrix(x), 1), (1, 4)), [2]),
+            [x],
+        )
 
-    def test_elementwise_add_mul_scale(self):
+    def test_elementwise_add_scale(self):
         rng = np.random.default_rng(15)
         a = ad.param(rng.uniform(-1, 1, (2, 3)))
         b = ad.param(rng.uniform(-1, 1, (2, 3)))
-        fd_check(lambda a, b: scalar_sum(ad.scale(ad.mul(ad.add(a, b), b), -1.7)), [a, b])
+        fd_check(lambda a, b: ad.softmax_cross_entropy(ad.scale(ad.add(a, b), -1.7), [0, 2]), [a, b])
+
+    def test_masked_softmax_cross_entropy(self):
+        rng = np.random.default_rng(25)
+        logits = ad.param(rng.uniform(-1, 1, (3, 4)))
+        valid = np.array([[True, True, False, True], [False, True, True, True], [True, False, False, False]])
+        weights = np.where(valid, rng.uniform(0, 1, (3, 4)), 0.0)
+        fd_check(lambda x: ad.masked_softmax_cross_entropy(x, valid, weights), [logits])
 
     def test_add_rows_bias(self):
         rng = np.random.default_rng(16)

@@ -82,6 +82,17 @@ class TestExitCodes:
         assert rc == 1
         assert "tau" in capsys.readouterr().err
 
+    def test_adam_beta_of_one_is_usage_error(self, workdir, tmp_path, capsys):
+        config = tmp_path / "beta1.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "beta1": 1.0}))
+        rc = cli.main(
+            ["train", "--config", str(config),
+             "--train", str(workdir["data"] / "train.jsonl"),
+             "--val", str(workdir["data"] / "val.jsonl"), "--out", str(tmp_path / "run")]
+        )
+        assert rc == 1
+        assert "beta1" in capsys.readouterr().err
+
     def test_bad_anchor_index_is_usage_error(self, workdir, capsys):
         rc = cli.main(
             ["inspect-negatives", "--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),

@@ -242,6 +242,33 @@ class TestSclLoss:
         loss = scl_loss(feats, [0, 1], tau=1.0)
         assert loss.values == 0.0 and not loss.requires_grad
 
+    def test_every_anchor_alone_in_its_class_is_exact_zero(self):
+        feats = ad.param(np.random.default_rng(7).normal(size=(4, 3)))
+        with ad.Tape() as tape:
+            loss = scl_loss(feats, [0, 1, 2, 3], tau=0.5)
+        assert loss.values == 0.0 and not loss.requires_grad
+        assert len(tape) == 0 and feats.grad is None
+
+    def test_zero_norm_row_stays_finite(self):
+        rng = np.random.default_rng(8)
+        labels = [0, 1, 0, 1, 0]
+        # the last feature row is exactly zero, so its norm sits on the clamp
+        append_zero_row = ad.constant(np.vstack([np.eye(4), np.zeros((1, 4))]))
+        rows = ad.param(rng.normal(size=(4, 3)))
+        feats = ad.param(np.vstack([rows.values, np.zeros((1, 3))]))
+        with ad.Tape() as tape:
+            loss = scl_loss(feats, labels, tau=0.5)
+            tape.backward(loss)
+        assert np.isfinite(loss.values) and np.isfinite(feats.grad).all()
+        np.testing.assert_allclose(
+            loss.values, naive_scl(feats.values.tolist(), labels, 0.5), atol=1e-10
+        )
+        # finite differences move only the rows away from the clamp
+        report = ad.grad_check(
+            lambda r: scl_loss(ad.matmul(append_zero_row, r), labels, tau=0.5), [rows]
+        )
+        assert report.passed, str(report)
+
     def test_matches_double_loop_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -91,6 +91,31 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             small_config(**bad)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tau_must_be_finite_positive(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            small_config(tau=tau)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+    def test_lr_must_be_finite_positive(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            small_config(lr=lr)
+
+    @pytest.mark.parametrize("beta1", [1.0, -0.1, math.nan, math.inf])
+    def test_beta1_in_unit_interval(self, beta1):
+        with pytest.raises(ValueError, match="beta1"):
+            small_config(beta1=beta1)
+
+    @pytest.mark.parametrize("beta2", [1.0, -0.1, math.nan, math.inf])
+    def test_beta2_in_unit_interval(self, beta2):
+        with pytest.raises(ValueError, match="beta2"):
+            small_config(beta2=beta2)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+    def test_eps_must_be_finite_positive(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            small_config(eps=eps)
+
 
 class _OneParam:
     """Minimal named-parameter holder for optimizer unit tests."""
@@ -100,6 +125,14 @@ class _OneParam:
 
     def named(self):
         return [("w", self.w)]
+
+
+class _Params:
+    def __init__(self, **values):
+        self.tensors = {name: ad.param(v) for name, v in values.items()}
+
+    def named(self):
+        return list(self.tensors.items())
 
 
 class TestAdam:
@@ -139,6 +172,34 @@ class TestAdam:
                 vh = v[i] / (1 - b2**t)
                 ref[i] -= lr * mh / (math.sqrt(vh) + eps)
         np.testing.assert_allclose(p.w.values, ref, atol=1e-12)
+
+    def test_fifty_steps_bitwise_equal_to_expression(self):
+        # the in-place update against the one-expression form it replaces:
+        # "w" spans several blocks, "r" has rows wider than a block, and "u"
+        # always gets a zero gradient
+        rng = np.random.default_rng(1)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        shapes = {"w": (3000, 7), "r": (2, 20000), "u": (5,)}
+        p = _Params(**{k: rng.normal(size=s) for k, s in shapes.items()})
+        state = init_adam(p)
+        ref = {k: t.values.copy() for k, t in p.named()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for t in range(1, 51):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            grads["u"] = np.zeros(5)
+            adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():
+                m[k] *= b1
+                m[k] += (1.0 - b1) * g
+                v[k] *= b2
+                v[k] += (1.0 - b2) * g * g
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+        for k, tensor in p.named():
+            np.testing.assert_array_equal(tensor.values, ref[k])
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
 
     def test_nonfinite_gradient_names_parameter(self):
         p = _OneParam([0.0])
