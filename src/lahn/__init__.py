@@ -28,7 +28,6 @@ from .encoder import (
 from .metrics import MetricsReport, confound_probe, evaluate, export_embeddings
 from .momentum import EmaState, MomentumQueue, QueueSnapshot, ema_update
 from .objectives import (
-    AnchorContrast,
     LossBreakdown,
     classification_loss,
     combined_loss,
@@ -36,13 +35,13 @@ from .objectives import (
     scl_loss,
 )
 from .sampler import (
+    HardNegativeBatch,
     HardNegativeSet,
     Strategy,
     anchor_class_prob,
-    filter_true_negatives,
+    cosines,
     sample_for_batch,
-    score_candidates,
-    select_hard_negatives,
+    top_k_order,
 )
 from .trainer import (
     NonFiniteLossError,

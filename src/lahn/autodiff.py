@@ -8,11 +8,13 @@ them. Everything is 64-bit and single-threaded; there is no broadcasting
 beyond scalar ``scale`` and the explicit row-wise bias add, which keeps every
 backward rule short enough to audit by hand.
 
-The encoder and the in-batch SCL loss run as whole-batch ops, one tape entry
-each: ``embed_mean_pool`` gathers and mean-pools every example's embedding
-rows at once, ``cosine_matrix`` takes all pairwise cosines of a feature
-matrix, and ``masked_softmax_cross_entropy`` scores every row of a masked
-logit matrix against weighted targets.
+The encoder and both contrastive losses run as whole-batch ops, one tape
+entry each: ``embed_mean_pool`` gathers and mean-pools every example's
+embedding rows at once, ``cosine_matrix`` takes all pairwise cosines of a
+feature matrix (in-batch SCL), ``cosine_blocks`` takes each anchor's cosines
+against its own padded block of positive and hard negatives (lahn), and
+``masked_softmax_cross_entropy`` scores every row of a masked logit matrix
+against weighted targets.
 
 Ops that take no active tape (or whose inputs carry no gradient) just compute
 values, so evaluation paths pay nothing for the machinery.
@@ -182,41 +184,6 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     return _record(out, (table,), rule)
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    """Select row ``i`` of a matrix; backward scatters into that row."""
-    if x.values.ndim != 2:
-        raise ShapeError(f"row needs a 2-D tensor, got shape {x.shape}")
-    if not 0 <= i < x.shape[0]:
-        raise IndexError(f"row {i} out of range for shape {x.shape}")
-    out = Tensor(x.values[i].copy())
-
-    def rule(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.values)
-        gx[i] = g
-        _accum(x, gx)
-
-    return _record(out, (x,), rule)
-
-
-def concat1d(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors; backward slices the gradient back apart."""
-    if not parts:
-        raise ValueError("concat1d of an empty sequence")
-    for p in parts:
-        if p.values.ndim != 1:
-            raise ShapeError(f"concat1d needs 1-D tensors, got shape {p.shape}")
-    sizes = [p.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.values for p in parts]))
-
-    def rule(g: np.ndarray) -> None:
-        off = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[off : off + n])
-            off += n
-
-    return _record(out, tuple(parts), rule)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.values.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
@@ -266,26 +233,6 @@ def add_rows(x: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, g.sum(axis=0))
 
     return _record(out, (x, bias), rule)
-
-
-def add_n(parts: Sequence[Tensor]) -> Tensor:
-    """Sum of same-shaped tensors in one tape entry."""
-    if not parts:
-        raise ValueError("add_n of an empty sequence")
-    shape = parts[0].shape
-    for p in parts:
-        if p.shape != shape:
-            raise ShapeError(f"add_n shapes differ: {shape} vs {p.shape}")
-    acc = parts[0].values.copy()
-    for p in parts[1:]:
-        acc += p.values
-    out = Tensor(acc)
-
-    def rule(g: np.ndarray) -> None:
-        for p in parts:
-            _accum(p, g)
-
-    return _record(out, tuple(parts), rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -341,81 +288,64 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # ---------------------------------------------------------------------------
 
 
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = _COS_EPS) -> Tensor:
-    """cos(a, b) with norms clamped below at eps; scalar output.
+def clamped_norms(x: np.ndarray, eps: float = _COS_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of the rows (last axis) of ``x``: ``(raw, clamped below at eps)``.
 
-    A clamped norm is treated as a constant in backward (its derivative
-    through the clamp is zero), so zero vectors stay differentiable.
+    The one norm clamp behind every cosine in the package (a plain-array
+    helper, not a tape op).
     """
-    if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity needs matching 1-D shapes, got {a.shape} and {b.shape}")
-    na_raw = float(np.linalg.norm(a.values))
-    nb_raw = float(np.linalg.norm(b.values))
-    na = max(na_raw, eps)
-    nb = max(nb_raw, eps)
-    dot = float(a.values @ b.values)
-    cos = dot / (na * nb)
-    out = Tensor(cos)
-
-    def rule(g: np.ndarray) -> None:
-        gs = float(g)
-        if a.requires_grad:
-            ga = b.values / (na * nb)
-            if na_raw > eps:
-                ga = ga - (cos / na**2) * a.values
-            _accum(a, gs * ga)
-        if b.requires_grad:
-            gb = a.values / (na * nb)
-            if nb_raw > eps:
-                gb = gb - (cos / nb**2) * b.values
-            _accum(b, gs * gb)
-
-    return _record(out, (a, b), rule)
+    norms_raw = np.linalg.norm(x, axis=-1)
+    return norms_raw, np.maximum(norms_raw, eps)
 
 
-def cosine_many(a: Tensor, rows: Tensor, eps: float = _COS_EPS) -> Tensor:
-    """cos(a, rows[j]) for every row of a constant matrix, as a vector.
+def _unit_rows(x: np.ndarray, eps: float = _COS_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``x`` over their clamped norms: ``(unit, norms_raw, norms)``."""
+    norms_raw, norms = clamped_norms(x, eps)
+    return x / norms[..., None], norms_raw, norms
 
-    ``rows`` must be gradient-free (it holds detached features); gradients
-    flow only into ``a``. Equivalent to stacking cosine_similarity calls.
-    """
-    if a.values.ndim != 1 or rows.values.ndim != 2 or rows.shape[1] != a.shape[0]:
-        raise ShapeError(f"cosine_many needs [d] and [S x d], got {a.shape} and {rows.shape}")
-    if rows.requires_grad:
-        raise ValueError("cosine_many rows must be detached")
-    na_raw = float(np.linalg.norm(a.values))
-    na = max(na_raw, eps)
-    nb = np.maximum(np.linalg.norm(rows.values, axis=1), eps)
-    dots = rows.values @ a.values
-    cos = dots / (na * nb)
-    out = Tensor(cos)
 
-    def rule(g: np.ndarray) -> None:
-        ga = (g / nb) @ rows.values / na
-        if na_raw > eps:
-            ga = ga - (float(g @ cos) / na**2) * a.values
-        _accum(a, ga)
-
-    return _record(out, (a, rows), rule)
+def _unit_rows_grad(g_unit, unit, norms_raw, norms, eps: float) -> np.ndarray:
+    # backward of x -> x / max(|x|, eps) row by row: a clamped norm is a
+    # constant, so its row has no radial term
+    radial = np.where(norms_raw > eps, (g_unit * unit).sum(axis=1), 0.0)
+    return (g_unit - radial[:, None] * unit) / norms[:, None]
 
 
 def cosine_matrix(x: Tensor, eps: float = _COS_EPS) -> Tensor:
     """Pairwise cosines of the rows of ``x``: [B x d] -> [B x B].
 
     Row norms are clamped below at eps, and a clamped norm is a constant in
-    backward, as in cosine_similarity.
+    backward, so a zero row stays differentiable.
     """
     if x.values.ndim != 2:
         raise ShapeError(f"cosine_matrix needs a [B x d] matrix, got shape {x.shape}")
-    norms_raw = np.linalg.norm(x.values, axis=1)
-    norms = np.maximum(norms_raw, eps)
-    unit = x.values / norms[:, None]
+    unit, norms_raw, norms = _unit_rows(x.values, eps)
     out = Tensor(unit @ unit.T)
 
     def rule(g: np.ndarray) -> None:
-        g_unit = (g + g.T) @ unit
-        radial = np.where(norms_raw > eps, (g_unit * unit).sum(axis=1), 0.0)
-        _accum(x, (g_unit - radial[:, None] * unit) / norms[:, None])
+        _accum(x, _unit_rows_grad((g + g.T) @ unit, unit, norms_raw, norms, eps))
+
+    return _record(out, (x,), rule)
+
+
+def cosine_blocks(x: Tensor, blocks, eps: float = _COS_EPS) -> Tensor:
+    """Cosine of each row of ``x`` against every row of its own block:
+    [B x d] and [B x m x d] -> [B x m], out[b, j] = cos(x[b], blocks[b, j]).
+
+    Norms are clamped below at eps on both sides, as in cosine_matrix.
+    ``blocks`` is a plain array (detached features), so gradients flow only
+    into ``x``.
+    """
+    rows = np.asarray(blocks, dtype=np.float64)
+    if x.values.ndim != 2 or rows.ndim != 3 or (rows.shape[0], rows.shape[2]) != x.shape:
+        raise ShapeError(f"cosine_blocks needs [B x d] and [B x m x d], got {x.shape} and {rows.shape}")
+    unit, norms_raw, norms = _unit_rows(x.values, eps)
+    unit_blocks = _unit_rows(rows, eps)[0]
+    out = Tensor((unit_blocks @ unit[:, :, None])[:, :, 0])
+
+    def rule(g: np.ndarray) -> None:
+        g_unit = (g[:, None, :] @ unit_blocks)[:, 0, :]
+        _accum(x, _unit_rows_grad(g_unit, unit, norms_raw, norms, eps))
 
     return _record(out, (x,), rule)
 

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__, fileio, metrics
 from .data import encode_examples, generate_confound_corpus, load_jsonl, write_jsonl
-from .encoder import load_checkpoint
+from .encoder import apply_head, load_checkpoint
 from .momentum import MomentumQueue
-from .sampler import Strategy, anchor_class_prob, cosine_rows, sample_for_batch
+from .sampler import Strategy, anchor_class_prob, cosines, sample_for_batch
 from .trainer import TrainConfig, run_ablation_grid, run_training
-from .encoder import apply_head
 
 log = logging.getLogger("lahn")
 
@@ -183,10 +182,8 @@ def _cmd_inspect_negatives(args) -> int:
         exclude_ids=entry_ids[args.anchor : args.anchor + 1],
     )[0]
 
-    sims = cosine_rows(feats[args.anchor], snap.features[negset.queue_indices])
-    probs = anchor_class_prob(
-        apply_head(params, snap.features[negset.queue_indices]), int(labels[args.anchor])
-    )
+    sims = cosines(feats[args.anchor : args.anchor + 1], negset.features)[0]
+    probs = anchor_class_prob(apply_head(params, negset.features), int(labels[args.anchor]))
     lines = []
     for rank in range(negset.size):
         qi = int(negset.queue_indices[rank])

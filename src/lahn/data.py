@@ -11,6 +11,7 @@ identity-to-label correlation in train while keeping the test split balanced.
 from __future__ import annotations
 
 import json
+import re
 import string
 from dataclasses import dataclass, field
 
@@ -24,25 +25,16 @@ UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
 
-_PUNCT = frozenset(string.punctuation)
+# a run of characters that are neither whitespace nor punctuation, or one
+# punctuation character; regex \s and str.split() treat the same code points
+# as whitespace
+_PUNCT = re.escape(string.punctuation)
+_TOKEN = re.compile(rf"[^\s{_PUNCT}]+|[{_PUNCT}]")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, split punctuation into 1-char tokens."""
-    out: list[str] = []
-    for chunk in text.lower().split():
-        run: list[str] = []
-        for ch in chunk:
-            if ch in _PUNCT:
-                if run:
-                    out.append("".join(run))
-                    run = []
-                out.append(ch)
-            else:
-                run.append(ch)
-        if run:
-            out.append("".join(run))
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -105,10 +97,16 @@ def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> list[Exam
 
 
 def load_jsonl(path) -> list[Example]:
-    """Order-preserving load of {"text": str, "label": 0|1} records."""
+    """Order-preserving load of {"text": str, "label": 0|1} records.
+
+    Lines holding only whitespace (a trailing blank line, say) are skipped;
+    errors name the physical line number in the file.
+    """
     out: list[Example] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:

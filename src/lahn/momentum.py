@@ -1,5 +1,5 @@
 """Momentum-encoder lifecycle: EMA parameter updates and the bounded FIFO
-queue of detached feature vectors with labels.
+queue (a ring buffer) of detached feature vectors with labels.
 
 The queue is the negative-candidate pool. Entries carry a monotonically
 increasing insertion id so a training step can exclude an anchor's own
@@ -29,7 +29,12 @@ class QueueSnapshot:
 
 
 class MomentumQueue:
-    """Bounded FIFO of (feature, label) entries; eviction strictly oldest-first."""
+    """Bounded FIFO of (feature, label) entries; eviction strictly oldest-first.
+
+    A preallocated ring buffer (MoCo's queue): entry id ``i`` lives in slot
+    ``i % capacity``, so an enqueue overwrites the oldest slots in place and
+    nothing is appended, deleted or stacked per step.
+    """
 
     def __init__(self, capacity: int, d_feat: int):
         if capacity < 1:
@@ -38,14 +43,14 @@ class MomentumQueue:
             raise ValueError(f"d_feat must be >= 1, got {d_feat}")
         self.capacity = capacity
         self.d_feat = d_feat
-        self._features: list[np.ndarray] = []
-        self._labels: list[int] = []
-        self._ids: list[int] = []
-        self._counter = 0
+        self._features = np.empty((capacity, d_feat))
+        self._labels = np.empty(capacity, dtype=np.int64)
+        self._ids = np.empty(capacity, dtype=np.int64)
+        self._counter = 0  # ids handed out so far; the next entry gets this one
 
     @property
     def size(self) -> int:
-        return len(self._labels)
+        return min(self._counter, self.capacity)
 
     def fill_fraction(self) -> float:
         return self.size / self.capacity
@@ -54,7 +59,8 @@ class MomentumQueue:
         """Append in batch order, evict oldest beyond capacity.
 
         Returns the insertion ids assigned to this batch. Features must be
-        plain arrays (already detached); they are copied, never aliased.
+        plain arrays (already detached); they are copied, never aliased. Of a
+        batch larger than the capacity only the newest ``capacity`` rows stay.
         """
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels)
@@ -62,30 +68,23 @@ class MomentumQueue:
             raise ValueError(f"expected features [B x {self.d_feat}], got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError(f"labels shape {labels.shape} does not match batch {features.shape[0]}")
-        assigned = np.arange(self._counter, self._counter + features.shape[0], dtype=np.int64)
-        self._counter += features.shape[0]
-        for i in range(features.shape[0]):
-            self._features.append(features[i].copy())
-            self._labels.append(int(labels[i]))
-            self._ids.append(int(assigned[i]))
-        excess = len(self._labels) - self.capacity
-        if excess > 0:
-            del self._features[:excess]
-            del self._labels[:excess]
-            del self._ids[:excess]
+        n = features.shape[0]
+        assigned = np.arange(self._counter, self._counter + n, dtype=np.int64)
+        self._counter += n
+        newest = slice(max(n - self.capacity, 0), n)
+        slots = assigned[newest] % self.capacity
+        self._features[slots] = features[newest]
+        self._labels[slots] = labels[newest]
+        self._ids[slots] = assigned[newest]
         return assigned
 
     def snapshot(self) -> QueueSnapshot:
-        if not self._labels:
-            return QueueSnapshot(
-                features=np.zeros((0, self.d_feat)),
-                labels=np.zeros(0, dtype=np.int64),
-                entry_ids=np.zeros(0, dtype=np.int64),
-            )
+        # one fancy index in age order: a copy, untouched by later enqueues
+        age_order = np.arange(self._counter - self.size, self._counter) % self.capacity
         return QueueSnapshot(
-            features=np.stack(self._features).copy(),
-            labels=np.array(self._labels, dtype=np.int64),
-            entry_ids=np.array(self._ids, dtype=np.int64),
+            features=self._features[age_order],
+            labels=self._labels[age_order],
+            entry_ids=self._ids[age_order],
         )
 
 

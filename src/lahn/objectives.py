@@ -2,9 +2,10 @@
 negatives) per anchor, classification cross-entropy, their convex
 combination, and the in-batch supervised contrastive baseline.
 
-The contrastive term is built exactly as the softmax-cross-entropy over the
-logit row [pos/tau, neg_1/tau, ..., neg_n/tau] with target index 0, so the
-positive similarity appears in the denominator alongside the negatives.
+The contrastive term is built exactly as the softmax-cross-entropy over each
+anchor's logit row [pos/tau, neg_1/tau, ..., neg_n/tau] with target index 0,
+so the positive similarity appears in the denominator alongside the
+negatives. All anchors share one padded row matrix and a validity mask.
 """
 
 from __future__ import annotations
@@ -17,14 +18,6 @@ from . import autodiff as ad
 
 
 @dataclass
-class AnchorContrast:
-    """One anchor's similarities: a scalar positive, 0..k scalar negatives."""
-
-    pos_sim: ad.Tensor  # 0-d
-    neg_sims: ad.Tensor | None  # [n] or None when no negatives survived
-
-
-@dataclass
 class LossBreakdown:
     l_cl: float
     l_ce: float
@@ -32,28 +25,29 @@ class LossBreakdown:
     lam: float
 
 
-def contrastive_loss(anchors: list[AnchorContrast], tau: float) -> ad.Tensor:
+def contrastive_loss(sims: ad.Tensor, valid, tau: float) -> ad.Tensor:
     """Mean over all anchors of -log softmax([pos/tau, negs/tau])[0].
 
-    An anchor with zero negatives contributes exactly 0 (its row softmax is
-    a single logit), but it still counts in the mean's denominator.
+    ``sims`` is [B x (1+w)]: column 0 holds each anchor's positive
+    similarity, the rest its negatives, padded to a common width, with
+    ``valid`` marking the real entries. An anchor with zero negatives
+    contributes exactly 0 (its row softmax is a single logit), but it still
+    counts in the mean's denominator.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be > 0, got {tau}")
-    if not anchors:
+    keep = np.asarray(valid, dtype=bool)
+    if sims.values.ndim != 2 or keep.shape != sims.shape:
+        raise ValueError(f"need equal [B x (1+w)] sims and valid, got {sims.shape} and {keep.shape}")
+    if keep.shape[0] == 0:
         raise ValueError("contrastive_loss over zero anchors")
-    inv = 1.0 / tau
-    per_anchor = []
-    for a in anchors:
-        if a.neg_sims is None or a.neg_sims.values.size == 0:
-            continue
-        n = a.neg_sims.values.shape[0]
-        row = ad.concat1d([ad.reshape(a.pos_sim, (1,)), a.neg_sims])
-        logits = ad.reshape(ad.scale(row, inv), (1, 1 + n))
-        per_anchor.append(ad.softmax_cross_entropy(logits, [0]))
-    if not per_anchor:
+    if not keep[:, 0].all():
+        raise ValueError("column 0 holds each anchor's positive and must be valid")
+    if not keep[:, 1:].any():
         return ad.constant(0.0)
-    return ad.scale(ad.add_n(per_anchor), 1.0 / len(anchors))
+    weights = np.zeros(keep.shape)
+    weights[:, 0] = 1.0 / keep.shape[0]
+    return ad.masked_softmax_cross_entropy(ad.scale(sims, 1.0 / tau), keep, weights)
 
 
 def classification_loss(logits: ad.Tensor, labels) -> ad.Tensor:

@@ -6,9 +6,10 @@ probability of assigning it the anchor's class, take the top k. The two
 ablation strategies relax that pipeline: SimOnly ranks by similarity alone,
 AllQueue skips both the label filter and the top-k cut.
 
-Everything here operates on detached numpy arrays: selection influences
-which similarities enter the contrastive loss, but no gradient flows through
-the selection itself.
+The whole batch runs at once: one [B x S] score matrix against the snapshot,
+one keep-mask, one row-wise stable sort. Everything here operates on
+detached numpy arrays: selection influences which similarities enter the
+contrastive loss, but no gradient flows through the selection itself.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import clamped_norms
 from .encoder import EncoderParams, apply_head
-
-_EPS = 1e-8
 
 
 class Strategy(enum.Enum):
@@ -38,7 +38,7 @@ class Strategy(enum.Enum):
 
 @dataclass
 class HardNegativeSet:
-    """Per-anchor selection: feature rows, their queue indices, their scores.
+    """One anchor's selection: feature rows, their queue indices, their scores.
 
     Scores are non-increasing; ties were broken by lower queue index.
     """
@@ -52,121 +52,117 @@ class HardNegativeSet:
         return self.queue_indices.shape[0]
 
 
-def cosine_rows(anchor: np.ndarray, rows: np.ndarray, eps: float = _EPS) -> np.ndarray:
-    """cos(anchor, rows[j]) with norms clamped below at eps."""
-    na = max(float(np.linalg.norm(anchor)), eps)
-    nb = np.maximum(np.linalg.norm(rows, axis=1), eps)
-    return (rows @ anchor) / (na * nb)
+@dataclass
+class HardNegativeBatch:
+    """Every anchor's selection, padded to a common width w.
+
+    Row i holds anchor i's selection in its first ``valid[i].sum()`` slots
+    (``valid`` is a prefix mask); padding slots carry zero features, queue
+    index -1 and score 0. Indexing or iterating yields per-anchor views.
+    """
+
+    features: np.ndarray  # [B x w x d_feat]
+    queue_indices: np.ndarray  # [B x w] int64
+    scores: np.ndarray  # [B x w]
+    valid: np.ndarray  # [B x w] bool
+
+    def __len__(self) -> int:
+        return self.valid.shape[0]
+
+    def __getitem__(self, i: int) -> HardNegativeSet:
+        n = int(self.valid[i].sum())
+        return HardNegativeSet(self.features[i, :n], self.queue_indices[i, :n], self.scores[i, :n])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
-def filter_true_negatives(anchor_label: int, queue_labels: np.ndarray) -> np.ndarray:
-    """Snapshot positions whose label differs from the anchor's, in queue order."""
-    queue_labels = np.asarray(queue_labels)
-    return np.flatnonzero(queue_labels != anchor_label)
+def anchor_class_prob(head_logits, anchor_labels) -> np.ndarray:
+    """Softmax over each row's 2 logits; return the anchor-class column.
 
-
-def anchor_class_prob(head_logits, anchor_label: int) -> np.ndarray:
-    """Softmax over each row's 2 logits; return the anchor-class column."""
+    An int label gives [S]; an array of B labels gives [B x S], row b being
+    the column of ``anchor_labels[b]``.
+    """
     logits = np.asarray(getattr(head_logits, "values", head_logits), dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != 2:
         raise ValueError(f"expected [S x 2] logits, got shape {logits.shape}")
-    if anchor_label not in (0, 1):
-        raise ValueError(f"anchor label must be 0 or 1, got {anchor_label}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e[:, anchor_label] / e.sum(axis=1)
+    labels = np.asarray(anchor_labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"anchor labels must be 0 or 1, got {anchor_labels}")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).T[labels]
 
 
-def score_candidates(
-    anchor_feat: np.ndarray,
-    candidate_feats: np.ndarray,
-    probs: np.ndarray | None,
-    strategy: Strategy,
-) -> np.ndarray:
-    """SimOnly: cos. LabelSimWeight: cos * prob. AllQueue: cos, untouched.
+def cosines(anchor_feats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[B x S] cosines of anchor rows against rows, norms clamped as in
+    ``clamped_norms``.
 
-    Negative scores are legal and simply rank low; ordering is all that
-    matters downstream.
+    Each dot product is divided by the product of its two clamped norms: on
+    integer-valued rows every step is exact or correctly rounded, so any
+    route that takes those steps gets the same floats and the same ties.
     """
-    anchor_feat = np.asarray(anchor_feat, dtype=np.float64)
-    candidate_feats = np.asarray(candidate_feats, dtype=np.float64)
-    if candidate_feats.ndim != 2 or candidate_feats.shape[1] != anchor_feat.shape[0]:
-        raise ValueError(
-            f"candidate shape {candidate_feats.shape} incompatible with anchor {anchor_feat.shape}"
-        )
-    sims = cosine_rows(anchor_feat, candidate_feats)
-    if strategy is Strategy.LABEL_SIM_WEIGHT:
-        if probs is None or np.asarray(probs).shape != sims.shape:
-            raise ValueError("LabelSimWeight needs one probability per candidate")
-        return sims * np.asarray(probs, dtype=np.float64)
-    return sims
+    norms = clamped_norms(anchor_feats)[1][:, None] * clamped_norms(rows)[1]
+    return (anchor_feats @ rows.T) / norms
 
 
-def select_hard_negatives(
-    scores: np.ndarray,
-    candidate_indices: np.ndarray,
-    candidate_feats: np.ndarray,
-    k: int,
-) -> HardNegativeSet:
-    """Top-k by score, descending; ties broken by lower queue index.
+def top_k_order(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the positions of the best ``k`` kept entries, best first.
 
-    Fewer than k candidates: all are selected. Zero candidates: empty set.
+    Ties go to the lower position. Returns ``(order, valid)``, both [B x w]
+    with w = min(k, most entries any row keeps); ``valid`` marks the slots
+    that hold a kept entry and is a prefix of each row.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.asarray(scores, dtype=np.float64)
-    candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
-    order = np.lexsort((candidate_indices, -scores))[: min(k, scores.shape[0])]
-    return HardNegativeSet(
-        features=np.asarray(candidate_feats, dtype=np.float64)[order],
-        queue_indices=candidate_indices[order],
-        scores=scores[order],
-    )
+    n_kept = np.minimum(keep.sum(axis=1), k)
+    width = int(n_kept.max(initial=0))
+    order = np.argsort(np.where(keep, -scores, np.inf), axis=1, kind="stable")[:, :width]
+    return order, np.arange(width) < n_kept[:, None]
 
 
 def sample_for_batch(
     anchor_feats: np.ndarray,
     anchor_labels: np.ndarray,
     snapshot,
-    momentum_params: EncoderParams,
+    momentum_params: EncoderParams | None,
     strategy: Strategy,
     k: int,
     exclude_ids: np.ndarray | None = None,
-) -> list[HardNegativeSet]:
-    """filter -> prob -> score -> select, per anchor, over one shared snapshot.
+) -> HardNegativeBatch:
+    """Score every anchor against one shared snapshot, mask, take the top k.
 
-    One momentum-head application over the snapshot serves every anchor.
-    ``exclude_ids[i]`` names anchor i's own entry id from the current step's
-    enqueue so its positive never doubles as its negative. AllQueue keeps
-    every (other) entry regardless of label and ignores k.
+    Scores are ``cosines`` against the snapshot, times the momentum head's
+    anchor-class probability under LabelSimWeight. Same-label entries are
+    masked (except under AllQueue), and so is ``exclude_ids[i]``, anchor i's
+    own entry from the current step's enqueue, so its positive never
+    doubles as its negative. AllQueue keeps every other entry and ignores k.
     """
     anchor_feats = np.asarray(anchor_feats, dtype=np.float64)
-    n_anchors = anchor_feats.shape[0]
-    if snapshot.size == 0:
-        empty = [
-            HardNegativeSet(
-                features=np.zeros((0, anchor_feats.shape[1])),
-                queue_indices=np.zeros(0, dtype=np.int64),
-                scores=np.zeros(0),
-            )
-            for _ in range(n_anchors)
-        ]
-        return empty
-    head_logits = apply_head(momentum_params, snapshot.features)
-    out = []
-    for i in range(n_anchors):
-        label = int(anchor_labels[i])
-        if strategy is Strategy.ALL_QUEUE:
-            cand = np.arange(snapshot.size, dtype=np.int64)
-        else:
-            cand = filter_true_negatives(label, snapshot.labels)
-        if exclude_ids is not None:
-            cand = cand[snapshot.entry_ids[cand] != exclude_ids[i]]
-        probs = None
-        if strategy is Strategy.LABEL_SIM_WEIGHT:
-            probs = anchor_class_prob(head_logits[cand], label)
-        feats = snapshot.features[cand]
-        scores = score_candidates(anchor_feats[i], feats, probs, strategy)
-        k_eff = cand.size if strategy is Strategy.ALL_QUEUE else k
-        out.append(select_hard_negatives(scores, cand, feats, max(k_eff, 1)))
-    return out
+    labels = np.asarray(anchor_labels, dtype=np.int64)
+    if anchor_feats.ndim != 2 or anchor_feats.shape[1] != snapshot.features.shape[1]:
+        raise ValueError(
+            f"anchor shape {anchor_feats.shape} incompatible with snapshot {snapshot.features.shape}"
+        )
+    if labels.shape != (anchor_feats.shape[0],):
+        raise ValueError(f"labels shape {labels.shape} does not match batch {anchor_feats.shape[0]}")
+    if strategy is Strategy.LABEL_SIM_WEIGHT and momentum_params is None:
+        raise ValueError("LabelSimWeight needs the momentum parameters for its probabilities")
+    scores = cosines(anchor_feats, snapshot.features)
+    if strategy is Strategy.LABEL_SIM_WEIGHT:
+        scores *= anchor_class_prob(apply_head(momentum_params, snapshot.features), labels)
+    if strategy is Strategy.ALL_QUEUE:
+        keep = np.ones(scores.shape, dtype=bool)
+    else:
+        keep = snapshot.labels[None, :] != labels[:, None]
+    if exclude_ids is not None:
+        keep &= snapshot.entry_ids[None, :] != np.asarray(exclude_ids)[:, None]
+    k_eff = max(snapshot.size, 1) if strategy is Strategy.ALL_QUEUE else k
+    order, valid = top_k_order(scores, keep, k_eff)
+    features = snapshot.features[order]
+    features[~valid] = 0.0
+    return HardNegativeBatch(
+        features=features,
+        queue_indices=np.where(valid, order, -1),
+        scores=np.where(valid, np.take_along_axis(scores, order, axis=1), 0.0),
+        valid=valid,
+    )

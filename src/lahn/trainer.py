@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from statistics import median
@@ -23,7 +24,7 @@ from . import fileio, metrics, objectives, sampler
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import EncoderDims, EncoderParams, clone_params, forward, init_params, save_checkpoint
 from .momentum import EmaState, MomentumQueue, ema_update
-from .objectives import AnchorContrast, LossBreakdown
+from .objectives import LossBreakdown
 from .sampler import Strategy
 from .seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
 
@@ -36,6 +37,33 @@ WARMUP_FILL = 0.25
 _ADAM_BLOCK = 1 << 14
 
 OBJECTIVES = ("ce", "scl", "lahn")
+ACTIVATIONS = ("gelu", "relu")
+
+# integer config fields and the least value each may take
+_INT_FIELDS = {
+    "q": 1,
+    "k": 1,
+    "batch_size": 2,
+    "epochs": 1,
+    "seed": 0,
+    "max_len": 1,
+    "d_emb": 1,
+    "hidden": 1,
+    "d_feat": 1,
+    "min_freq": 1,
+    "max_vocab": 2,
+}
+# real config fields: (low, low included, high, high included)
+_REAL_FIELDS = {
+    "tau": (0.0, False, math.inf, False),
+    "lam": (0.0, True, 1.0, True),
+    "m": (0.0, True, 1.0, True),
+    "lr": (0.0, False, math.inf, False),
+    "beta1": (0.0, True, 1.0, False),
+    "beta2": (0.0, True, 1.0, False),
+    "eps": (0.0, False, math.inf, False),
+    "dropout": (0.0, True, 1.0, False),
+}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -75,27 +103,25 @@ class TrainConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         Strategy.parse(self.strategy)
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if not 0.0 <= self.m <= 1.0:
-            raise ValueError(f"m must be in [0, 1], got {self.m}")
-        if not self.q >= self.k >= 1:
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        for name, low in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name, (low, low_in, high, high_in) in _REAL_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            above = value >= low if low_in else value > low
+            below = value <= high if high_in else value < high
+            if not (math.isfinite(value) and above and below):
+                interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
+                raise ValueError(f"{name} must be finite and in {interval}, got {value}")
+        if self.k > self.q:
             raise ValueError(f"need q >= k >= 1, got q={self.q}, k={self.k}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -225,11 +251,11 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
             mom_out = forward(
                 state.ema.params, batch, training=True, rng=state.streams[STREAM_DROPOUT_MOMENTUM]
             )
-            x_aug = mom_out.feature.detach().values
+            x_aug = mom_out.feature.values  # momentum params carry no gradient
             entry_ids = state.queue.enqueue_batch(x_aug, labels)
             if state.queue.fill_fraction() >= WARMUP_FILL:
                 snap = state.queue.snapshot()
-                negsets = sampler.sample_for_batch(
+                negs = sampler.sample_for_batch(
                     main_out.feature.values,
                     labels,
                     snap,
@@ -238,15 +264,11 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
                     config.k,
                     exclude_ids=entry_ids,
                 )
-                anchors = []
-                for i in range(batch.size):
-                    anchor_row = ad.row(main_out.feature, i)
-                    pos = ad.cosine_similarity(anchor_row, ad.constant(x_aug[i]))
-                    negs = None
-                    if negsets[i].size:
-                        negs = ad.cosine_many(anchor_row, ad.constant(negsets[i].features))
-                    anchors.append(AnchorContrast(pos, negs))
-                l_cl = objectives.contrastive_loss(anchors, config.tau)
+                # column 0 of each anchor's block is its positive, then its negatives
+                blocks = np.concatenate([x_aug[:, None, :], negs.features], axis=1)
+                valid = np.concatenate([np.ones((batch.size, 1), dtype=bool), negs.valid], axis=1)
+                sims = ad.cosine_blocks(main_out.feature, blocks)
+                l_cl = objectives.contrastive_loss(sims, valid, config.tau)
                 total = objectives.combined_loss(l_cl, l_ce, config.lam)
             else:
                 # warmup: contrastive term inactive until the queue is a quarter full

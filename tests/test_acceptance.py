@@ -20,19 +20,8 @@ from lahn.data import Batch, encode_examples, generate_confound_corpus
 from lahn.encoder import EncoderDims, clone_params, forward, init_params
 from lahn.metrics import confound_probe, evaluate
 from lahn.momentum import MomentumQueue
-from lahn.objectives import (
-    AnchorContrast,
-    classification_loss,
-    combined_loss,
-    contrastive_loss,
-    scl_loss,
-)
-from lahn.sampler import (
-    Strategy,
-    sample_for_batch,
-    score_candidates,
-    select_hard_negatives,
-)
+from lahn.objectives import classification_loss, combined_loss, contrastive_loss, scl_loss
+from lahn.sampler import Strategy, sample_for_batch
 from lahn.trainer import TrainConfig, init_state, run_training, train_step
 
 
@@ -59,8 +48,8 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     rng = np.random.default_rng(seed)
     reports = []
 
-    def chk(f, *inputs):
-        reports.append(ad.grad_check(f, list(inputs), h=1e-5, tol=1e-4))
+    def chk(f, *inputs, h=1e-5):
+        reports.append(ad.grad_check(f, list(inputs), h=h, tol=1e-4))
 
     a = ad.param(rng.normal(size=(3, 4)))
     b = ad.param(rng.normal(size=(4, 2)))
@@ -78,12 +67,16 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     feats = ad.param(rng.normal(size=(3, 4)))
     chk(lambda t: ad.softmax_cross_entropy(ad.cosine_matrix(t), [2, 0, 1]), feats)
 
-    m = ad.param(rng.normal(size=(4, 3)))
-    chk(lambda t: _scalar_sum(ad.row(t, 2)), m)
+    anchors = ad.param(rng.normal(size=(3, 4)))
+    blocks = rng.normal(size=(3, 5, 4))
+    chk(lambda t: _scalar_sum(ad.cosine_blocks(t, blocks)), anchors)
 
-    u = ad.param(rng.normal(size=3))
+    # the padded contrastive loss: row 1 has no negatives, row 2 one
+    padded = ad.param(rng.normal(size=(3, 4)))
+    pad_blocks = rng.normal(size=(3, 3, 4))
+    pad_valid = np.array([[True, True, True], [True, False, False], [True, True, False]])
+    chk(lambda t: contrastive_loss(ad.cosine_blocks(t, pad_blocks), pad_valid, tau=0.5), padded)
     v = ad.param(rng.normal(size=4))
-    chk(lambda x, y: _scalar_sum(ad.concat1d([x, y])), u, v)
     chk(lambda x: _scalar_sum(ad.reshape(x, (2, 2))), v)
 
     p = ad.param(rng.normal(size=4))
@@ -94,7 +87,18 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     weights = np.where(valid, rng.uniform(0.1, 1.0, size=(3, 4)), 0.0)
     chk(lambda t: ad.masked_softmax_cross_entropy(t, valid, weights), grid)
     chk(lambda x: _scalar_sum(ad.scale(x, -1.7)), p)
-    chk(lambda x, y: _scalar_sum(ad.add_n([x, y, x])), p, q)
+    # a zero-norm anchor row sits on the norm clamp, where cosine_blocks is
+    # linear in it; a step below the clamp (1e-8) stays on that branch
+    others = np.vstack([np.zeros(4), rng.normal(size=(2, 4))])
+    first_row = ad.constant(np.eye(3)[:, :1])
+    zero_row = ad.param(np.zeros((1, 4)))
+    zero_blocks = rng.normal(size=(3, 2, 4))
+
+    def zero_row_blocks(z):
+        x = ad.add(ad.constant(others), ad.matmul(first_row, z))
+        return _scalar_sum(ad.cosine_blocks(x, zero_blocks))
+
+    chk(zero_row_blocks, zero_row, h=1e-10)
 
     mat = ad.param(rng.normal(size=(3, 4)))
     bias = ad.param(rng.normal(size=4))
@@ -111,11 +115,12 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
         ad.dropout(t, 0.25, training=True, rng=np.random.Generator(np.random.PCG64(seed)))
     ), z)
 
-    c1 = ad.param(rng.normal(size=5) + 0.1)
-    c2 = ad.param(rng.normal(size=5) + 0.1)
-    chk(lambda x, y: ad.cosine_similarity(x, y), c1, c2)
-    rows_const = ad.constant(rng.normal(size=(4, 5)))
-    chk(lambda x: _scalar_sum(ad.cosine_many(x, rows_const)), c1)
+    c1 = ad.param(rng.normal(size=(2, 5)) + 0.1)
+    pair_blocks = rng.normal(size=(2, 2, 5)) + 0.1
+    chk(lambda x: ad.softmax_cross_entropy(ad.cosine_blocks(x, pair_blocks), [1, 0]), c1)
+    rows_const = rng.normal(size=(2, 4, 5))
+    rows_const[1, 2] = 0.0  # a zero-norm block row: its cosine is 0 whatever the anchor
+    chk(lambda x: _scalar_sum(ad.cosine_blocks(x, rows_const)), c1)
 
     logits = ad.param(rng.normal(size=(4, 2)))
     labels = rng.integers(0, 2, size=4)
@@ -125,7 +130,7 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
 
 def _end_to_end_check(seed: int) -> ad.GradCheckReport:
     """Full combined-loss graph: encoder forward with dropout, cosine
-    similarities to frozen positives and frozen selected negatives,
+    similarities to frozen positives and padded frozen selected negatives,
     temperature-scaled contrastive term, classification term, mix at 0.1."""
     rng = np.random.default_rng(seed)
     dims = EncoderDims(vocab_size=12, d_emb=4, hidden=5, d_feat=4, dropout=0.2)
@@ -136,20 +141,19 @@ def _end_to_end_check(seed: int) -> ad.GradCheckReport:
     batch = Batch(token_ids=ids, mask=ids != 0, labels=rng.integers(0, 2, size=B))
     x_aug = rng.normal(size=(B, 4))  # frozen positives
     negs = [rng.normal(size=(3, 4)) for _ in range(B)]  # frozen selected negatives
+    # each anchor's block: its positive, then its negatives padded to 3;
+    # anchor 1 keeps one negative, anchor 2 none
+    blocks = np.concatenate([x_aug[:, None, :], np.stack(negs)], axis=1)
+    valid = np.ones((B, 4), dtype=bool)
+    valid[1, 2:] = valid[2, 1:] = False
 
     def f(*_):
         drop_rng = np.random.Generator(np.random.PCG64(seed + 999))
         out = forward(params, batch, training=True, rng=drop_rng)
-        anchors = []
-        for i in range(B):
-            r = ad.row(out.feature, i)
-            pos = ad.cosine_similarity(r, ad.constant(x_aug[i]))
-            neg = ad.cosine_many(r, ad.constant(negs[i]))
-            anchors.append(AnchorContrast(pos, neg))
         # tau=0.2 keeps softmax curvature inside what h=1e-5 central
         # differences can resolve; sharper temperatures drown the check in
         # truncation error rather than exposing backward-rule bugs
-        l_cl = contrastive_loss(anchors, tau=0.2)
+        l_cl = contrastive_loss(ad.cosine_blocks(out.feature, blocks), valid, tau=0.2)
         l_ce = classification_loss(out.logits, batch.labels)
         return combined_loss(l_cl, l_ce, lam=0.1)
 
@@ -223,17 +227,18 @@ def test_criterion_2_sampling_matches_brute_force(capsys):
             cand = list(range(S))
         else:
             cand = [j for j in range(S) if labels[j] != anchor_label]
-        # independent selection route: exhaustive full sort over the scored pool
-        probs = None
+        # independent scoring route: pure-python cosines (exact dot products
+        # and correctly rounded norms on these integer rows), times per-row
+        # softmax probabilities under weighting
+        scores = [_naive_cos(anchor, snap.features[j]) for j in cand]
         if strategy is Strategy.LABEL_SIM_WEIGHT:
             head = snap.features[cand] @ params.wh.values + params.bh.values
-            probs = np.empty(len(cand))
             for row_i, (l0, l1) in enumerate(head):
                 m = max(l0, l1)
                 e0, e1 = math.exp(l0 - m), math.exp(l1 - m)
-                probs[row_i] = (e1 if anchor_label == 1 else e0) / (e0 + e1)
-        scores = score_candidates(anchor, snap.features[cand], probs, strategy)
-        n_ties += len(scores) - len(set(scores.tolist()))
+                scores[row_i] *= (e1 if anchor_label == 1 else e0) / (e0 + e1)
+        # independent selection route: exhaustive full sort over the scored pool
+        n_ties += len(scores) - len(set(scores))
         order = sorted(range(len(cand)), key=lambda j: (-scores[j], cand[j]))
         k_eff = len(cand) if strategy is Strategy.ALL_QUEUE else k
         expected = [cand[j] for j in order[:k_eff]]
@@ -272,16 +277,15 @@ def test_criterion_3_loss_hand_cases(capsys):
     def close(got, want, tol):
         checks.append(abs(float(got) - want) <= tol)
 
-    def anc(pos, negs):
-        return AnchorContrast(
-            ad.constant(np.asarray(pos, dtype=np.float64)),
-            ad.constant(np.asarray(negs, dtype=np.float64)) if negs is not None else None,
-        )
-
-    # contrastive: uniform row -> ln 3; separated pair -> ~0; empty -> exactly 0
-    close(contrastive_loss([anc(0.5, [0.5, 0.5])], tau=1.0).values, 1.098612, 1e-6)
-    close(contrastive_loss([anc(1.0, [-1.0])], tau=0.05).values, 0.0, 1e-6)
-    checks.append(contrastive_loss([anc(0.9, None)], tau=1.0).values == 0.0)
+    # contrastive: uniform row -> ln 3; separated pair -> ~0; empty -> exactly 0,
+    # and an empty anchor padded next to the uniform one still halves the mean
+    close(contrastive_loss(ad.constant([[0.5, 0.5, 0.5]]), [[True] * 3], tau=1.0).values, 1.098612, 1e-6)
+    close(contrastive_loss(ad.constant([[1.0, -1.0]]), [[True, True]], tau=0.05).values, 0.0, 1e-6)
+    checks.append(contrastive_loss(ad.constant([[0.9, 0.4]]), [[True, False]], tau=1.0).values == 0.0)
+    mixed = contrastive_loss(
+        ad.constant([[0.5, 0.5, 0.5], [0.9, 0.4, 0.0]]), [[True] * 3, [True, False, False]], tau=1.0
+    )
+    close(mixed.values, 1.098612 / 2.0, 1e-6)
 
     # classification: uniform logits -> ln 2; two-row mean by hand
     close(classification_loss(ad.constant(np.zeros((1, 2))), [1]).values, 0.693147, 1e-6)
@@ -454,15 +458,19 @@ def test_criterion_7_strategy_distinguishability(capsys):
     # (b) probability weighting reorders the top: sims [0.9, 0.5] with anchor-
     # class probabilities [0.1, 0.9] -> products [0.09, 0.45] flip the ranking
     cand_feats = np.array([[0.9, math.sqrt(1 - 0.81), 0, 0], [0.5, math.sqrt(0.75), 0, 0]])
-    idx = np.arange(2, dtype=np.int64)
-    sim_scores = score_candidates(anchor, cand_feats, None, Strategy.SIM_ONLY)
-    sim_first = select_hard_negatives(sim_scores, idx, cand_feats, k=2).queue_indices[0]
-    weighted = score_candidates(
-        anchor, cand_feats, np.array([0.1, 0.9]), Strategy.LABEL_SIM_WEIGHT
-    )
-    w_first = select_hard_negatives(weighted, idx, cand_feats, k=2).queue_indices[0]
-    ok = ok and sim_first == 0 and w_first == 1
-    ok = ok and abs(weighted[0] - 0.09) < 1e-12 and abs(weighted[1] - 0.45) < 1e-12
+    queue = MomentumQueue(2, d)
+    queue.enqueue_batch(cand_feats, np.array([0, 0]))
+    snap = queue.snapshot()
+    # a momentum head whose class-1 logit exceeds the class-0 one by -ln 9 on
+    # row 0 and +ln 9 on row 1: anchor-class (1) probabilities 0.1 and 0.9
+    head = clone_params(params)
+    head.wh.values[:] = 0.0
+    head.bh.values[:] = 0.0
+    head.wh.values[:2, 1] = np.linalg.solve(cand_feats[:, :2], [-math.log(9.0), math.log(9.0)])
+    sim = sample_for_batch(anchor[None], np.array([1]), snap, head, Strategy.SIM_ONLY, k=2)[0]
+    weighted = sample_for_batch(anchor[None], np.array([1]), snap, head, Strategy.LABEL_SIM_WEIGHT, k=2)[0]
+    ok = ok and sim.queue_indices[0] == 0 and weighted.queue_indices.tolist() == [1, 0]
+    ok = ok and abs(weighted.scores[0] - 0.45) < 1e-12 and abs(weighted.scores[1] - 0.09) < 1e-12
 
     _report(
         capsys, 7, "strategy distinguishability", bool(ok),

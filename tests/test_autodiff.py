@@ -17,6 +17,21 @@ def scalar_sum(x: ad.Tensor) -> ad.Tensor:
     return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), ones), ())
 
 
+def naive_cosine(a, b, eps=1e-8):
+    # independent route: pure-python dot and norms, norms clamped at eps
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    na = max(math.sqrt(math.fsum(x * x for x in a)), eps)
+    nb = max(math.sqrt(math.fsum(y * y for y in b)), eps)
+    return dot / (na * nb)
+
+
+def cosine(a, b) -> float:
+    """cos(a, b) through cosine_blocks: one anchor, a block of one row."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return ad.cosine_blocks(ad.constant(a[None, :]), b[None, None, :]).values.item()
+
+
 class TestValueSemantics:
     def test_matmul_identity(self):
         a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
@@ -101,38 +116,42 @@ class TestValueSemantics:
             ad.softmax_cross_entropy(ad.constant(np.zeros((1, 2))), [2])
 
     def test_cosine_self_and_orthogonal(self):
-        v = ad.constant([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(ad.cosine_similarity(v, v).item(), 1.0, rtol=1e-12)
-        out = ad.cosine_similarity(ad.constant([1.0, 0.0]), ad.constant([0.0, 1.0]))
-        assert out.item() == 0.0
+        v = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(cosine(v, v), 1.0, rtol=1e-12)
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_cosine_zero_vector_guarded(self):
-        out = ad.cosine_similarity(ad.constant([0.0, 0.0]), ad.constant([1.0, 0.0]))
-        assert math.isfinite(out.item())
+        assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+        assert cosine([1.0, 0.0], [0.0, 0.0]) == 0.0
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=30)
     def test_cosine_scale_invariance(self, alpha):
         a = np.array([0.3, -1.2, 0.7])
         b = np.array([-0.5, 0.4, 1.1])
-        base = ad.cosine_similarity(ad.constant(a), ad.constant(b)).item()
-        scaled = ad.cosine_similarity(ad.constant(alpha * a), ad.constant(b)).item()
-        np.testing.assert_allclose(scaled, base, atol=1e-12)
+        np.testing.assert_allclose(cosine(alpha * a, b), cosine(a, b), atol=1e-12)
+        np.testing.assert_allclose(cosine(a, alpha * b), cosine(a, b), atol=1e-12)
 
     def test_cosine_bounds_random(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            c = ad.cosine_similarity(ad.constant(a), ad.constant(b)).item()
-            assert -1.0 - 1e-9 <= c <= 1.0 + 1e-9
+        x = rng.normal(size=(50, 4))
+        c = ad.cosine_blocks(ad.constant(x), rng.normal(size=(50, 3, 4))).values
+        assert (np.abs(c) <= 1.0 + 1e-9).all()
 
     def test_cosine_many_matches_stacked_scalar_calls(self):
+        # each anchor against its own block equals one naive cosine per pair
         rng = np.random.default_rng(1)
-        a = ad.constant(rng.normal(size=5))
-        rows = rng.normal(size=(7, 5))
-        many = ad.cosine_many(a, ad.constant(rows)).values
-        singles = [ad.cosine_similarity(a, ad.constant(r)).item() for r in rows]
-        np.testing.assert_allclose(many, singles, rtol=1e-12)
+        x = rng.normal(size=(3, 5))
+        blocks = rng.normal(size=(3, 7, 5))
+        got = ad.cosine_blocks(ad.constant(x), blocks).values
+        want = [[naive_cosine(x[b], r) for r in blocks[b]] for b in range(3)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_cosine_blocks_shape_errors(self):
+        with pytest.raises(ad.ShapeError):
+            ad.cosine_blocks(ad.constant(np.ones((2, 3))), np.ones((3, 1, 3)))
+        with pytest.raises(ad.ShapeError):
+            ad.cosine_blocks(ad.constant(np.ones((2, 3))), np.ones((2, 3)))
 
 
 def reference_pool(table, ids, mask, g):
@@ -220,7 +239,7 @@ class TestCosineMatrix:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 4))
         got = ad.cosine_matrix(ad.constant(x)).values
-        want = [[ad.cosine_similarity(ad.constant(a), ad.constant(b)).item() for b in x] for a in x]
+        want = [[naive_cosine(a, b) for b in x] for a in x]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_zero_row_is_guarded(self):
@@ -359,10 +378,12 @@ class TestFiniteDifferenceOracle:
         )
 
     def test_cosine_matrix_and_row(self):
+        # row 1 of the cosine matrix, picked out by a one-hot matmul
         rng = np.random.default_rng(14)
         x = ad.param(rng.uniform(-1, 1, (4, 3)))
+        pick = ad.constant(np.eye(4)[1:2])
         fd_check(
-            lambda x: ad.softmax_cross_entropy(ad.reshape(ad.row(ad.cosine_matrix(x), 1), (1, 4)), [2]),
+            lambda x: ad.softmax_cross_entropy(ad.matmul(pick, ad.cosine_matrix(x)), [2]),
             [x],
         )
 
@@ -385,10 +406,19 @@ class TestFiniteDifferenceOracle:
         bias = ad.param(rng.uniform(-1, 1, 4))
         fd_check(lambda x, b: scalar_sum(ad.add_rows(x, b)), [x, bias])
 
-    def test_add_n(self):
+    def test_cosine_blocks_scaled_masked_loss(self):
+        # the padded contrastive graph: cosines, 1/tau, masked softmax-CE
         rng = np.random.default_rng(17)
-        parts = [ad.param(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
-        fd_check(lambda *p: scalar_sum(ad.add_n(p)), parts)
+        x = ad.param(rng.uniform(-1, 1, (3, 4)))
+        blocks = rng.uniform(-1, 1, (3, 4, 4))
+        valid = np.array([[True] * 4, [True, True, False, False], [True, False, False, False]])
+        weights = np.where(np.arange(4) == 0, 1.0 / 3.0, 0.0) * valid
+        fd_check(
+            lambda x: ad.masked_softmax_cross_entropy(
+                ad.scale(ad.cosine_blocks(x, blocks), 2.0), valid, weights
+            ),
+            [x],
+        )
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(18)
@@ -407,33 +437,40 @@ class TestFiniteDifferenceOracle:
             lambda x: scalar_sum(ad.dropout(x, 0.5, True, np.random.default_rng(99))), [x]
         )
 
-    def test_cosine_similarity_both_args(self):
+    def test_cosine_blocks_zero_norm_anchor(self):
+        # anchor row 0 is exactly zero, so its norm sits on the clamp, where
+        # the op is linear in it: a step below the clamp (1e-8) stays there
         rng = np.random.default_rng(21)
-        a = ad.param(rng.uniform(-1, 1, 5))
-        b = ad.param(rng.uniform(-1, 1, 5))
-        fd_check(lambda a, b: ad.cosine_similarity(a, b), [a, b])
+        others = np.vstack([np.zeros(5), rng.uniform(-1, 1, (2, 5))])
+        first_row = ad.constant(np.eye(3)[:, :1])
+        zero_row = ad.param(np.zeros((1, 5)))
+        blocks = rng.uniform(-1, 1, (3, 3, 5))
+
+        def f(z):
+            x = ad.add(ad.constant(others), ad.matmul(first_row, z))
+            return scalar_sum(ad.cosine_blocks(x, blocks))
+
+        report = ad.grad_check(f, [zero_row], h=1e-10, tol=RTOL)
+        assert report.passed, str(report)
+        # and the zero anchor's own values and gradient stay finite
+        x = ad.param(others)
+        with ad.Tape() as tape:
+            out = ad.cosine_blocks(x, blocks)
+            tape.backward(scalar_sum(out))
+        assert (out.values[0] == 0.0).all() and np.isfinite(x.grad).all()
 
     def test_cosine_many(self):
+        # each anchor against its own block of constant rows, one zero-norm
         rng = np.random.default_rng(22)
-        a = ad.param(rng.uniform(-1, 1, 5))
-        rows = ad.constant(rng.uniform(-1, 1, (6, 5)))
-        fd_check(
-            lambda a: ad.softmax_cross_entropy(
-                ad.reshape(ad.cosine_many(a, rows), (1, 6)), [0]
-            ),
-            [a],
-        )
+        a = ad.param(rng.uniform(-1, 1, (2, 5)))
+        rows = rng.uniform(-1, 1, (2, 6, 5))
+        rows[1, 3] = 0.0
+        fd_check(lambda a: ad.softmax_cross_entropy(ad.cosine_blocks(a, rows), [0, 4]), [a])
 
-    def test_concat_reshape(self):
+    def test_reshape(self):
         rng = np.random.default_rng(23)
-        a = ad.param(rng.uniform(-1, 1, 2))
-        b = ad.param(rng.uniform(-1, 1, 3))
-        fd_check(
-            lambda a, b: ad.softmax_cross_entropy(
-                ad.reshape(ad.concat1d([a, b]), (1, 5)), [3]
-            ),
-            [a, b],
-        )
+        a = ad.param(rng.uniform(-1, 1, (5,)))
+        fd_check(lambda a: ad.softmax_cross_entropy(ad.reshape(a, (1, 5)), [3]), [a])
 
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(24)

@@ -93,6 +93,21 @@ class TestExitCodes:
         assert rc == 1
         assert "beta1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad", [{"q": 16.5}, {"k": 2.5}, {"epochs": True}, {"max_len": 0}, {"d_feat": 0}, {"min_freq": -3}]
+    )
+    def test_non_integer_or_out_of_range_field_is_usage_error(self, workdir, tmp_path, capsys, bad):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, **bad}))
+        rc = cli.main(
+            ["train", "--config", str(config),
+             "--train", str(workdir["data"] / "train.jsonl"),
+             "--val", str(workdir["data"] / "val.jsonl"), "--out", str(tmp_path / "run")]
+        )
+        assert rc == 1
+        assert next(iter(bad)) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_anchor_index_is_usage_error(self, workdir, capsys):
         rc = cli.main(
             ["inspect-negatives", "--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),

@@ -1,4 +1,5 @@
 import json
+import string
 
 import numpy as np
 import pytest
@@ -21,7 +22,61 @@ from lahn.data import (
 )
 
 
+_REFERENCE_PUNCT = frozenset(string.punctuation)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The original per-character tokenizer, kept as the oracle."""
+    out: list[str] = []
+    for chunk in text.lower().split():
+        run: list[str] = []
+        for ch in chunk:
+            if ch in _REFERENCE_PUNCT:
+                if run:
+                    out.append("".join(run))
+                    run = []
+                out.append(ch)
+            else:
+                run.append(ch)
+        if run:
+            out.append("".join(run))
+    return out
+
+
+# whitespace that str.split() and regex \s both know beyond the ASCII set,
+# a character whose lowercase is two code points, punctuation, letters
+_FUZZ_ALPHABET = (
+    "\x1c\x1d\x1e\x1f\x85\xa0\u3000\u2028\u2029\t\n\r\x0b\x0c "
+    "\u0130\u00c9\u00df" + string.punctuation + "aZ9_"
+)
+
+
 class TestTokenize:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a\x1cb\x1dc\x1ed\x1fe",
+            "x\x85y\xa0z",
+            "left\u3000right",
+            "\u0130stanbul, \u0130I!",
+            "tab\tand\u2028line",
+        ],
+    )
+    def test_unicode_whitespace_and_casing_match_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_fuzzed_strings_match_reference(self):
+        rng = np.random.default_rng(0)
+        alphabet = list(_FUZZ_ALPHABET)
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+            assert tokenize(text) == reference_tokenize(text), repr(text)
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=300)
+    def test_arbitrary_text_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
     def test_punctuation_becomes_single_char_tokens(self):
         assert tokenize("Hello, world!") == ["hello", ",", "world", "!"]
 
@@ -122,6 +177,17 @@ class TestJsonl:
         p = tmp_path / "d.jsonl"
         p.write_text('{"label": 1}\n')
         with pytest.raises(ValueError, match="text"):
+            load_jsonl(p)
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text": "a", "label": 0}\n\n  \t\n{"text": "b", "label": 1}\n\n')
+        assert [e.text for e in load_jsonl(p)] == ["a", "b"]
+
+    def test_errors_name_physical_lines_past_blank_ones(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('\n{"text": "a", "label": 0}\n\nnot json\n')
+        with pytest.raises(ValueError, match="line 4"):
             load_jsonl(p)
 
     def test_generated_corpus_round_trips(self, tmp_path):

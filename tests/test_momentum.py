@@ -64,6 +64,48 @@ class TestQueueFifo:
         np.testing.assert_array_equal(snap.entry_ids, np.arange(total - q.size, total))
 
 
+class TestRingBuffer:
+    """The queue against a plain list model of the newest ``capacity`` entries."""
+
+    def test_wrap_around_matches_list_model(self):
+        rng = np.random.default_rng(0)
+        q = MomentumQueue(capacity=5, d_feat=2)
+        model_feats, model_labels = [], []
+        for n in (2, 3, 1, 4, 2, 5, 3):
+            feats = rng.normal(size=(n, 2))
+            labels = rng.integers(0, 2, size=n)
+            q.enqueue_batch(feats, labels)
+            model_feats += list(feats)
+            model_labels += list(labels)
+            snap = q.snapshot()
+            total = len(model_labels)
+            np.testing.assert_array_equal(snap.features, np.array(model_feats[-5:]))
+            np.testing.assert_array_equal(snap.labels, model_labels[-5:])
+            np.testing.assert_array_equal(snap.entry_ids, np.arange(max(total - 5, 0), total))
+
+    def test_batch_larger_than_capacity_after_wrap(self):
+        q = MomentumQueue(capacity=3, d_feat=3)
+        q.enqueue_batch(rows(1, 2), [0, 1])
+        ids = q.enqueue_batch(rows(3, 4, 5, 6, 7), [1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(ids, [2, 3, 4, 5, 6])
+        snap = q.snapshot()
+        np.testing.assert_array_equal(snap.features[:, 0], [5, 6, 7])
+        np.testing.assert_array_equal(snap.labels, [1, 0, 1])
+        np.testing.assert_array_equal(snap.entry_ids, [4, 5, 6])
+        assert q.size == 3 and q.fill_fraction() == 1.0
+
+    def test_snapshot_of_full_ring_unchanged_by_later_enqueues(self):
+        q = MomentumQueue(capacity=4, d_feat=3)
+        q.enqueue_batch(rows(1, 2, 3, 4, 5, 6), [0, 1, 0, 1, 0, 1])
+        snap = q.snapshot()
+        before = (snap.features.copy(), snap.labels.copy(), snap.entry_ids.copy())
+        q.enqueue_batch(rows(7, 8, 9), [1, 1, 1])
+        q.enqueue_batch(rows(10), [0])
+        for got, want in zip((snap.features, snap.labels, snap.entry_ids), before):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(q.snapshot().features[:, 0], [7, 8, 9, 10])
+
+
 class TestSnapshot:
     def test_empty_queue_snapshot(self):
         snap = MomentumQueue(capacity=4, d_feat=3).snapshot()

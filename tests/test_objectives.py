@@ -5,7 +5,6 @@ import pytest
 
 from lahn import autodiff as ad
 from lahn.objectives import (
-    AnchorContrast,
     classification_loss,
     combined_loss,
     contrastive_loss,
@@ -16,9 +15,21 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
-def anchor(pos, negs):
-    neg = ad.param(np.asarray(negs, dtype=np.float64)) if negs is not None else None
-    return AnchorContrast(pos_sim=ad.param(np.asarray(pos, dtype=np.float64)), neg_sims=neg)
+def padded(*anchors):
+    """(pos, negs) per anchor -> rows [pos, negs..., zero padding] as a
+    parameter, plus the validity mask that contrastive_loss takes."""
+    width = 1 + max(len(negs if negs is not None else ()) for _, negs in anchors)
+    sims = np.zeros((len(anchors), width))
+    valid = np.zeros((len(anchors), width), dtype=bool)
+    for i, (pos, negs) in enumerate(anchors):
+        row = [pos] + list(negs if negs is not None else ())
+        sims[i, : len(row)] = row
+        valid[i, : len(row)] = True
+    return ad.param(sims), valid
+
+
+def loss_of(*anchors, tau):
+    return contrastive_loss(*padded(*anchors), tau=tau)
 
 
 def naive_contrastive(pos, negs, tau):
@@ -31,25 +42,24 @@ def naive_contrastive(pos, negs, tau):
 
 class TestContrastiveLoss:
     def test_zero_negatives_contributes_zero(self):
-        loss = contrastive_loss([anchor(1.0, None)], tau=0.05)
+        loss = loss_of((1.0, None), tau=0.05)
         assert loss.values == 0.0
 
     def test_uniform_row_gives_log_three(self):
-        loss = contrastive_loss([anchor(0.5, [0.5, 0.5])], tau=1.0)
+        loss = loss_of((0.5, [0.5, 0.5]), tau=1.0)
         np.testing.assert_allclose(loss.values, LN3, atol=1e-6)
         np.testing.assert_allclose(loss.values, 1.098612, atol=1e-6)
 
     def test_well_separated_pair_is_negligible(self):
-        loss = contrastive_loss([anchor(1.0, [-1.0])], tau=0.05)
+        loss = loss_of((1.0, [-1.0]), tau=0.05)
         assert 0.0 <= float(loss.values) < 1e-12
 
     def test_mean_over_all_anchors_counts_empty_ones(self):
-        anchors = [anchor(0.5, [0.5, 0.5]), anchor(0.9, None)]
-        loss = contrastive_loss(anchors, tau=1.0)
+        loss = loss_of((0.5, [0.5, 0.5]), (0.9, None), tau=1.0)
         np.testing.assert_allclose(loss.values, LN3 / 2.0, atol=1e-12)
 
     def test_all_anchors_empty_gives_constant_zero(self):
-        loss = contrastive_loss([anchor(0.3, None), anchor(0.1, [])], tau=1.0)
+        loss = loss_of((0.3, None), (0.1, []), tau=1.0)
         assert loss.values == 0.0 and not loss.requires_grad
 
     def test_matches_naive_route_on_random_rows(self):
@@ -57,57 +67,62 @@ class TestContrastiveLoss:
         for _ in range(50):
             n_anchors = int(rng.integers(1, 5))
             tau = float(rng.uniform(0.05, 2.0))
-            sims, expected = [], []
+            anchors, expected = [], []
             for _ in range(n_anchors):
                 pos = float(rng.uniform(-1, 1))
                 negs = rng.uniform(-1, 1, size=int(rng.integers(0, 6)))
-                sims.append(anchor(pos, negs if negs.size else None))
+                anchors.append((pos, negs if negs.size else None))
                 if negs.size:
                     expected.append(naive_contrastive(pos, negs.tolist(), tau))
                 else:
                     expected.append(0.0)
-            loss = contrastive_loss(sims, tau)
+            loss = loss_of(*anchors, tau=tau)
             np.testing.assert_allclose(loss.values, np.mean(expected), atol=1e-12)
 
     def test_raising_positive_lowers_loss(self):
-        lo = contrastive_loss([anchor(0.2, [0.5, 0.1])], tau=0.1).values
-        hi = contrastive_loss([anchor(0.6, [0.5, 0.1])], tau=0.1).values
+        lo = loss_of((0.2, [0.5, 0.1]), tau=0.1).values
+        hi = loss_of((0.6, [0.5, 0.1]), tau=0.1).values
         assert hi < lo
 
     def test_raising_a_negative_raises_loss(self):
-        lo = contrastive_loss([anchor(0.4, [0.1, 0.1])], tau=0.1).values
-        hi = contrastive_loss([anchor(0.4, [0.6, 0.1])], tau=0.1).values
+        lo = loss_of((0.4, [0.1, 0.1]), tau=0.1).values
+        hi = loss_of((0.4, [0.6, 0.1]), tau=0.1).values
         assert hi > lo
 
     def test_negative_order_is_irrelevant(self):
         rng = np.random.default_rng(1)
         negs = rng.uniform(-1, 1, size=8)
-        a = contrastive_loss([anchor(0.3, negs)], tau=0.07).values
-        b = contrastive_loss([anchor(0.3, negs[::-1].copy())], tau=0.07).values
+        a = loss_of((0.3, negs), tau=0.07).values
+        b = loss_of((0.3, negs[::-1].copy()), tau=0.07).values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_far_negative_adds_almost_nothing(self):
-        base = contrastive_loss([anchor(0.9, [0.5])], tau=0.05).values
-        padded = contrastive_loss([anchor(0.9, [0.5, -1.0])], tau=0.05).values
-        assert abs(padded - base) < 1e-6
+        base = loss_of((0.9, [0.5]), tau=0.05).values
+        padded_row = loss_of((0.9, [0.5, -1.0]), tau=0.05).values
+        assert abs(padded_row - base) < 1e-6
+
+    def test_padding_values_are_ignored(self):
+        sims, valid = padded((0.9, [0.5]), (0.2, [0.1, 0.3]))
+        base = contrastive_loss(sims, valid, tau=0.1).values
+        sims.values[0, 2] = 50.0  # anchor 0's padding slot
+        assert contrastive_loss(sims, valid, tau=0.1).values == base
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
-            contrastive_loss([anchor(0.5, [0.1])], tau=0.0)
+            loss_of((0.5, [0.1]), tau=0.0)
 
     def test_empty_anchor_list_rejected(self):
         with pytest.raises(ValueError):
-            contrastive_loss([], tau=1.0)
+            contrastive_loss(ad.param(np.zeros((0, 1))), np.zeros((0, 1), dtype=bool), tau=1.0)
+
+    def test_invalid_positive_column_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            contrastive_loss(ad.param(np.zeros((1, 2))), [[False, True]], tau=1.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        pos = ad.param(rng.uniform(-0.5, 0.5, size=()))
-        negs = ad.param(rng.uniform(-0.5, 0.5, size=6))
-
-        def f(p, n):
-            return contrastive_loss([AnchorContrast(pos_sim=p, neg_sims=n)], tau=0.1)
-
-        report = ad.grad_check(f, [pos, negs], h=1e-5, tol=1e-4)
+        sims, valid = padded((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=6)), (0.3, [0.1]))
+        report = ad.grad_check(lambda s: contrastive_loss(s, valid, tau=0.1), [sims], h=1e-5, tol=1e-4)
         assert report.passed, str(report)
 
 
@@ -162,43 +177,38 @@ class TestCombinedLoss:
         # route B: (1 - lam) * grad(l_cl) + lam * grad(l_ce), run separately
         rng = np.random.default_rng(4)
         lam = 0.3
-        base_pos = rng.uniform(-0.5, 0.5, size=())
-        base_negs = rng.uniform(-0.5, 0.5, size=4)
+        base_sims, valid = padded((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=4)))
         base_logits = rng.normal(size=(3, 2))
 
         def build():
-            return (
-                ad.param(base_pos.copy()),
-                ad.param(base_negs.copy()),
-                ad.param(base_logits.copy()),
-            )
+            return ad.param(base_sims.values.copy()), ad.param(base_logits.copy())
 
-        def losses(pos, negs, logits):
-            l_cl = contrastive_loss([AnchorContrast(pos_sim=pos, neg_sims=negs)], tau=0.2)
+        def losses(sims, logits):
+            l_cl = contrastive_loss(sims, valid, tau=0.2)
             l_ce = classification_loss(logits, [0, 1, 0])
             return l_cl, l_ce
 
         def grad_or_zero(t):
             return t.grad.copy() if t.grad is not None else np.zeros_like(t.values)
 
-        pos, negs, logits = build()
+        sims, logits = build()
         with ad.Tape() as tape:
-            l_cl, l_ce = losses(pos, negs, logits)
+            l_cl, l_ce = losses(sims, logits)
             total = combined_loss(l_cl, l_ce, lam)
         tape.backward(total)
-        combined_grads = [grad_or_zero(pos), grad_or_zero(negs), grad_or_zero(logits)]
+        combined_grads = [grad_or_zero(sims), grad_or_zero(logits)]
 
-        pos, negs, logits = build()
+        sims, logits = build()
         with ad.Tape() as tape:
-            l_cl, _ = losses(pos, negs, logits)
+            l_cl, _ = losses(sims, logits)
         tape.backward(l_cl)
-        cl_grads = [grad_or_zero(pos), grad_or_zero(negs), grad_or_zero(logits)]
+        cl_grads = [grad_or_zero(sims), grad_or_zero(logits)]
 
-        pos, negs, logits = build()
+        sims, logits = build()
         with ad.Tape() as tape:
-            _, l_ce = losses(pos, negs, logits)
+            _, l_ce = losses(sims, logits)
         tape.backward(l_ce)
-        ce_grads = [grad_or_zero(pos), grad_or_zero(negs), grad_or_zero(logits)]
+        ce_grads = [grad_or_zero(sims), grad_or_zero(logits)]
 
         for got, g_cl, g_ce in zip(combined_grads, cl_grads, ce_grads):
             np.testing.assert_allclose(got, (1 - lam) * g_cl + lam * g_ce, atol=1e-12)

@@ -7,16 +7,7 @@ from hypothesis import strategies as st
 
 from lahn.encoder import EncoderDims, init_params
 from lahn.momentum import MomentumQueue
-from lahn.sampler import (
-    HardNegativeSet,
-    Strategy,
-    anchor_class_prob,
-    cosine_rows,
-    filter_true_negatives,
-    sample_for_batch,
-    score_candidates,
-    select_hard_negatives,
-)
+from lahn.sampler import Strategy, anchor_class_prob, sample_for_batch, top_k_order
 
 # ---------------------------------------------------------------------------
 # independent oracle routes: pure-python cosine, softmax, and full sort
@@ -41,20 +32,47 @@ def naive_topk(scores, indices, k):
     return [indices[i] for i in order[:k]]
 
 
-def unit_candidates(sims):
-    # rows whose cosine against [1, 0] equals the requested similarity
-    return np.array([[s, math.sqrt(max(1.0 - s * s, 0.0))] for s in sims])
+def head_params(d_feat=4, seed=0):
+    return init_params(seed, EncoderDims(vocab_size=6, d_emb=4, hidden=5, d_feat=d_feat))
+
+
+def filled_queue(rng, n, d_feat=4, labels=None):
+    q = MomentumQueue(capacity=max(n, 1), d_feat=d_feat)
+    feats = rng.normal(size=(n, d_feat))
+    if labels is None:
+        labels = rng.integers(0, 2, size=n)
+    q.enqueue_batch(feats, labels)
+    return q.snapshot()
+
+
+def kept_by_filter(anchor_label, queue_labels):
+    """Snapshot positions one anchor may draw from, read off a selection
+    whose k exceeds the queue."""
+    labels = np.asarray(queue_labels)
+    snap = filled_queue(np.random.default_rng(0), labels.size, labels=labels)
+    got = sample_for_batch(
+        np.ones((1, 4)), np.array([anchor_label]), snap, None, Strategy.SIM_ONLY, k=labels.size + 1
+    )[0]
+    return sorted(got.queue_indices.tolist())
+
+
+def select_row(scores, k, keep=None):
+    """top_k_order over one row; the kept positions in selection order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    keep = np.ones(scores.shape, dtype=bool) if keep is None else np.asarray(keep)
+    order, valid = top_k_order(scores[None, :], keep[None, :], k)
+    return order[0][valid[0]].tolist()
 
 
 class TestFilter:
     def test_anchor_one(self):
-        np.testing.assert_array_equal(filter_true_negatives(1, [1, 0, 1, 0]), [1, 3])
+        assert kept_by_filter(1, [1, 0, 1, 0]) == [1, 3]
 
     def test_anchor_zero(self):
-        np.testing.assert_array_equal(filter_true_negatives(0, [1, 1]), [0, 1])
+        assert kept_by_filter(0, [1, 1]) == [0, 1]
 
     def test_no_candidates(self):
-        assert filter_true_negatives(1, [1, 1]).size == 0
+        assert kept_by_filter(1, [1, 1]) == []
 
 
 class TestAnchorClassProb:
@@ -76,83 +94,113 @@ class TestAnchorClassProb:
             expected = [naive_prob(l0, l1, label) for l0, l1 in logits]
             np.testing.assert_allclose(anchor_class_prob(logits, label), expected, atol=1e-12)
 
+    def test_label_array_gives_one_row_per_anchor(self):
+        logits = np.random.default_rng(1).normal(size=(6, 2))
+        labels = np.array([1, 0, 0, 1])
+        got = anchor_class_prob(logits, labels)
+        assert got.shape == (4, 6)
+        for b, label in enumerate(labels):
+            np.testing.assert_array_equal(got[b], anchor_class_prob(logits, int(label)))
+
+    def test_non_binary_label_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            anchor_class_prob(np.zeros((2, 2)), np.array([0, 2]))
+
 
 class TestScoreCandidates:
+    """Scores as sample_for_batch reports them, with k above the queue size."""
+
     def test_product_weighting(self):
-        anchor = np.array([1.0, 0.0])
-        cands = unit_candidates([0.9, 0.5, 0.1])
-        probs = np.array([0.5, 1.0, 1.0])
-        scores = score_candidates(anchor, cands, probs, Strategy.LABEL_SIM_WEIGHT)
-        np.testing.assert_allclose(scores, [0.45, 0.5, 0.1], atol=1e-12)
+        rng = np.random.default_rng(1)
+        snap = filled_queue(rng, 12)
+        anchors, labels = rng.normal(size=(3, 4)), np.array([0, 1, 1])
+        params = head_params()
+        plain = sample_for_batch(anchors, labels, snap, params, Strategy.SIM_ONLY, k=99)
+        weighted = sample_for_batch(anchors, labels, snap, params, Strategy.LABEL_SIM_WEIGHT, k=99)
+        probs = anchor_class_prob(snap.features @ params.wh.values + params.bh.values, labels)
+        for i in range(3):
+            cosine = dict(zip(plain[i].queue_indices.tolist(), plain[i].scores))
+            for j, score in zip(weighted[i].queue_indices.tolist(), weighted[i].scores):
+                assert score == cosine[j] * probs[i, j]
 
     def test_unit_probs_reduce_to_sim_only(self):
         rng = np.random.default_rng(1)
-        anchor = rng.normal(size=4)
-        cands = rng.normal(size=(8, 4))
-        weighted = score_candidates(anchor, cands, np.ones(8), Strategy.LABEL_SIM_WEIGHT)
-        plain = score_candidates(anchor, cands, None, Strategy.SIM_ONLY)
-        np.testing.assert_array_equal(weighted, plain)
+        snap = filled_queue(rng, 8, labels=np.zeros(8, dtype=int))
+        params = head_params()
+        # a saturated head: the anchor class (1) gets probability exactly 1
+        params.wh.values[:] = 0.0
+        params.bh.values[:] = [-800.0, 800.0]
+        anchors, labels = rng.normal(size=(2, 4)), np.array([1, 1])
+        weighted = sample_for_batch(anchors, labels, snap, params, Strategy.LABEL_SIM_WEIGHT, k=99)
+        plain = sample_for_batch(anchors, labels, snap, params, Strategy.SIM_ONLY, k=99)
+        np.testing.assert_array_equal(weighted.scores, plain.scores)
+        np.testing.assert_array_equal(weighted.queue_indices, plain.queue_indices)
 
     def test_matches_naive_dot_norm_softmax_route(self):
         rng = np.random.default_rng(2)
-        anchor = rng.normal(size=6)
-        cands = rng.normal(size=(32, 6))
-        logits = rng.normal(size=(32, 2))
-        probs = anchor_class_prob(logits, 1)
-        scores = score_candidates(anchor, cands, probs, Strategy.LABEL_SIM_WEIGHT)
-        expected = [
-            naive_cosine(anchor, c) * naive_prob(l0, l1, 1)
-            for c, (l0, l1) in zip(cands, logits)
-        ]
-        np.testing.assert_allclose(scores, expected, atol=1e-12)
+        d = 6
+        snap = filled_queue(rng, 32, d_feat=d, labels=np.zeros(32, dtype=int))
+        anchor = rng.normal(size=d)
+        params = head_params(d, seed=3)
+        got = sample_for_batch(anchor[None], np.array([1]), snap, params, Strategy.LABEL_SIM_WEIGHT, k=99)[0]
+        wh, bh = params.wh.values, params.bh.values
+        for j, score in zip(got.queue_indices, got.scores):
+            c = snap.features[j]
+            l0 = math.fsum(c[t] * wh[t, 0] for t in range(d)) + bh[0]
+            l1 = math.fsum(c[t] * wh[t, 1] for t in range(d)) + bh[1]
+            assert abs(score - naive_cosine(anchor, c) * naive_prob(l0, l1, 1)) < 1e-12
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            score_candidates(np.ones(3), np.ones((2, 4)), None, Strategy.SIM_ONLY)
+        snap = filled_queue(np.random.default_rng(3), 2)
+        with pytest.raises(ValueError, match="incompatible"):
+            sample_for_batch(np.ones((1, 3)), np.array([0]), snap, None, Strategy.SIM_ONLY, k=1)
 
     def test_missing_probs_rejected_for_weighting(self):
-        with pytest.raises(ValueError):
-            score_candidates(np.ones(3), np.ones((2, 3)), None, Strategy.LABEL_SIM_WEIGHT)
+        snap = filled_queue(np.random.default_rng(3), 2)
+        with pytest.raises(ValueError, match="momentum"):
+            sample_for_batch(np.ones((1, 4)), np.array([0]), snap, None, Strategy.LABEL_SIM_WEIGHT, k=1)
 
 
 class TestSelect:
     def test_descending_selection(self):
-        cands = np.arange(3, dtype=np.int64)
-        feats = np.zeros((3, 2))
-        sel = select_hard_negatives(np.array([0.45, 0.5, 0.1]), cands, feats, k=2)
-        np.testing.assert_array_equal(sel.queue_indices, [1, 0])
-        np.testing.assert_array_equal(sel.scores, [0.5, 0.45])
+        assert select_row([0.45, 0.5, 0.1], k=2) == [1, 0]
 
     def test_fewer_than_k_takes_all(self):
-        sel = select_hard_negatives(
-            np.array([0.3, 0.2, 0.9]), np.arange(3, dtype=np.int64), np.zeros((3, 2)), k=16
-        )
-        assert sel.size == 3
+        assert sorted(select_row([0.3, 0.2, 0.9], k=16)) == [0, 1, 2]
 
     def test_zero_candidates_empty_set(self):
-        sel = select_hard_negatives(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, 2)), k=4)
-        assert sel.size == 0
+        assert select_row(np.zeros(0), k=4) == []
+        assert select_row([0.1, 0.2], k=4, keep=[False, False]) == []
 
     def test_tie_broken_by_lower_queue_index(self):
-        scores = np.array([0.5, 0.5, 0.5, 0.7])
-        idx = np.array([9, 2, 5, 7], dtype=np.int64)
-        sel = select_hard_negatives(scores, idx, np.zeros((4, 2)), k=3)
-        np.testing.assert_array_equal(sel.queue_indices, [7, 2, 5])
+        assert select_row([0.5, 0.5, 0.5, 0.7], k=3) == [3, 0, 1]
+        assert select_row([0.5, 0.5, 0.5, 0.7], k=3, keep=[False, True, True, True]) == [3, 1, 2]
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
-            select_hard_negatives(np.zeros(1), np.zeros(1, dtype=np.int64), np.zeros((1, 2)), k=0)
+            select_row([0.1], k=0)
+
+    def test_padding_is_a_suffix_per_row(self):
+        scores = np.array([[0.1, 0.9, 0.5, 0.3], [0.2, 0.4, 0.6, 0.8]])
+        keep = np.array([[True, False, True, False], [True, True, True, True]])
+        order, valid = top_k_order(scores, keep, 3)
+        np.testing.assert_array_equal(valid, [[True, True, False], [True, True, True]])
+        np.testing.assert_array_equal(order[0, :2], [2, 0])
+        np.testing.assert_array_equal(order[1], [3, 2, 1])
 
     def test_thousand_random_cases_match_full_sort(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
+            b = int(rng.integers(1, 4))
             n = int(rng.integers(0, 40))
             k = int(rng.integers(1, 33))
             # coarse grid forces plenty of score ties
-            scores = rng.integers(0, 5, size=n) / 4.0
-            idx = rng.permutation(1000)[:n].astype(np.int64)
-            sel = select_hard_negatives(scores, idx, np.zeros((n, 2)), k)
-            assert sel.queue_indices.tolist() == naive_topk(scores, idx, k)
+            scores = rng.integers(0, 5, size=(b, n)) / 4.0
+            keep = rng.random((b, n)) < 0.7
+            order, valid = top_k_order(scores, keep, k)
+            for r in range(b):
+                idx = np.flatnonzero(keep[r])
+                assert order[r][valid[r]].tolist() == naive_topk(scores[r, idx], idx.tolist(), k)
 
     @given(
         st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=20),
@@ -161,35 +209,18 @@ class TestSelect:
     @settings(max_examples=80)
     def test_selected_scores_dominate_unselected(self, raw_scores, k):
         scores = np.array(raw_scores, dtype=float) / 4.0
-        idx = np.arange(len(scores), dtype=np.int64)
-        sel = select_hard_negatives(scores, idx, np.zeros((len(scores), 2)), k)
-        unselected = set(idx.tolist()) - set(sel.queue_indices.tolist())
-        if sel.size and unselected:
-            worst_kept = sel.scores[-1]
+        picked = select_row(scores, k)
+        unselected = set(range(len(scores))) - set(picked)
+        if picked and unselected:
+            worst_kept = scores[picked[-1]]
             assert all(scores[i] <= worst_kept for i in unselected)
-        assert (np.diff(sel.scores) <= 0).all()
+        assert (np.diff(scores[picked]) <= 0).all()
 
     @given(st.floats(min_value=0.1, max_value=50.0))
     @settings(max_examples=40)
     def test_positive_rescaling_invariance(self, alpha):
         scores = np.array([0.9, -0.5, 0.4, 0.4, 0.0])
-        idx = np.arange(5, dtype=np.int64)
-        base = select_hard_negatives(scores, idx, np.zeros((5, 2)), 3).queue_indices
-        scaled = select_hard_negatives(alpha * scores, idx, np.zeros((5, 2)), 3).queue_indices
-        np.testing.assert_array_equal(base, scaled)
-
-
-def head_params(d_feat=4, seed=0):
-    return init_params(seed, EncoderDims(vocab_size=6, d_emb=4, hidden=5, d_feat=d_feat))
-
-
-def filled_queue(rng, n, d_feat=4, labels=None):
-    q = MomentumQueue(capacity=max(n, 1), d_feat=d_feat)
-    feats = rng.normal(size=(n, d_feat))
-    if labels is None:
-        labels = rng.integers(0, 2, size=n)
-    q.enqueue_batch(feats, labels)
-    return q.snapshot()
+        assert select_row(scores, 3) == select_row(alpha * scores, 3)
 
 
 class TestSampleForBatch:
@@ -228,7 +259,7 @@ class TestSampleForBatch:
         labels = rng.integers(0, 2, size=3)
         sets = sample_for_batch(anchors, labels, snap, head_params(), Strategy.SIM_ONLY, k=99)
         for i, s in enumerate(sets):
-            expected = set(filter_true_negatives(labels[i], snap.labels).tolist())
+            expected = set(np.flatnonzero(snap.labels != labels[i]).tolist())
             assert set(s.queue_indices.tolist()) == expected
 
     def test_own_entry_excluded_from_candidates(self):
@@ -289,6 +320,72 @@ class TestSampleForBatch:
         for s in sets:
             assert (np.diff(s.scores) <= 0).all()
             assert s.size == 20
+
+
+    def test_padded_result_layout(self):
+        rng = np.random.default_rng(12)
+        snap = filled_queue(rng, 10, labels=np.array([0] * 7 + [1] * 3))
+        anchors, labels = rng.normal(size=(3, 4)), np.array([1, 0, 0])
+        got = sample_for_batch(anchors, labels, snap, head_params(), Strategy.SIM_ONLY, k=5)
+        assert len(got) == 3 and got.valid.shape == (3, 5) and got.features.shape == (3, 5, 4)
+        np.testing.assert_array_equal(got.valid.sum(axis=1), [5, 3, 3])
+        assert (np.diff(got.valid.astype(int), axis=1) <= 0).all()  # a prefix per row
+        assert (got.features[~got.valid] == 0.0).all()
+        assert (got.queue_indices[~got.valid] == -1).all() and (got.scores[~got.valid] == 0.0).all()
+        for i, view in enumerate(got):
+            n = view.size
+            np.testing.assert_array_equal(view.queue_indices, got.queue_indices[i, :n])
+            np.testing.assert_array_equal(view.features, snap.features[view.queue_indices])
+
+    def test_empty_snapshot_under_every_strategy(self):
+        snap = MomentumQueue(capacity=4, d_feat=4).snapshot()
+        for strat in Strategy:
+            got = sample_for_batch(np.ones((2, 4)), np.array([0, 1]), snap, head_params(), strat, k=3)
+            assert got.valid.shape == (2, 0) and got.features.shape == (2, 0, 4)
+
+    def test_batched_equals_per_anchor_brute_force(self):
+        # integer-valued rows with duplicates force exact score ties; one
+        # anchor's only true negative is its own excluded entry
+        rng = np.random.default_rng(13)
+        d = 4
+        params = head_params(d, seed=2)
+        for case in range(60):
+            s = int(rng.integers(1, 40))
+            feats = rng.integers(-2, 3, size=(s, d)).astype(np.float64)
+            feats[rng.integers(s, size=s // 3)] = feats[int(rng.integers(s))]
+            queue_labels = rng.integers(0, 2, size=s)
+            b = int(rng.integers(1, 6))
+            anchors = rng.integers(-2, 3, size=(b, d)).astype(np.float64)
+            labels = rng.integers(0, 2, size=b)
+            own = rng.integers(s, size=b)
+            if case % 3 == 0:
+                # anchor 0's one true negative is its own entry: it has none
+                queue_labels[:] = labels[0]
+                queue_labels[own[0]] = 1 - labels[0]
+            queue = MomentumQueue(s, d)
+            ids = queue.enqueue_batch(feats, queue_labels)
+            snap = queue.snapshot()
+            exclude = ids[own]
+            k = int(rng.integers(1, 12))
+            wh, bh = params.wh.values, params.bh.values
+            logits = [[math.fsum(f[t] * wh[t, c] for t in range(d)) + bh[c] for c in (0, 1)] for f in feats]
+            for strat in Strategy:
+                got = sample_for_batch(anchors, labels, snap, params, strat, k, exclude_ids=exclude)
+                for i in range(b):
+                    cand = [
+                        j for j in range(s)
+                        if j != own[i] and (strat is Strategy.ALL_QUEUE or queue_labels[j] != labels[i])
+                    ]
+                    scores = [naive_cosine(anchors[i], feats[j]) for j in cand]
+                    if strat is Strategy.LABEL_SIM_WEIGHT:
+                        label = int(labels[i])
+                        scores = [sc * naive_prob(*logits[j], label) for sc, j in zip(scores, cand)]
+                    width = len(cand) if strat is Strategy.ALL_QUEUE else k
+                    expected = naive_topk(scores, cand, width)
+                    assert got[i].queue_indices.tolist() == expected, (case, strat, i)
+                    np.testing.assert_allclose(
+                        got[i].scores, [scores[cand.index(j)] for j in expected], atol=1e-12
+                    )
 
 
 class TestStrategyParse:

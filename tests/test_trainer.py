@@ -116,6 +116,65 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="eps"):
             small_config(eps=eps)
 
+    @pytest.mark.parametrize("q", [16.5, True, "16", 0])
+    def test_q_must_be_a_positive_integer(self, q):
+        with pytest.raises(ValueError, match="q"):
+            small_config(q=q)
+
+    @pytest.mark.parametrize("k", [2.5, True, 0, -1])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k"):
+            small_config(k=k)
+
+    @pytest.mark.parametrize("batch_size", [4.0, True, 1])
+    def test_batch_size_must_be_an_integer_of_two_or_more(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            small_config(batch_size=batch_size)
+
+    @pytest.mark.parametrize("epochs", [True, 1.5, 0])
+    def test_epochs_must_be_a_positive_integer(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            small_config(epochs=epochs)
+
+    @pytest.mark.parametrize("seed", [False, 0.5, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=seed)
+
+    @pytest.mark.parametrize("max_len", [0, 8.0, True])
+    def test_max_len_must_be_a_positive_integer(self, max_len):
+        with pytest.raises(ValueError, match="max_len"):
+            small_config(max_len=max_len)
+
+    @pytest.mark.parametrize("field", ["d_emb", "hidden", "d_feat"])
+    @pytest.mark.parametrize("value", [0, -2, 4.0, True])
+    def test_layer_widths_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("min_freq", [-3, 0, 1.5, True])
+    def test_min_freq_must_be_a_positive_integer(self, min_freq):
+        with pytest.raises(ValueError, match="min_freq"):
+            small_config(min_freq=min_freq)
+
+    @pytest.mark.parametrize("max_vocab", [1, 100.0, True])
+    def test_max_vocab_must_be_an_integer_of_two_or_more(self, max_vocab):
+        with pytest.raises(ValueError, match="max_vocab"):
+            small_config(max_vocab=max_vocab)
+
+    @pytest.mark.parametrize("field", ["lam", "m", "dropout"])
+    @pytest.mark.parametrize("value", [math.nan, "0.5", True, -0.5])
+    def test_unit_interval_fields_reject_non_numbers_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    def test_activation_must_be_known(self):
+        with pytest.raises(ValueError, match="activation"):
+            small_config(activation="tanh")
+
+    def test_numpy_integers_and_int_valued_reals_accepted(self):
+        small_config(q=np.int64(16), k=np.int32(4), lr=1, tau=np.float64(0.2))
+
 
 class _OneParam:
     """Minimal named-parameter holder for optimizer unit tests."""
