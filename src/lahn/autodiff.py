@@ -16,6 +16,11 @@ against its own padded block of positive and hard negatives (lahn), and
 ``masked_softmax_cross_entropy`` scores every row of a masked logit matrix
 against weighted targets.
 
+A gradient is a dense array, except the one ``embed_mean_pool`` leaves in a
+table no other op has written to yet: that is a ``RowGrad``, the few rows
+the batch touched, so a step never builds a V x d array of zeros. Any later
+accumulation into the same tensor densifies it first.
+
 Ops that take no active tape (or whose inputs carry no gradient) just compute
 values, so evaluation paths pay nothing for the machinery.
 """
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,14 +40,36 @@ class ShapeError(ValueError):
     """Operand shapes do not match the operation's contract."""
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside a few rows of its tensor.
+
+    ``rows`` holds sorted unique row ids and ``values`` their [n x d]
+    gradient rows.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, shape: tuple[int, ...]) -> np.ndarray:
+        out = np.zeros(shape)
+        out[self.rows] = self.values
+        return out
+
+
+def _dense_grad(g: "np.ndarray | RowGrad", shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` as a dense array of ``shape`` (a dense ``g`` is returned as is)."""
+    return g.dense(shape) if isinstance(g, RowGrad) else g
+
+
 class Tensor:
-    """Dense float64 array with an optional same-shape gradient buffer."""
+    """Dense float64 array with an optional gradient: a same-shape array or,
+    for an embedding table, a ``RowGrad``."""
 
     __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -107,7 +134,7 @@ class Tape:
         loss.grad = np.ones((), dtype=np.float64)
         for out, rule in reversed(self._entries):
             if out.grad is not None:
-                rule(out.grad)
+                rule(_dense_grad(out.grad, out.shape))
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
@@ -124,6 +151,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
+        t.grad = _dense_grad(t.grad, t.shape)
         t.grad += g
 
 
@@ -154,7 +182,9 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     scatter-adds each example's ``g[b] / count[b]`` into the table rows it
     used, summing within an example first and then across examples in
     descending order, so a repeated id accumulates exactly as one
-    gather-and-pool per example would.
+    gather-and-pool per example would. Into a table with no gradient yet it
+    leaves a ``RowGrad`` over the rows the batch used; otherwise it densifies
+    the table's gradient and adds into it.
     """
     idx = np.asarray(ids, dtype=np.int64)
     keep = np.asarray(mask, dtype=bool)
@@ -178,8 +208,13 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
         per_example = np.zeros((pairs.size, table.shape[1]))
         np.add.at(per_example, slot, (g / counts[:, None])[example])
         if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, pairs[::-1] % n_rows, per_example[::-1])
+            rows, row_slot = np.unique(pairs % n_rows, return_inverse=True)
+            values = np.zeros((rows.size, table.shape[1]))
+            np.add.at(values, row_slot[::-1], per_example[::-1])
+            table.grad = RowGrad(rows, values)
+        else:
+            table.grad = _dense_grad(table.grad, table.shape)
+            np.add.at(table.grad, pairs[::-1] % n_rows, per_example[::-1])
 
     return _record(out, (table,), rule)
 
@@ -448,7 +483,8 @@ def grad_check(
             return GradCheckReport(False, math.inf, 0, None, "non-finite forward value")
         tape.backward(out)
     analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros_like(t.values) for t in inputs
+        _dense_grad(t.grad, t.shape).copy() if t.grad is not None else np.zeros_like(t.values)
+        for t in inputs
     ]
     for a in analytic:
         if not np.isfinite(a).all():

@@ -116,7 +116,18 @@ def top_k_order(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[np.ndarra
         raise ValueError(f"k must be >= 1, got {k}")
     n_kept = np.minimum(keep.sum(axis=1), k)
     width = int(n_kept.max(initial=0))
-    order = np.argsort(np.where(keep, -scores, np.inf), axis=1, kind="stable")[:, :width]
+    key = np.where(keep, -scores, np.inf)
+    if not 0 < width < key.shape[1]:
+        order = np.argsort(key, axis=1, kind="stable")[:, :width]
+    else:
+        # only the entries at or below each row's width-th smallest key can
+        # make its cut, ties with that key included; sort just those, stably
+        survive = key <= np.partition(key, width - 1, axis=1)[:, width - 1 : width]
+        row, pos = np.nonzero(survive)
+        ranked = pos[np.lexsort((pos, key[row, pos], row))]
+        counts = survive.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        order = ranked[starts[:, None] + np.arange(width)]
     return order, np.arange(width) < n_kept[:, None]
 
 

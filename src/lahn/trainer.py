@@ -155,7 +155,7 @@ def init_adam(params: EncoderParams) -> AdamState:
 
 def adam_step(
     params: EncoderParams,
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | ad.RowGrad | None],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -164,42 +164,69 @@ def adam_step(
 ) -> None:
     """Bias-corrected Adam: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
 
-    The update runs in place, one block of leading-axis rows at a time
-    through two small scratch arrays, so a step allocates no
+    Every parameter takes the full update, whatever its gradient's form. A
+    gradient of None is all zeros. A ``RowGrad`` gives its rows the full
+    update and every other row the zero-gradient one, which still decays
+    m and v and moves theta, so the result is bitwise that of its dense
+    form. The update runs in place, one block of leading-axis rows at a
+    time through two small scratch arrays, so a step allocates no
     parameter-sized temporaries and each block stays in cache.
     """
     for name, g in grads.items():
-        if not np.isfinite(g).all():
+        values = g.values if isinstance(g, ad.RowGrad) else g
+        if values is not None and not np.isfinite(values).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     named = params.named()
     scratch = np.empty((2, max([_ADAM_BLOCK] + [t.values[:1].size for _, t in named])))
+
+    def update(theta, g, m, v) -> None:
+        _adam_blocks(theta, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2)
+
     for name, tensor in named:
         theta, g, m, v = tensor.values, grads[name], state.m[name], state.v[name]
-        rows = max(_ADAM_BLOCK * theta.shape[0] // max(theta.size, 1), 1)
-        for lo in range(0, theta.shape[0], rows):
-            part = slice(lo, lo + rows)
-            tb, gb, mb, vb = theta[part], g[part], m[part], v[part]
-            s1 = scratch[0, : tb.size].reshape(tb.shape)
-            s2 = scratch[1, : tb.size].reshape(tb.shape)
-            # the operations of lr * (m / bc1) / (np.sqrt(v / bc2) + eps) in
-            # their order, so the update is bitwise equal to that expression's
-            mb *= beta1
+        if isinstance(g, ad.RowGrad):
+            theta_rows, m_rows, v_rows = theta[g.rows], m[g.rows], v[g.rows]
+            update(theta_rows, g.values, m_rows, v_rows)
+            update(theta, None, m, v)
+            theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
+        else:
+            update(theta, g, m, v)
+
+
+def _adam_blocks(theta, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> None:
+    """One Adam update of theta, m and v in place; ``g is None`` is a zero
+    gradient."""
+    rows = max(_ADAM_BLOCK * theta.shape[0] // max(theta.size, 1), 1)
+    for lo in range(0, theta.shape[0], rows):
+        part = slice(lo, lo + rows)
+        tb, mb, vb = theta[part], m[part], v[part]
+        s1 = scratch[0, : tb.size].reshape(tb.shape)
+        s2 = scratch[1, : tb.size].reshape(tb.shape)
+        # the operations of lr * (m / bc1) / (np.sqrt(v / bc2) + eps) in
+        # their order, so the update is bitwise equal to that expression's
+        mb *= beta1
+        if g is None:
+            # m + (1 - beta1) * 0 turns a -0.0 into +0.0; v is never -0.0
+            mb += 0.0
+            vb *= beta2
+        else:
+            gb = g[part]
             np.multiply(gb, 1.0 - beta1, out=s1)
             mb += s1
             vb *= beta2
             np.multiply(gb, 1.0 - beta2, out=s1)
             s1 *= gb
             vb += s1
-            np.divide(mb, bc1, out=s1)
-            s1 *= lr
-            np.divide(vb, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            tb -= s1
+        np.divide(mb, bc1, out=s1)
+        s1 *= lr
+        np.divide(vb, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        tb -= s1
 
 
 @dataclass
@@ -285,9 +312,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
                 state.step, config.lr, float(l_cl.values), float(l_ce.values), float(total.values)
             )
         tape.backward(total)
-    grads = {
-        name: t.grad if t.grad is not None else np.zeros_like(t.values) for name, t in p.named()
-    }
+    grads = {name: t.grad for name, t in p.named()}
     adam_step(p, grads, state.opt, config.lr, config.beta1, config.beta2, config.eps)
     if state.ema is not None:
         ema_update(p, state.ema)

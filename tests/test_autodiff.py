@@ -66,7 +66,7 @@ class TestValueSemantics:
             out = ad.embed_mean_pool(table, [[1, 1], [1, 0]], [[True, True], [True, False]])
             loss = scalar_sum(out)
             tape.backward(loss)
-        np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(table.grad.dense(table.shape), [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
     def test_mean_pool_values(self):
         table = ad.constant([[1.0, 1.0], [3.0, 3.0], [9.0, 9.0]])
@@ -84,7 +84,9 @@ class TestValueSemantics:
         with ad.Tape() as tape:
             loss = scalar_sum(ad.embed_mean_pool(table, [[0, 1, 2]], [[True, False, True]]))
             tape.backward(loss)
-        np.testing.assert_array_equal(table.grad, [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+        np.testing.assert_array_equal(
+            table.grad.dense(table.shape), [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]]
+        )
 
     def test_relu(self):
         np.testing.assert_array_equal(ad.relu(ad.constant([-1.0, 2.0])).values, [0.0, 2.0])
@@ -179,7 +181,7 @@ def pooled_with_grad(table_values, ids, mask, g):
         # loss = sum(out * g), so the upstream gradient of out is exactly g
         flat = ad.matmul(ad.reshape(out, (1, n)), ad.constant(g.reshape(n, 1)))
         tape.backward(ad.reshape(flat, ()))
-    return out.values, table.grad
+    return out.values, table.grad.dense(table.shape)
 
 
 class TestEmbedMeanPool:
@@ -232,6 +234,102 @@ class TestEmbedMeanPool:
             ad.embed_mean_pool(table, [0, 1], [True, True])
         with pytest.raises(ad.ShapeError):
             ad.embed_mean_pool(table, [[0, 1]], [[True]])
+
+
+def dense_scatter(grad, ids, mask, g):
+    """embed_mean_pool's backward as it was before its gradient became
+    row-sparse: per-example sums, then one scatter-add into a full table
+    gradient, examples in descending order. The reference for RowGrad."""
+    ids, mask = np.asarray(ids), np.asarray(mask, dtype=bool)
+    n_rows = grad.shape[0]
+    example, _ = np.nonzero(mask)
+    pairs, slot = np.unique(example * n_rows + ids[mask], return_inverse=True)
+    per_example = np.zeros((pairs.size, grad.shape[1]))
+    np.add.at(per_example, slot, (g / mask.sum(axis=1)[:, None])[example])
+    np.add.at(grad, pairs[::-1] % n_rows, per_example[::-1])
+    return grad
+
+
+def assert_bitwise(a, b):
+    # assert_array_equal alone takes -0.0 == 0.0
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def dot_with(x: ad.Tensor, g: np.ndarray) -> ad.Tensor:
+    """sum(x * g) as a tape scalar: the upstream gradient of x is exactly g."""
+    n = x.values.size
+    return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), ad.constant(g.reshape(n, 1))), ())
+
+
+class TestRowGrad:
+    def test_dense_scatters_rows_into_zeros(self):
+        grad = ad.RowGrad(np.array([0, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(grad.dense((3, 2)), [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64])
+    def test_pool_gradient_bitwise_equal_to_dense_scatter(self, d):
+        rng = np.random.default_rng(10 + d)
+        for _ in range(30):
+            v, b, t = int(rng.integers(2, 12)), int(rng.integers(1, 17)), int(rng.integers(1, 30))
+            ids = rng.integers(0, v, size=(b, t))
+            mask = np.arange(t)[None, :] < rng.integers(1, t + 1, size=b)[:, None]
+            g = rng.normal(size=(b, d))
+            g[rng.random(g.shape) < 0.1] = -0.0
+            table = ad.param(rng.normal(size=(v, d)))
+            with ad.Tape() as tape:
+                tape.backward(dot_with(ad.embed_mean_pool(table, ids, mask), g))
+            grad = table.grad
+            assert isinstance(grad, ad.RowGrad)
+            np.testing.assert_array_equal(grad.rows, np.unique(ids[mask]))
+            assert grad.values.shape == (grad.rows.size, d)
+            assert_bitwise(grad.dense(table.shape), dense_scatter(np.zeros((v, d)), ids, mask, g))
+
+    def test_table_pooled_twice_equals_dense_route(self):
+        rng = np.random.default_rng(20)
+        ids1, ids2 = rng.integers(0, 6, size=(4, 5)), rng.integers(0, 6, size=(3, 7))
+        mask1, mask2 = rng.random((4, 5)) < 0.7, rng.random((3, 7)) < 0.7
+        mask1[:, 0] = mask2[:, 0] = True
+        g1, g2 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+        table = ad.param(rng.normal(size=(6, 3)))
+        with ad.Tape() as tape:
+            first = dot_with(ad.embed_mean_pool(table, ids1, mask1), g1)
+            second = dot_with(ad.embed_mean_pool(table, ids2, mask2), g2)
+            tape.backward(ad.add(first, second))
+        # backward visits the second pool first
+        want = dense_scatter(dense_scatter(np.zeros((6, 3)), ids2, mask2, g2), ids1, mask1, g1)
+        assert_bitwise(table.grad, want)
+
+    @pytest.mark.parametrize("pool_first", [True, False])
+    def test_pool_and_matmul_on_one_table_equal_dense_route(self, pool_first):
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 6, size=(4, 5))
+        mask = np.ones((4, 5), dtype=bool)
+        g, c = rng.normal(size=(4, 3)), rng.normal(size=(2, 6))
+        table = ad.param(rng.normal(size=(6, 3)))
+        with ad.Tape() as tape:
+            if pool_first:
+                pooled = dot_with(ad.embed_mean_pool(table, ids, mask), g)
+                product = scalar_sum(ad.matmul(ad.constant(c), table))
+            else:
+                product = scalar_sum(ad.matmul(ad.constant(c), table))
+                pooled = dot_with(ad.embed_mean_pool(table, ids, mask), g)
+            tape.backward(ad.add(pooled, product))
+        from_matmul = c.T @ np.ones((2, 3))
+        if pool_first:  # the matmul's rule runs first and leaves a dense gradient
+            want = dense_scatter(from_matmul.copy(), ids, mask, g)
+        else:
+            want = dense_scatter(np.zeros((6, 3)), ids, mask, g)
+            want += from_matmul
+        assert_bitwise(table.grad, want)
+
+    def test_pooled_intermediate_passes_a_dense_gradient_on(self):
+        base = ad.param(np.arange(12.0))
+        ids, mask = [[0, 2], [2, 2]], [[True, True], [True, False]]
+        with ad.Tape() as tape:
+            table = ad.reshape(base, (4, 3))
+            tape.backward(scalar_sum(ad.embed_mean_pool(table, ids, mask)))
+        want = dense_scatter(np.zeros((4, 3)), ids, mask, np.ones((2, 3))).reshape(-1)
+        assert_bitwise(base.grad, want)
 
 
 class TestCosineMatrix:

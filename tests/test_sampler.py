@@ -202,6 +202,21 @@ class TestSelect:
                 idx = np.flatnonzero(keep[r])
                 assert order[r][valid[r]].tolist() == naive_topk(scores[r, idx], idx.tolist(), k)
 
+    def test_equals_stable_argsort_on_wide_tied_rows(self):
+        # queue-sized rows: many ties at each row's cut, signed zeros, and
+        # rows that keep fewer than k entries next to rows that keep many
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            b, n, k = int(rng.integers(1, 17)), int(rng.integers(1, 300)), int(rng.integers(1, 33))
+            scores = rng.integers(-3, 4, size=(b, n)) / 3.0
+            scores[rng.random((b, n)) < 0.2] = -0.0
+            keep = rng.random((b, n)) < rng.random(size=(b, 1))
+            order, valid = top_k_order(scores, keep, k)
+            full = np.argsort(np.where(keep, -scores, np.inf), axis=1, kind="stable")
+            want_valid = np.arange(order.shape[1]) < np.minimum(keep.sum(axis=1), k)[:, None]
+            np.testing.assert_array_equal(valid, want_valid)
+            np.testing.assert_array_equal(order[valid], full[:, : order.shape[1]][valid])
+
     @given(
         st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=20),
         st.integers(min_value=1, max_value=24),

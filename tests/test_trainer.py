@@ -265,6 +265,58 @@ class TestAdam:
         with pytest.raises(ValueError, match="'w'"):
             adam_step(p, {"w": np.array([np.nan])}, init_adam(p), lr=1e-3)
 
+    @pytest.mark.parametrize("b1", [0.9, 0.3])
+    def test_row_grad_fifty_steps_bitwise_equal_to_dense_expression(self, b1):
+        # rows 0-29 are touched on some steps and not on others, rows 30-39
+        # never; preset m entries of -0.0 and of the least negative subnormal
+        # (which b1 = 0.3 rounds to -0.0) must turn +0.0 as the dense form does
+        rng = np.random.default_rng(2)
+        lr, b2, eps = 3e-3, 0.999, 1e-8
+        p = _Params(emb=rng.normal(size=(40, 3)), w=rng.normal(size=(4, 2)))
+        state = init_adam(p)
+        state.m["emb"][:, 0] = -0.0
+        state.m["emb"][:, 1] = -5e-324
+        ref = {k: t.values.copy() for k, t in p.named()}
+        m = {k: a.copy() for k, a in state.m.items()}
+        v = {k: a.copy() for k, a in state.v.items()}
+        for t in range(1, 51):
+            rows = np.flatnonzero(rng.random(30) < 0.3)
+            grads = {
+                "emb": ad.RowGrad(rows, rng.normal(size=(rows.size, 3))),
+                "w": rng.normal(size=(4, 2)),
+            }
+            adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():
+                if isinstance(g, ad.RowGrad):
+                    g = g.dense(ref[k].shape)
+                m[k] = m[k] * b1 + (1.0 - b1) * g
+                v[k] = v[k] * b2 + (1.0 - b2) * g * g
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+        for k, tensor in p.named():
+            for got, want in ((tensor.values, ref[k]), (state.m[k], m[k]), (state.v[k], v[k])):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_none_gradient_equals_all_zero_gradient(self):
+        rng = np.random.default_rng(3)
+        values, g1, g2 = (rng.normal(size=(6, 2)) for _ in range(3))
+        runs = []
+        for zero in (None, np.zeros((6, 2))):
+            p = _OneParam(values.copy())
+            state = init_adam(p)
+            state.m["w"][0] = [-0.0, -5e-324]
+            for g in (zero, g1, zero, zero, g2, zero):
+                adam_step(p, {"w": g}, state, lr=1e-2, beta1=0.3)
+            runs.append([a.view(np.uint64) for a in (p.w.values, state.m["w"], state.v["w"])])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_nonfinite_row_grad_names_parameter(self):
+        p = _Params(emb=np.zeros((4, 2)), w=np.zeros(2))
+        grads = {"emb": ad.RowGrad(np.array([1, 3]), np.array([[0.0, 1.0], [np.inf, 0.0]])), "w": None}
+        with pytest.raises(ValueError, match="'emb'"):
+            adam_step(p, grads, init_adam(p), lr=1e-3)
+
 
 class TestTrainStep:
     def test_warmup_gate_keeps_contrastive_silent(self):
