@@ -8,13 +8,15 @@ them. Everything is 64-bit and single-threaded; there is no broadcasting
 beyond scalar ``scale`` and the explicit row-wise bias add, which keeps every
 backward rule short enough to audit by hand.
 
-The encoder and both contrastive losses run as whole-batch ops, one tape
-entry each: ``embed_mean_pool`` gathers and mean-pools every example's
-embedding rows at once, ``cosine_matrix`` takes all pairwise cosines of a
-feature matrix (in-batch SCL), ``cosine_blocks`` takes each anchor's cosines
-against its own padded block of positive and hard negatives (lahn), and
+The encoder and every loss run as whole-batch ops, one tape entry each:
+``embed_mean_pool`` gathers and mean-pools every example's embedding rows at
+once, ``cosine_matrix`` takes all pairwise cosines of a feature matrix
+(in-batch SCL), ``cosine_blocks`` takes each anchor's cosines against its own
+padded block of positive and hard negatives (lahn), and
 ``masked_softmax_cross_entropy`` scores every row of a masked logit matrix
-against weighted targets.
+against weighted targets. It is the one softmax cross-entropy here: the
+contrastive, SCL and classification losses all end in it, the last with
+every logit valid and one-hot weights.
 
 A gradient is a dense array, except the one ``embed_mean_pool`` leaves in a
 table no other op has written to yet: that is a ``RowGrad``, the few rows
@@ -383,34 +385,6 @@ def cosine_blocks(x: Tensor, blocks, eps: float = _COS_EPS) -> Tensor:
         _accum(x, _unit_rows_grad(g_unit, unit, norms_raw, norms, eps))
 
     return _record(out, (x,), rule)
-
-
-def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[target], max-stabilized.
-
-    Backward is (softmax - onehot) / B.
-    """
-    if logits.values.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy needs [B x C] logits, got shape {logits.shape}")
-    t = np.asarray(targets, dtype=np.int64)
-    n, c = logits.shape
-    if t.shape != (n,):
-        raise ShapeError(f"targets length {t.shape} does not match batch {n}")
-    if t.size and (t.min() < 0 or t.max() >= c):
-        bad = t[(t < 0) | (t >= c)][0]
-        raise IndexError(f"target {int(bad)} out of range for {c} classes")
-    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(n), t]
-    out = Tensor(losses.mean())
-
-    def rule(g: np.ndarray) -> None:
-        sm = np.exp(shifted)
-        sm /= sm.sum(axis=1, keepdims=True)
-        sm[np.arange(n), t] -= 1.0
-        _accum(logits, float(g) * sm / n)
-
-    return _record(out, (logits,), rule)
 
 
 def masked_softmax_cross_entropy(logits: Tensor, valid, weights) -> Tensor:

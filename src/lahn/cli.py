@@ -97,6 +97,8 @@ def _emit(report: dict, out_path=None) -> None:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if not 0.0 <= args.confound <= 1.0:
@@ -128,18 +130,19 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_bundle(args):
+    """The checkpoint's parameters and config, the ``--data`` examples raw and
+    encoded with its vocabulary, and the batch size it was trained with."""
     path = _require_file(args.checkpoint, "--checkpoint")
     params, cfg, vocab = load_checkpoint(path)
     if vocab is None:
         raise RuntimeError(f"checkpoint {path} carries no vocabulary")
-    return params, cfg, vocab
+    examples = load_jsonl(_require_file(args.data, "--data"))
+    encoded = encode_examples(examples, vocab, cfg.get("max_len", 64))
+    return params, cfg, examples, encoded, cfg.get("batch_size", 16)
 
 
 def _cmd_eval(args) -> int:
-    params, cfg, vocab = _load_checkpoint_bundle(args)
-    split = load_jsonl(_require_file(args.data, "--data"))
-    encoded = encode_examples(split, vocab, cfg.get("max_len", 64))
-    batch_size = cfg.get("batch_size", 16)
+    params, _, _, encoded, batch_size = _load_checkpoint_bundle(args)
     if args.probe:
         report = metrics.confound_probe(params, encoded, batch_size)
     else:
@@ -149,23 +152,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    params, cfg, vocab = _load_checkpoint_bundle(args)
-    split = load_jsonl(_require_file(args.data, "--data"))
-    encoded = encode_examples(split, vocab, cfg.get("max_len", 64))
-    metrics.export_embeddings(params, encoded, args.out, cfg.get("batch_size", 16))
+    params, _, _, encoded, batch_size = _load_checkpoint_bundle(args)
+    metrics.export_embeddings(params, encoded, args.out, batch_size)
     _emit({"rows": len(encoded), "out": str(args.out)})
     return 0
 
 
 def _cmd_inspect_negatives(args) -> int:
-    params, cfg, vocab = _load_checkpoint_bundle(args)
-    corpus = load_jsonl(_require_file(args.data, "--data"))
+    if args.k is not None and args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+    params, cfg, corpus, encoded, batch_size = _load_checkpoint_bundle(args)
     if not 0 <= args.anchor < len(corpus):
         raise UsageError(f"--anchor: index {args.anchor} out of range for corpus of {len(corpus)}")
     strategy = Strategy.parse(args.strategy or cfg.get("strategy", "simweight"))
     k = args.k if args.k is not None else cfg.get("k", 16)
-    encoded = encode_examples(corpus, vocab, cfg.get("max_len", 64))
-    feats = metrics.features_of(params, encoded, cfg.get("batch_size", 16))
+    feats = metrics.features_of(params, encoded, batch_size)
     labels = np.array([e.label for e in corpus], dtype=np.int64)
 
     # warm pass: the whole corpus through the queue, oldest-first, eval features
@@ -254,8 +255,9 @@ def _build_parser() -> _Parser:
         "train",
         help="train a model",
         description="Trains and writes checkpoint_best.npz, checkpoint_last.npz, "
-        "metrics.jsonl, vocab.txt. The momentum queue is transient (never "
-        "checkpointed): a resumed run starts with an empty queue and re-enters warmup.",
+        "metrics.jsonl, vocab.txt. A run cannot be resumed: checkpoints hold the "
+        "main parameters, config and vocabulary only, not the Adam moments, the "
+        "momentum network or the queue.",
     )
     _add_train_flags(p)
     p.add_argument("--train", required=True, help="training split (JSONL)")

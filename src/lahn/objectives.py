@@ -22,7 +22,6 @@ class LossBreakdown:
     l_cl: float
     l_ce: float
     total: float
-    lam: float
 
 
 def contrastive_loss(sims: ad.Tensor, valid, tau: float) -> ad.Tensor:
@@ -51,11 +50,16 @@ def contrastive_loss(sims: ad.Tensor, valid, tau: float) -> ad.Tensor:
 
 
 def classification_loss(logits: ad.Tensor, labels) -> ad.Tensor:
-    """Batch-mean NLL; the same routine that backs every other CE here."""
+    """Batch mean of -log softmax(logits)[label]: the masked softmax-CE with
+    every logit valid and weight 1/B on each row's label."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and not np.isin(labels, (0, 1)).all():
+    if logits.values.ndim != 2 or labels.shape != (logits.shape[0],) or labels.size == 0:
+        raise ValueError(f"need one label per logit row, got {labels.shape} for {logits.shape}")
+    if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must all be 0 or 1")
-    return ad.softmax_cross_entropy(logits, labels)
+    weights = np.zeros(logits.shape)
+    weights[np.arange(labels.size), labels] = 1.0 / labels.size
+    return ad.masked_softmax_cross_entropy(logits, np.ones(logits.shape, dtype=bool), weights)
 
 
 def combined_loss(l_cl: ad.Tensor, l_ce: ad.Tensor, lam: float) -> ad.Tensor:

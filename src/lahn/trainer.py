@@ -22,7 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from . import fileio, metrics, objectives, sampler
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
-from .encoder import EncoderDims, EncoderParams, clone_params, forward, init_params, save_checkpoint
+from .encoder import (
+    ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, save_checkpoint
+)
 from .momentum import EmaState, MomentumQueue, ema_update
 from .objectives import LossBreakdown
 from .sampler import Strategy
@@ -37,7 +39,6 @@ WARMUP_FILL = 0.25
 _ADAM_BLOCK = 1 << 14
 
 OBJECTIVES = ("ce", "scl", "lahn")
-ACTIVATIONS = ("gelu", "relu")
 
 # integer config fields and the least value each may take
 _INT_FIELDS = {
@@ -104,7 +105,7 @@ class TrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         Strategy.parse(self.strategy)
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}")
         for name, low in _INT_FIELDS.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -317,7 +318,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
     if state.ema is not None:
         ema_update(p, state.ema)
     state.step += 1
-    return LossBreakdown(float(l_cl.values), float(l_ce.values), float(total.values), config.lam)
+    return LossBreakdown(float(l_cl.values), float(l_ce.values), float(total.values))
 
 
 @dataclass

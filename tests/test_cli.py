@@ -116,6 +116,15 @@ class TestExitCodes:
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_k_is_usage_error(self, workdir, capsys, k):
+        rc = cli.main(
+            ["inspect-negatives", "--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),
+             "--data", str(workdir["data"] / "train.jsonl"), "--anchor", "0", "--k", k]
+        )
+        assert rc == 1
+        assert "--k" in capsys.readouterr().err
+
     def test_invalid_log_level_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("LAHN_LOG_LEVEL", "verbose")
         assert cli.main(["gen-data", "--n", "1", "--out", "ignored"]) == 1
@@ -138,6 +147,7 @@ class TestExitCodes:
     def test_gen_data_flag_validation(self, tmp_path):
         assert cli.main(["gen-data", "--n", "0", "--out", str(tmp_path)]) == 1
         assert cli.main(["gen-data", "--n", "4", "--confound", "1.5", "--out", str(tmp_path)]) == 1
+        assert cli.main(["gen-data", "--n", "4", "--seed", "-1", "--out", str(tmp_path)]) == 1
 
     def test_version_and_help_exit_zero(self, capsys):
         assert cli.main(["--version"]) == 0

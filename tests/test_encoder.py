@@ -13,6 +13,7 @@ from lahn.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
+from lahn.objectives import classification_loss
 from lahn.seeding import substream
 
 TEXTS = [
@@ -160,7 +161,7 @@ class TestForward:
         params = init_params(8, tiny_dims(vocab))
         with ad.Tape() as tape:
             out = forward(params, batch, training=True, rng=substream(1, "dropout-main"))
-            loss = ad.softmax_cross_entropy(out.logits, batch.labels)
+            loss = classification_loss(out.logits, batch.labels)
             tape.backward(loss)
         for name, t in params.named():
             assert t.grad is not None, name

@@ -151,6 +151,26 @@ class TestClassificationLoss:
         report = ad.grad_check(lambda t: classification_loss(t, [0, 1, 1, 0]), [logits])
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("b", [16, 12])  # 12: a tail batch, where 1/B is inexact
+    def test_value_and_gradient_against_log_softmax(self, b):
+        rng = np.random.default_rng(b)
+        logits = ad.param(rng.normal(scale=3.0, size=(b, 2)))
+        labels = rng.integers(0, 2, size=b)
+        with ad.Tape() as tape:
+            loss = classification_loss(logits, labels)
+            tape.backward(loss)
+        # independent route: plain numpy log-softmax and its gradient
+        shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+        log_softmax = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        onehot = np.eye(2)[labels]
+        want = -log_softmax[np.arange(b), labels].mean()
+        np.testing.assert_allclose(loss.item(), want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(logits.grad, (np.exp(log_softmax) - onehot) / b, rtol=0.0, atol=1e-12)
+
+    def test_label_count_must_match_batch(self):
+        with pytest.raises(ValueError, match="one label per logit row"):
+            classification_loss(ad.param(np.zeros((3, 2))), [0, 1])
+
 
 class TestCombinedLoss:
     def test_hand_weighting(self):

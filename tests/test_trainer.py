@@ -383,7 +383,6 @@ class TestTrainStep:
         state = init_state(cfg, len(vocab))
         lb = train_step(state, batches[0], cfg)
         assert state.step == 1
-        assert lb.lam == cfg.lam
         assert all(math.isfinite(x) for x in (lb.l_cl, lb.l_ce, lb.total))
 
     def test_lambda_one_walks_the_ce_trajectory(self):
