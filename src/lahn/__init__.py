@@ -39,7 +39,6 @@ from .sampler import (
     HardNegativeSet,
     Strategy,
     anchor_class_prob,
-    cosines,
     sample_for_batch,
     top_k_order,
 )

@@ -10,13 +10,13 @@ backward rule short enough to audit by hand.
 
 The encoder and every loss run as whole-batch ops, one tape entry each:
 ``embed_mean_pool`` gathers and mean-pools every example's embedding rows at
-once, ``cosine_matrix`` takes all pairwise cosines of a feature matrix
-(in-batch SCL), ``cosine_blocks`` takes each anchor's cosines against its own
-padded block of positive and hard negatives (lahn), and
+once, ``cosine`` takes every row of one matrix against every row of another
+(the one cosine here: SCL's ``cosine(x, x)``, lahn's anchors against their
+positives and selected negatives, and the sampler's scores), and
 ``masked_softmax_cross_entropy`` scores every row of a masked logit matrix
 against weighted targets. It is the one softmax cross-entropy here: the
-contrastive, SCL and classification losses all end in it, the last with
-every logit valid and one-hot weights.
+contrastive and classification losses both end in it, the last with every
+logit valid and one-hot weights.
 
 A gradient is a dense array, except the one ``embed_mean_pool`` leaves in a
 table no other op has written to yet: that is a ``RowGrad``, the few rows
@@ -325,66 +325,36 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # ---------------------------------------------------------------------------
 
 
-def clamped_norms(x: np.ndarray, eps: float = _COS_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Norms of the rows (last axis) of ``x``: ``(raw, clamped below at eps)``.
+def cosine(x: Tensor, rows: Tensor, eps: float = _COS_EPS) -> Tensor:
+    """Cosine of every row of ``x`` against every row of ``rows``:
+    [B x d] and [R x d] -> [B x R].
 
-    The one norm clamp behind every cosine in the package (a plain-array
-    helper, not a tape op).
+    Each dot product is divided by the product of its two row norms, each
+    clamped below at eps: on integer-valued rows every step is exact or
+    correctly rounded, so any route that takes those steps gets the same
+    floats and the same ties. A clamped norm is a constant in backward, so a
+    zero row stays differentiable. Backward feeds whichever input requires
+    gradient; ``cosine(x, x)`` feeds ``x`` through both sides.
     """
-    norms_raw = np.linalg.norm(x, axis=-1)
-    return norms_raw, np.maximum(norms_raw, eps)
-
-
-def _unit_rows(x: np.ndarray, eps: float = _COS_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of ``x`` over their clamped norms: ``(unit, norms_raw, norms)``."""
-    norms_raw, norms = clamped_norms(x, eps)
-    return x / norms[..., None], norms_raw, norms
-
-
-def _unit_rows_grad(g_unit, unit, norms_raw, norms, eps: float) -> np.ndarray:
-    # backward of x -> x / max(|x|, eps) row by row: a clamped norm is a
-    # constant, so its row has no radial term
-    radial = np.where(norms_raw > eps, (g_unit * unit).sum(axis=1), 0.0)
-    return (g_unit - radial[:, None] * unit) / norms[:, None]
-
-
-def cosine_matrix(x: Tensor, eps: float = _COS_EPS) -> Tensor:
-    """Pairwise cosines of the rows of ``x``: [B x d] -> [B x B].
-
-    Row norms are clamped below at eps, and a clamped norm is a constant in
-    backward, so a zero row stays differentiable.
-    """
-    if x.values.ndim != 2:
-        raise ShapeError(f"cosine_matrix needs a [B x d] matrix, got shape {x.shape}")
-    unit, norms_raw, norms = _unit_rows(x.values, eps)
-    out = Tensor(unit @ unit.T)
+    if x.values.ndim != 2 or rows.values.ndim != 2 or x.shape[1] != rows.shape[1]:
+        raise ShapeError(f"cosine needs [B x d] and [R x d], got {x.shape} and {rows.shape}")
+    raw_x, raw_r = np.linalg.norm(x.values, axis=1), np.linalg.norm(rows.values, axis=1)
+    norm_x, norm_r = np.maximum(raw_x, eps), np.maximum(raw_r, eps)
+    out = Tensor((x.values @ rows.values.T) / (norm_x[:, None] * norm_r))
 
     def rule(g: np.ndarray) -> None:
-        _accum(x, _unit_rows_grad((g + g.T) @ unit, unit, norms_raw, norms, eps))
+        # d cos[i, j] / d x[i] = rows[j] / (|x_i| |r_j|) - cos[i, j] x[i] / |x_i|^2,
+        # without the radial term where the norm is clamped; rows alike
+        g_scaled = g / (norm_x[:, None] * norm_r)
+        g_cos = g * out.values
+        if x.requires_grad:
+            radial = np.where(raw_x > eps, g_cos.sum(axis=1) / norm_x**2, 0.0)
+            _accum(x, g_scaled @ rows.values - radial[:, None] * x.values)
+        if rows.requires_grad:
+            radial = np.where(raw_r > eps, g_cos.sum(axis=0) / norm_r**2, 0.0)
+            _accum(rows, g_scaled.T @ x.values - radial[:, None] * rows.values)
 
-    return _record(out, (x,), rule)
-
-
-def cosine_blocks(x: Tensor, blocks, eps: float = _COS_EPS) -> Tensor:
-    """Cosine of each row of ``x`` against every row of its own block:
-    [B x d] and [B x m x d] -> [B x m], out[b, j] = cos(x[b], blocks[b, j]).
-
-    Norms are clamped below at eps on both sides, as in cosine_matrix.
-    ``blocks`` is a plain array (detached features), so gradients flow only
-    into ``x``.
-    """
-    rows = np.asarray(blocks, dtype=np.float64)
-    if x.values.ndim != 2 or rows.ndim != 3 or (rows.shape[0], rows.shape[2]) != x.shape:
-        raise ShapeError(f"cosine_blocks needs [B x d] and [B x m x d], got {x.shape} and {rows.shape}")
-    unit, norms_raw, norms = _unit_rows(x.values, eps)
-    unit_blocks = _unit_rows(rows, eps)[0]
-    out = Tensor((unit_blocks @ unit[:, :, None])[:, :, 0])
-
-    def rule(g: np.ndarray) -> None:
-        g_unit = (g[:, None, :] @ unit_blocks)[:, 0, :]
-        _accum(x, _unit_rows_grad(g_unit, unit, norms_raw, norms, eps))
-
-    return _record(out, (x,), rule)
+    return _record(out, (x, rows), rule)
 
 
 def masked_softmax_cross_entropy(logits: Tensor, valid, weights) -> Tensor:

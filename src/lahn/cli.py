@@ -1,8 +1,8 @@
 """Command-line surface: corpus generation, training, evaluation, embedding
 export, hard-negative inspection, and ablation grids.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing files, invalid
-config), 2 runtime error. All randomness flows from --seed through named
+Exit codes: 0 success, 1 usage error (bad flags, missing files, empty or
+malformed data files, invalid config), 2 runtime error. All randomness flows from --seed through named
 sub-streams, so every command is reproducible from its flags alone.
 """
 
@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, metrics
-from .data import encode_examples, generate_confound_corpus, load_jsonl, write_jsonl
+from . import autodiff as ad
+from .data import Example, encode_examples, generate_confound_corpus, load_jsonl, write_jsonl
 from .encoder import apply_head, load_checkpoint
 from .momentum import MomentumQueue
-from .sampler import Strategy, anchor_class_prob, cosines, sample_for_batch
+from .sampler import Strategy, anchor_class_prob, sample_for_batch
 from .trainer import TrainConfig, run_ablation_grid, run_training
 
 log = logging.getLogger("lahn")
@@ -44,6 +45,21 @@ def _require_file(path, flag: str) -> Path:
     if not p.is_file():
         raise UsageError(f"{flag}: file not found: {p}")
     return p
+
+
+def _load_examples(path, flag: str) -> list[Example]:
+    """The records of a JSONL data file; a missing, malformed or empty file
+    is a usage error that names the flag and the file."""
+    p = _require_file(path, flag)
+    try:
+        examples = load_jsonl(p)
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{flag}: {p}: not UTF-8 text: {e}")
+    except ValueError as e:
+        raise UsageError(f"{flag}: {e}")
+    if not examples:
+        raise UsageError(f"{flag}: {p}: no records")
+    return examples
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -113,16 +129,16 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _build_config(args)
-    train = load_jsonl(_require_file(args.train, "--train"))
-    val = load_jsonl(_require_file(args.val, "--val"))
+    train = _load_examples(args.train, "--train")
+    val = _load_examples(args.val, "--val")
+    test = _load_examples(args.test, "--test") if args.test else None
     result = run_training(cfg, train, val, out_dir=args.out)
     summary = {
         "best_epoch": result.best_epoch,
         "best_val_macro_f1": result.best_val_macro_f1,
         "out": str(args.out),
     }
-    if args.test:
-        test = load_jsonl(_require_file(args.test, "--test"))
+    if test is not None:
         test_enc = encode_examples(test, result.vocab, cfg.max_len)
         summary["test"] = metrics.evaluate(result.best_params, test_enc, cfg.batch_size).to_dict()
     _emit(summary)
@@ -130,30 +146,30 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_bundle(args):
-    """The checkpoint's parameters and config, the ``--data`` examples raw and
-    encoded with its vocabulary, and the batch size it was trained with."""
+    """The checkpoint's parameters and ``TrainConfig``, and the ``--data``
+    examples raw and encoded with its vocabulary."""
     path = _require_file(args.checkpoint, "--checkpoint")
-    params, cfg, vocab = load_checkpoint(path)
+    params, config, vocab = load_checkpoint(path)
     if vocab is None:
         raise RuntimeError(f"checkpoint {path} carries no vocabulary")
-    examples = load_jsonl(_require_file(args.data, "--data"))
-    encoded = encode_examples(examples, vocab, cfg.get("max_len", 64))
-    return params, cfg, examples, encoded, cfg.get("batch_size", 16)
+    cfg = TrainConfig.from_dict(config)
+    examples = _load_examples(args.data, "--data")
+    return params, cfg, examples, encode_examples(examples, vocab, cfg.max_len)
 
 
 def _cmd_eval(args) -> int:
-    params, _, _, encoded, batch_size = _load_checkpoint_bundle(args)
+    params, cfg, _, encoded = _load_checkpoint_bundle(args)
     if args.probe:
-        report = metrics.confound_probe(params, encoded, batch_size)
+        report = metrics.confound_probe(params, encoded, cfg.batch_size)
     else:
-        report = metrics.evaluate(params, encoded, batch_size).to_dict()
+        report = metrics.evaluate(params, encoded, cfg.batch_size).to_dict()
     _emit(report, args.out)
     return 0
 
 
 def _cmd_export_embeddings(args) -> int:
-    params, _, _, encoded, batch_size = _load_checkpoint_bundle(args)
-    metrics.export_embeddings(params, encoded, args.out, batch_size)
+    params, cfg, _, encoded = _load_checkpoint_bundle(args)
+    metrics.export_embeddings(params, encoded, args.out, cfg.batch_size)
     _emit({"rows": len(encoded), "out": str(args.out)})
     return 0
 
@@ -161,16 +177,16 @@ def _cmd_export_embeddings(args) -> int:
 def _cmd_inspect_negatives(args) -> int:
     if args.k is not None and args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    params, cfg, corpus, encoded, batch_size = _load_checkpoint_bundle(args)
+    params, cfg, corpus, encoded = _load_checkpoint_bundle(args)
     if not 0 <= args.anchor < len(corpus):
         raise UsageError(f"--anchor: index {args.anchor} out of range for corpus of {len(corpus)}")
-    strategy = Strategy.parse(args.strategy or cfg.get("strategy", "simweight"))
-    k = args.k if args.k is not None else cfg.get("k", 16)
-    feats = metrics.features_of(params, encoded, batch_size)
+    strategy = Strategy.parse(args.strategy or cfg.strategy)
+    k = args.k if args.k is not None else cfg.k
+    feats = metrics.features_of(params, encoded, cfg.batch_size)
     labels = np.array([e.label for e in corpus], dtype=np.int64)
 
     # warm pass: the whole corpus through the queue, oldest-first, eval features
-    queue = MomentumQueue(int(cfg.get("q", 512)), feats.shape[1])
+    queue = MomentumQueue(cfg.q, feats.shape[1])
     entry_ids = queue.enqueue_batch(feats, labels)
     snap = queue.snapshot()
     negset = sample_for_batch(
@@ -183,7 +199,8 @@ def _cmd_inspect_negatives(args) -> int:
         exclude_ids=entry_ids[args.anchor : args.anchor + 1],
     )[0]
 
-    sims = cosines(feats[args.anchor : args.anchor + 1], negset.features)[0]
+    anchor = ad.constant(feats[args.anchor : args.anchor + 1])
+    sims = ad.cosine(anchor, ad.constant(negset.features)).values[0]
     probs = anchor_class_prob(apply_head(params, negset.features), int(labels[args.anchor]))
     lines = []
     for rank in range(negset.size):
@@ -226,9 +243,9 @@ def _cmd_ablate(args) -> int:
         raise UsageError(f"--grid: {grid_path}: needs a nonempty 'cells' list")
     if not isinstance(seeds, list) or not seeds:
         raise UsageError(f"--grid: {grid_path}: needs a nonempty 'seeds' list")
-    train = load_jsonl(_require_file(args.train, "--train"))
-    val = load_jsonl(_require_file(args.val, "--val"))
-    test = load_jsonl(_require_file(args.test, "--test")) if args.test else None
+    train = _load_examples(args.train, "--train")
+    val = _load_examples(args.val, "--val")
+    test = _load_examples(args.test, "--test") if args.test else None
     report = run_ablation_grid(cfg, cells, seeds, train, val, test)
     _emit(report, args.out)
     return 0

@@ -47,15 +47,13 @@ class Example:
 class Vocabulary:
     """token -> id map with PAD=0 and UNK=1 reserved; ids contiguous [0, V)."""
 
-    def __init__(self, tokens: list[str], min_freq: int = 2, max_size: int = 20000):
+    def __init__(self, tokens: list[str]):
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"vocabulary must start with {PAD_TOKEN!r}, {UNK_TOKEN!r}")
         if len(tokens) != len(set(tokens)):
             raise ValueError("duplicate token in vocabulary")
         self.id_to_token = list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
-        self.min_freq = min_freq
-        self.max_size = max_size
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -89,7 +87,7 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
         (t for t, c in counts.items() if c >= min_freq),
         key=lambda t: (-counts[t], t),
     )[: max_size - 2]
-    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept, min_freq=min_freq, max_size=max_size)
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
 
 
 def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> list[Example]:

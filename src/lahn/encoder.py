@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,19 +59,15 @@ class EncoderParams:
     bh: ad.Tensor
 
     def named(self) -> list[tuple[str, ad.Tensor]]:
-        return [
-            ("emb", self.emb),
-            ("w1", self.w1),
-            ("b1", self.b1),
-            ("w2", self.w2),
-            ("b2", self.b2),
-            ("wh", self.wh),
-            ("bh", self.bh),
-        ]
+        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
 
     def zero_grads(self) -> None:
         for _, t in self.named():
             t.zero_grad()
+
+
+# the parameter tensors' names, in declaration order
+_PARAM_NAMES = tuple(f.name for f in fields(EncoderParams) if f.name != "dims")
 
 
 @dataclass
@@ -181,7 +177,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary | None]:
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         dims = EncoderDims(**meta["dims"])
-        tensors = {name: ad.param(z[name]) for name in ("emb", "w1", "b1", "w2", "b2", "wh", "bh")}
+        tensors = {name: ad.param(z[name]) for name in _PARAM_NAMES}
         vocab = None
         if "__vocab__" in z.files:
             vocab = Vocabulary([str(t) for t in z["__vocab__"]])

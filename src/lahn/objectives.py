@@ -1,11 +1,12 @@
-"""Loss assembly: temperature-scaled contrastive loss over (positive, hard
-negatives) per anchor, classification cross-entropy, their convex
-combination, and the in-batch supervised contrastive baseline.
+"""Loss assembly: one contrastive loss, the classification cross-entropy,
+and their convex combination.
 
-The contrastive term is built exactly as the softmax-cross-entropy over each
-anchor's logit row [pos/tau, neg_1/tau, ..., neg_n/tau] with target index 0,
-so the positive similarity appears in the denominator alongside the
-negatives. All anchors share one padded row matrix and a validity mask.
+``contrastive_loss`` is the supervised-contrastive softmax over a cosine
+matrix; only its masks tell the objectives apart. Under lahn an anchor's row
+holds its own momentum view as the one positive and its selected hard
+negatives as the other valid entries (MoCo's InfoNCE over label-aware
+negatives). Under the in-batch SCL baseline every other example is valid
+and the same-label ones are positives.
 """
 
 from __future__ import annotations
@@ -24,28 +25,34 @@ class LossBreakdown:
     total: float
 
 
-def contrastive_loss(sims: ad.Tensor, valid, tau: float) -> ad.Tensor:
-    """Mean over all anchors of -log softmax([pos/tau, negs/tau])[0].
+def contrastive_loss(sims: ad.Tensor, valid, positive, tau: float) -> ad.Tensor:
+    """For each anchor, the mean of -log softmax(sims[i] / tau) over its valid
+    entries at its positive entries; then the mean over anchors that have a
+    positive.
 
-    ``sims`` is [B x (1+w)]: column 0 holds each anchor's positive
-    similarity, the rest its negatives, padded to a common width, with
-    ``valid`` marking the real entries. An anchor with zero negatives
-    contributes exactly 0 (its row softmax is a single logit), but it still
-    counts in the mean's denominator.
+    ``sims``, ``valid`` and ``positive`` are [B x R], every positive entry
+    is valid and every row has a valid entry. An anchor whose only valid
+    entry is its positive contributes exactly 0 but still counts in the
+    mean; an anchor without a positive counts in nothing, and a batch with
+    none scores a constant 0.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be > 0, got {tau}")
     keep = np.asarray(valid, dtype=bool)
-    if sims.values.ndim != 2 or keep.shape != sims.shape:
-        raise ValueError(f"need equal [B x (1+w)] sims and valid, got {sims.shape} and {keep.shape}")
+    pos = np.asarray(positive, dtype=bool)
+    if sims.values.ndim != 2 or keep.shape != sims.shape or pos.shape != sims.shape:
+        raise ValueError(
+            f"need equal [B x R] sims, valid and positive, got {sims.shape}, {keep.shape} and {pos.shape}"
+        )
     if keep.shape[0] == 0:
         raise ValueError("contrastive_loss over zero anchors")
-    if not keep[:, 0].all():
-        raise ValueError("column 0 holds each anchor's positive and must be valid")
-    if not keep[:, 1:].any():
+    if (pos & ~keep).any():
+        raise ValueError("every positive entry must be valid")
+    n_pos = pos.sum(axis=1, keepdims=True)
+    n_anchors = int((n_pos > 0).sum())
+    if n_anchors == 0:
         return ad.constant(0.0)
-    weights = np.zeros(keep.shape)
-    weights[:, 0] = 1.0 / keep.shape[0]
+    weights = pos / np.maximum(n_pos, 1) / n_anchors
     return ad.masked_softmax_cross_entropy(ad.scale(sims, 1.0 / tau), keep, weights)
 
 
@@ -70,12 +77,14 @@ def combined_loss(l_cl: ad.Tensor, l_ce: ad.Tensor, lam: float) -> ad.Tensor:
 
 
 def scl_loss(features: ad.Tensor, labels, tau: float) -> ad.Tensor:
-    """In-batch supervised contrastive loss.
+    """In-batch supervised contrastive loss: ``contrastive_loss`` over
+    ``cosine(features, features)`` with every other example valid and the
+    same-label ones positive.
 
     For each anchor i with positives P(i) = same-label others:
         loss_i = -(1/|P(i)|) * sum_{p in P(i)} log softmax_{a != i}(cos(i,a)/tau)[p]
-    averaged over anchors with |P(i)| > 0. Anchors without a same-label
-    partner contribute nothing (and a batch with no partnered anchor scores 0).
+    averaged over anchors with |P(i)| > 0. A batch with no partnered anchor
+    scores a constant 0 without building the cosine matrix.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be > 0, got {tau}")
@@ -85,13 +94,8 @@ def scl_loss(features: ad.Tensor, labels, tau: float) -> ad.Tensor:
         raise ValueError(f"scl_loss needs a batch of >= 2, got {b}")
     if labels.shape != (b,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {b}")
-
     others = ~np.eye(b, dtype=bool)
     positive = (labels[:, None] == labels[None, :]) & others
-    n_pos = positive.sum(axis=1, keepdims=True)
-    n_anchors = int((n_pos > 0).sum())
-    if n_anchors == 0:
+    if not positive.any():
         return ad.constant(0.0)
-    weights = positive / np.maximum(n_pos, 1) / n_anchors
-    logits = ad.scale(ad.cosine_matrix(features), 1.0 / tau)
-    return ad.masked_softmax_cross_entropy(logits, others, weights)
+    return contrastive_loss(ad.cosine(features, features), others, positive, tau)

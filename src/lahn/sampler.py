@@ -6,10 +6,11 @@ probability of assigning it the anchor's class, take the top k. The two
 ablation strategies relax that pipeline: SimOnly ranks by similarity alone,
 AllQueue skips both the label filter and the top-k cut.
 
-The whole batch runs at once: one [B x S] score matrix against the snapshot,
-one keep-mask, one row-wise stable sort. Everything here operates on
-detached numpy arrays: selection influences which similarities enter the
-contrastive loss, but no gradient flows through the selection itself.
+The whole batch runs at once: one [B x S] score matrix against the snapshot
+(``autodiff.cosine`` on constants), one keep-mask, one row-wise stable sort.
+Selection influences which similarities enter the contrastive loss, but no
+gradient flows through the selection itself. The result holds snapshot
+indices, not feature rows; a per-anchor view reads its rows off the snapshot.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import clamped_norms
+from . import autodiff as ad
 from .encoder import EncoderParams, apply_head
 
 
@@ -57,21 +58,23 @@ class HardNegativeBatch:
     """Every anchor's selection, padded to a common width w.
 
     Row i holds anchor i's selection in its first ``valid[i].sum()`` slots
-    (``valid`` is a prefix mask); padding slots carry zero features, queue
-    index -1 and score 0. Indexing or iterating yields per-anchor views.
+    (``valid`` is a prefix mask); padding slots carry queue index -1 and
+    score 0. Indexing or iterating yields per-anchor views, whose features
+    are the selected rows of ``snapshot_features``.
     """
 
-    features: np.ndarray  # [B x w x d_feat]
     queue_indices: np.ndarray  # [B x w] int64
     scores: np.ndarray  # [B x w]
     valid: np.ndarray  # [B x w] bool
+    snapshot_features: np.ndarray  # [S x d_feat], the rows the indices point into
 
     def __len__(self) -> int:
         return self.valid.shape[0]
 
     def __getitem__(self, i: int) -> HardNegativeSet:
         n = int(self.valid[i].sum())
-        return HardNegativeSet(self.features[i, :n], self.queue_indices[i, :n], self.scores[i, :n])
+        indices = self.queue_indices[i, :n]
+        return HardNegativeSet(self.snapshot_features[indices], indices, self.scores[i, :n])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -91,18 +94,6 @@ def anchor_class_prob(head_logits, anchor_labels) -> np.ndarray:
         raise ValueError(f"anchor labels must be 0 or 1, got {anchor_labels}")
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return (e / e.sum(axis=1, keepdims=True)).T[labels]
-
-
-def cosines(anchor_feats: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[B x S] cosines of anchor rows against rows, norms clamped as in
-    ``clamped_norms``.
-
-    Each dot product is divided by the product of its two clamped norms: on
-    integer-valued rows every step is exact or correctly rounded, so any
-    route that takes those steps gets the same floats and the same ties.
-    """
-    norms = clamped_norms(anchor_feats)[1][:, None] * clamped_norms(rows)[1]
-    return (anchor_feats @ rows.T) / norms
 
 
 def top_k_order(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,10 +133,10 @@ def sample_for_batch(
 ) -> HardNegativeBatch:
     """Score every anchor against one shared snapshot, mask, take the top k.
 
-    Scores are ``cosines`` against the snapshot, times the momentum head's
-    anchor-class probability under LabelSimWeight. Same-label entries are
-    masked (except under AllQueue), and so is ``exclude_ids[i]``, anchor i's
-    own entry from the current step's enqueue, so its positive never
+    Scores are ``autodiff.cosine`` against the snapshot, times the momentum
+    head's anchor-class probability under LabelSimWeight. Same-label entries
+    are masked (except under AllQueue), and so is ``exclude_ids[i]``, anchor
+    i's own entry from the current step's enqueue, so its positive never
     doubles as its negative. AllQueue keeps every other entry and ignores k.
     """
     anchor_feats = np.asarray(anchor_feats, dtype=np.float64)
@@ -158,7 +149,7 @@ def sample_for_batch(
         raise ValueError(f"labels shape {labels.shape} does not match batch {anchor_feats.shape[0]}")
     if strategy is Strategy.LABEL_SIM_WEIGHT and momentum_params is None:
         raise ValueError("LabelSimWeight needs the momentum parameters for its probabilities")
-    scores = cosines(anchor_feats, snapshot.features)
+    scores = ad.cosine(ad.constant(anchor_feats), ad.constant(snapshot.features)).values
     if strategy is Strategy.LABEL_SIM_WEIGHT:
         scores *= anchor_class_prob(apply_head(momentum_params, snapshot.features), labels)
     if strategy is Strategy.ALL_QUEUE:
@@ -169,11 +160,9 @@ def sample_for_batch(
         keep &= snapshot.entry_ids[None, :] != np.asarray(exclude_ids)[:, None]
     k_eff = max(snapshot.size, 1) if strategy is Strategy.ALL_QUEUE else k
     order, valid = top_k_order(scores, keep, k_eff)
-    features = snapshot.features[order]
-    features[~valid] = 0.0
     return HardNegativeBatch(
-        features=features,
         queue_indices=np.where(valid, order, -1),
         scores=np.where(valid, np.take_along_axis(scores, order, axis=1), 0.0),
         valid=valid,
+        snapshot_features=snapshot.features,
     )

@@ -292,11 +292,16 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
                     config.k,
                     exclude_ids=entry_ids,
                 )
-                # column 0 of each anchor's block is its positive, then its negatives
-                blocks = np.concatenate([x_aug[:, None, :], negs.features], axis=1)
-                valid = np.concatenate([np.ones((batch.size, 1), dtype=bool), negs.valid], axis=1)
-                sims = ad.cosine_blocks(main_out.feature, blocks)
-                l_cl = objectives.contrastive_loss(sims, valid, config.tau)
+                # every anchor against [x_aug; the snapshot rows any anchor
+                # selected]: its own momentum view is its positive, its own
+                # selection the rest of its valid entries
+                cols, slot = np.unique(negs.queue_indices[negs.valid], return_inverse=True)
+                rows = np.concatenate([x_aug, snap.features[cols]])
+                positive = np.eye(batch.size, rows.shape[0], dtype=bool)
+                valid = positive.copy()
+                valid[np.nonzero(negs.valid)[0], batch.size + slot] = True
+                sims = ad.cosine(main_out.feature, ad.constant(rows))
+                l_cl = objectives.contrastive_loss(sims, valid, positive, config.tau)
                 total = objectives.combined_loss(l_cl, l_ce, config.lam)
             else:
                 # warmup: contrastive term inactive until the queue is a quarter full

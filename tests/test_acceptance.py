@@ -47,6 +47,27 @@ def _one_hot_ce(logits: ad.Tensor, targets) -> ad.Tensor:
     return ad.masked_softmax_cross_entropy(logits, np.ones((n, c), dtype=bool), weights)
 
 
+def _cosine_blocks(x: ad.Tensor, blocks) -> ad.Tensor:
+    """Each row of ``x`` [B x d] against its own block [B x m x d] -> [B x m],
+    through ad.cosine: row b of cosine(x, block b), placed by one-hot matmuls."""
+    eye = np.eye(x.shape[0])
+    out = None
+    for b, block in enumerate(np.asarray(blocks, dtype=np.float64)):
+        row = ad.matmul(ad.constant(eye[b : b + 1]), ad.cosine(x, ad.constant(block)))
+        placed = ad.matmul(ad.constant(eye[:, b : b + 1]), row)
+        out = placed if out is None else ad.add(out, placed)
+    return out
+
+
+def _contrastive(sims: ad.Tensor, valid, tau: float) -> ad.Tensor:
+    """contrastive_loss over padded rows whose column 0 is each anchor's
+    positive."""
+    valid = np.asarray(valid, dtype=bool)
+    positive = np.zeros_like(valid)
+    positive[:, 0] = True
+    return contrastive_loss(sims, valid, positive, tau=tau)
+
+
 # ---------------------------------------------------------------------------
 # 1. gradient suite
 # ---------------------------------------------------------------------------
@@ -73,17 +94,17 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     chk(lambda t: _one_hot_ce(ad.embed_mean_pool(t, seq_ids, mask), [1, 2]), seq_table)
 
     feats = ad.param(rng.normal(size=(3, 4)))
-    chk(lambda t: _one_hot_ce(ad.cosine_matrix(t), [2, 0, 1]), feats)
+    chk(lambda t: _one_hot_ce(ad.cosine(t, t), [2, 0, 1]), feats)
 
     anchors = ad.param(rng.normal(size=(3, 4)))
     blocks = rng.normal(size=(3, 5, 4))
-    chk(lambda t: _scalar_sum(ad.cosine_blocks(t, blocks)), anchors)
+    chk(lambda t: _scalar_sum(_cosine_blocks(t, blocks)), anchors)
 
     # the padded contrastive loss: row 1 has no negatives, row 2 one
     padded = ad.param(rng.normal(size=(3, 4)))
     pad_blocks = rng.normal(size=(3, 3, 4))
     pad_valid = np.array([[True, True, True], [True, False, False], [True, True, False]])
-    chk(lambda t: contrastive_loss(ad.cosine_blocks(t, pad_blocks), pad_valid, tau=0.5), padded)
+    chk(lambda t: _contrastive(_cosine_blocks(t, pad_blocks), pad_valid, tau=0.5), padded)
     v = ad.param(rng.normal(size=4))
     chk(lambda x: _scalar_sum(ad.reshape(x, (2, 2))), v)
 
@@ -95,7 +116,7 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     weights = np.where(valid, rng.uniform(0.1, 1.0, size=(3, 4)), 0.0)
     chk(lambda t: ad.masked_softmax_cross_entropy(t, valid, weights), grid)
     chk(lambda x: _scalar_sum(ad.scale(x, -1.7)), p)
-    # a zero-norm anchor row sits on the norm clamp, where cosine_blocks is
+    # a zero-norm anchor row sits on the norm clamp, where the cosine is
     # linear in it; a step below the clamp (1e-8) stays on that branch
     others = np.vstack([np.zeros(4), rng.normal(size=(2, 4))])
     first_row = ad.constant(np.eye(3)[:, :1])
@@ -104,7 +125,7 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
 
     def zero_row_blocks(z):
         x = ad.add(ad.constant(others), ad.matmul(first_row, z))
-        return _scalar_sum(ad.cosine_blocks(x, zero_blocks))
+        return _scalar_sum(_cosine_blocks(x, zero_blocks))
 
     chk(zero_row_blocks, zero_row, h=1e-10)
 
@@ -125,10 +146,10 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
 
     c1 = ad.param(rng.normal(size=(2, 5)) + 0.1)
     pair_blocks = rng.normal(size=(2, 2, 5)) + 0.1
-    chk(lambda x: _one_hot_ce(ad.cosine_blocks(x, pair_blocks), [1, 0]), c1)
+    chk(lambda x: _one_hot_ce(_cosine_blocks(x, pair_blocks), [1, 0]), c1)
     rows_const = rng.normal(size=(2, 4, 5))
     rows_const[1, 2] = 0.0  # a zero-norm block row: its cosine is 0 whatever the anchor
-    chk(lambda x: _scalar_sum(ad.cosine_blocks(x, rows_const)), c1)
+    chk(lambda x: _scalar_sum(_cosine_blocks(x, rows_const)), c1)
 
     logits = ad.param(rng.normal(size=(4, 2)))
     labels = rng.integers(0, 2, size=4)
@@ -161,7 +182,7 @@ def _end_to_end_check(seed: int) -> ad.GradCheckReport:
         # tau=0.2 keeps softmax curvature inside what h=1e-5 central
         # differences can resolve; sharper temperatures drown the check in
         # truncation error rather than exposing backward-rule bugs
-        l_cl = contrastive_loss(ad.cosine_blocks(out.feature, blocks), valid, tau=0.2)
+        l_cl = _contrastive(_cosine_blocks(out.feature, blocks), valid, tau=0.2)
         l_ce = classification_loss(out.logits, batch.labels)
         return combined_loss(l_cl, l_ce, lam=0.1)
 
@@ -287,10 +308,10 @@ def test_criterion_3_loss_hand_cases(capsys):
 
     # contrastive: uniform row -> ln 3; separated pair -> ~0; empty -> exactly 0,
     # and an empty anchor padded next to the uniform one still halves the mean
-    close(contrastive_loss(ad.constant([[0.5, 0.5, 0.5]]), [[True] * 3], tau=1.0).values, 1.098612, 1e-6)
-    close(contrastive_loss(ad.constant([[1.0, -1.0]]), [[True, True]], tau=0.05).values, 0.0, 1e-6)
-    checks.append(contrastive_loss(ad.constant([[0.9, 0.4]]), [[True, False]], tau=1.0).values == 0.0)
-    mixed = contrastive_loss(
+    close(_contrastive(ad.constant([[0.5, 0.5, 0.5]]), [[True] * 3], tau=1.0).values, 1.098612, 1e-6)
+    close(_contrastive(ad.constant([[1.0, -1.0]]), [[True, True]], tau=0.05).values, 0.0, 1e-6)
+    checks.append(_contrastive(ad.constant([[0.9, 0.4]]), [[True, False]], tau=1.0).values == 0.0)
+    mixed = _contrastive(
         ad.constant([[0.5, 0.5, 0.5], [0.9, 0.4, 0.0]]), [[True] * 3, [True, False, False]], tau=1.0
     )
     close(mixed.values, 1.098612 / 2.0, 1e-6)

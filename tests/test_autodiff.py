@@ -50,10 +50,10 @@ def naive_cosine(a, b, eps=1e-8):
 
 
 def cosine(a, b) -> float:
-    """cos(a, b) through cosine_blocks: one anchor, a block of one row."""
+    """cos(a, b) through ad.cosine: one row against one row."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return ad.cosine_blocks(ad.constant(a[None, :]), b[None, None, :]).values.item()
+    return ad.cosine(ad.constant(a[None, :]), ad.constant(b[None, :])).values.item()
 
 
 class TestValueSemantics:
@@ -157,23 +157,25 @@ class TestValueSemantics:
     def test_cosine_bounds_random(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 4))
-        c = ad.cosine_blocks(ad.constant(x), rng.normal(size=(50, 3, 4))).values
+        c = ad.cosine(ad.constant(x), ad.constant(rng.normal(size=(150, 4)))).values
         assert (np.abs(c) <= 1.0 + 1e-9).all()
 
     def test_cosine_many_matches_stacked_scalar_calls(self):
-        # each anchor against its own block equals one naive cosine per pair
+        # every anchor against every row equals one naive cosine per pair
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 5))
-        blocks = rng.normal(size=(3, 7, 5))
-        got = ad.cosine_blocks(ad.constant(x), blocks).values
-        want = [[naive_cosine(x[b], r) for r in blocks[b]] for b in range(3)]
+        rows = rng.normal(size=(7, 5))
+        got = ad.cosine(ad.constant(x), ad.constant(rows)).values
+        want = [[naive_cosine(a, r) for r in rows] for a in x]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_cosine_blocks_shape_errors(self):
         with pytest.raises(ad.ShapeError):
-            ad.cosine_blocks(ad.constant(np.ones((2, 3))), np.ones((3, 1, 3)))
+            ad.cosine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2))))
         with pytest.raises(ad.ShapeError):
-            ad.cosine_blocks(ad.constant(np.ones((2, 3))), np.ones((2, 3)))
+            ad.cosine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 1, 3))))
+        with pytest.raises(ad.ShapeError):
+            ad.cosine(ad.constant(np.ones(3)), ad.constant(np.ones((2, 3))))
 
 
 def reference_pool(table, ids, mask, g):
@@ -356,17 +358,61 @@ class TestCosineMatrix:
     def test_matches_pairwise_scalar_cosines(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 4))
-        got = ad.cosine_matrix(ad.constant(x)).values
+        got = ad.cosine(ad.constant(x), ad.constant(x)).values
         want = [[naive_cosine(a, b) for b in x] for a in x]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_zero_row_is_guarded(self):
         x = ad.param(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 1.0]]))
         with ad.Tape() as tape:
-            out = ad.cosine_matrix(x)
+            out = ad.cosine(x, x)
             tape.backward(scalar_sum(out))
         assert np.isfinite(out.values).all() and (out.values[0] == 0.0).all()
         assert np.isfinite(x.grad).all()
+
+
+def weighted_sum(x: ad.Tensor, w) -> ad.Tensor:
+    n = x.values.size
+    return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), ad.constant(np.reshape(w, (n, 1)))), ())
+
+
+def with_zero_row(rows: ad.Tensor, zero: ad.Tensor, at: int) -> ad.Tensor:
+    """[n x d] rows and one [1 x d] row -> [(n+1) x d], the one row at ``at``."""
+    eye = np.eye(rows.shape[0] + 1)
+    return ad.add(
+        ad.matmul(ad.constant(np.delete(eye, at, axis=1)), rows),
+        ad.matmul(ad.constant(eye[:, at : at + 1]), zero),
+    )
+
+
+class TestCosineGradients:
+    """ad.cosine's backward against central differences, with a zero-norm
+    row on the side that carries gradient: h = 1e-5 over the other rows, and
+    a step below the norm clamp (1e-8) over the zero row, where the op is
+    linear in it (its own cos(z, z) is quadratic, which central differences
+    cancel)."""
+
+    SIDES = {
+        "x": lambda s, const: ad.cosine(s, const),
+        "rows": lambda s, const: ad.cosine(const, s),
+        "self": lambda s, const: ad.cosine(s, s),
+    }
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_grad_check_with_a_zero_row(self, side):
+        rng = np.random.default_rng(26)
+        free = ad.param(rng.uniform(-1, 1, (4, 3)))
+        zero = ad.param(np.zeros((1, 3)))
+        const = ad.constant(rng.uniform(-1, 1, (5, 3)))
+        w = rng.normal(size=(5, 5))
+
+        def f(free, zero):
+            return weighted_sum(self.SIDES[side](with_zero_row(free, zero, at=2), const), w)
+
+        fd_check(lambda t: f(t, zero), [free])
+        report = ad.grad_check(lambda z: f(free, z), [zero], h=1e-10, tol=RTOL)
+        assert report.passed, str(report)
+        assert const.grad is None
 
 
 class TestMaskedSoftmaxCrossEntropy:
@@ -502,7 +548,7 @@ class TestFiniteDifferenceOracle:
         x = ad.param(rng.uniform(-1, 1, (4, 3)))
         pick = ad.constant(np.eye(4)[1:2])
         fd_check(
-            lambda x: one_hot_ce(ad.matmul(pick, ad.cosine_matrix(x)), [2]),
+            lambda x: one_hot_ce(ad.matmul(pick, ad.cosine(x, x)), [2]),
             [x],
         )
 
@@ -526,16 +572,20 @@ class TestFiniteDifferenceOracle:
         fd_check(lambda x, b: scalar_sum(ad.add_rows(x, b)), [x, bias])
 
     def test_cosine_blocks_scaled_masked_loss(self):
-        # the padded contrastive graph: cosines, 1/tau, masked softmax-CE
+        # the lahn contrastive graph: cosines against shared constant rows,
+        # 1/tau, masked softmax-CE; anchor b sees only rows 4b..4b+3, the
+        # first of them its positive
         rng = np.random.default_rng(17)
         x = ad.param(rng.uniform(-1, 1, (3, 4)))
-        blocks = rng.uniform(-1, 1, (3, 4, 4))
-        valid = np.array([[True] * 4, [True, True, False, False], [True, False, False, False]])
-        weights = np.where(np.arange(4) == 0, 1.0 / 3.0, 0.0) * valid
+        rows = ad.constant(rng.uniform(-1, 1, (3, 4, 4)).reshape(12, 4))
+        own = np.array([[True] * 4, [True, True, False, False], [True, False, False, False]])
+        valid = np.zeros((3, 12), dtype=bool)
+        weights = np.zeros((3, 12))
+        for b in range(3):
+            valid[b, 4 * b : 4 * b + 4] = own[b]
+            weights[b, 4 * b] = 1.0 / 3.0
         fd_check(
-            lambda x: ad.masked_softmax_cross_entropy(
-                ad.scale(ad.cosine_blocks(x, blocks), 2.0), valid, weights
-            ),
+            lambda x: ad.masked_softmax_cross_entropy(ad.scale(ad.cosine(x, rows), 2.0), valid, weights),
             [x],
         )
 
@@ -563,28 +613,28 @@ class TestFiniteDifferenceOracle:
         others = np.vstack([np.zeros(5), rng.uniform(-1, 1, (2, 5))])
         first_row = ad.constant(np.eye(3)[:, :1])
         zero_row = ad.param(np.zeros((1, 5)))
-        blocks = rng.uniform(-1, 1, (3, 3, 5))
+        rows = ad.constant(rng.uniform(-1, 1, (3, 3, 5)).reshape(9, 5))
 
         def f(z):
             x = ad.add(ad.constant(others), ad.matmul(first_row, z))
-            return scalar_sum(ad.cosine_blocks(x, blocks))
+            return scalar_sum(ad.cosine(x, rows))
 
         report = ad.grad_check(f, [zero_row], h=1e-10, tol=RTOL)
         assert report.passed, str(report)
         # and the zero anchor's own values and gradient stay finite
         x = ad.param(others)
         with ad.Tape() as tape:
-            out = ad.cosine_blocks(x, blocks)
+            out = ad.cosine(x, rows)
             tape.backward(scalar_sum(out))
         assert (out.values[0] == 0.0).all() and np.isfinite(x.grad).all()
 
     def test_cosine_many(self):
-        # each anchor against its own block of constant rows, one zero-norm
+        # anchors against shared constant rows, one of them zero-norm
         rng = np.random.default_rng(22)
         a = ad.param(rng.uniform(-1, 1, (2, 5)))
-        rows = rng.uniform(-1, 1, (2, 6, 5))
-        rows[1, 3] = 0.0
-        fd_check(lambda a: one_hot_ce(ad.cosine_blocks(a, rows), [0, 4]), [a])
+        rows = rng.uniform(-1, 1, (12, 5))
+        rows[9] = 0.0
+        fd_check(lambda a: one_hot_ce(ad.cosine(a, ad.constant(rows)), [0, 10]), [a])
 
     def test_reshape(self):
         rng = np.random.default_rng(23)

@@ -144,6 +144,42 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (b"", "no records"),
+            (b'{"text": "fine", "label": 0}\n{"text": \n', "line 2"),
+            (b"\xff\xfe not text\n", "not UTF-8"),
+        ],
+        ids=["empty", "malformed", "undecodable"],
+    )
+    def test_bad_train_file_is_usage_error(self, workdir, tmp_path, capsys, content, detail):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(content)
+        rc = cli.main(
+            ["train", "--config", str(workdir["config"]), "--train", str(bad),
+             "--val", str(workdir["data"] / "val.jsonl"), "--out", str(tmp_path / "run")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--train" in err and "bad.jsonl" in err and detail in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "content, detail",
+        [("\n", "no records"), ('{"text": "fine", "label": 7}\n', "line 1")],
+        ids=["empty", "malformed"],
+    )
+    def test_bad_eval_file_is_usage_error(self, workdir, tmp_path, capsys, content, detail):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content)
+        rc = cli.main(
+            ["eval", "--checkpoint", str(workdir["run"] / "checkpoint_best.npz"), "--data", str(bad)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--data" in err and "bad.jsonl" in err and detail in err
+
     def test_gen_data_flag_validation(self, tmp_path):
         assert cli.main(["gen-data", "--n", "0", "--out", str(tmp_path)]) == 1
         assert cli.main(["gen-data", "--n", "4", "--confound", "1.5", "--out", str(tmp_path)]) == 1

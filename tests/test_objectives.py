@@ -17,7 +17,8 @@ LN3 = math.log(3.0)
 
 def padded(*anchors):
     """(pos, negs) per anchor -> rows [pos, negs..., zero padding] as a
-    parameter, plus the validity mask that contrastive_loss takes."""
+    parameter, plus the validity and positive masks that contrastive_loss
+    takes (column 0 is each anchor's positive)."""
     width = 1 + max(len(negs if negs is not None else ()) for _, negs in anchors)
     sims = np.zeros((len(anchors), width))
     valid = np.zeros((len(anchors), width), dtype=bool)
@@ -25,7 +26,9 @@ def padded(*anchors):
         row = [pos] + list(negs if negs is not None else ())
         sims[i, : len(row)] = row
         valid[i, : len(row)] = True
-    return ad.param(sims), valid
+    positive = np.zeros_like(valid)
+    positive[:, 0] = True
+    return ad.param(sims), valid, positive
 
 
 def loss_of(*anchors, tau):
@@ -102,10 +105,10 @@ class TestContrastiveLoss:
         assert abs(padded_row - base) < 1e-6
 
     def test_padding_values_are_ignored(self):
-        sims, valid = padded((0.9, [0.5]), (0.2, [0.1, 0.3]))
-        base = contrastive_loss(sims, valid, tau=0.1).values
+        sims, valid, positive = padded((0.9, [0.5]), (0.2, [0.1, 0.3]))
+        base = contrastive_loss(sims, valid, positive, tau=0.1).values
         sims.values[0, 2] = 50.0  # anchor 0's padding slot
-        assert contrastive_loss(sims, valid, tau=0.1).values == base
+        assert contrastive_loss(sims, valid, positive, tau=0.1).values == base
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
@@ -113,16 +116,31 @@ class TestContrastiveLoss:
 
     def test_empty_anchor_list_rejected(self):
         with pytest.raises(ValueError):
-            contrastive_loss(ad.param(np.zeros((0, 1))), np.zeros((0, 1), dtype=bool), tau=1.0)
+            empty = np.zeros((0, 1), dtype=bool)
+            contrastive_loss(ad.param(np.zeros((0, 1))), empty, empty, tau=1.0)
 
     def test_invalid_positive_column_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            contrastive_loss(ad.param(np.zeros((1, 2))), [[False, True]], tau=1.0)
+            contrastive_loss(ad.param(np.zeros((1, 2))), [[False, True]], [[True, False]], tau=1.0)
+
+    def test_anchor_without_positive_counts_in_nothing(self):
+        # anchor 1 has valid entries but no positive: it leaves the mean
+        sims = ad.param(np.array([[0.5, 0.5, 0.5], [0.9, 0.1, 0.4]]))
+        valid = np.ones((2, 3), dtype=bool)
+        positive = np.array([[True, False, False], [False, False, False]])
+        loss = contrastive_loss(sims, valid, positive, tau=1.0)
+        np.testing.assert_allclose(loss.values, LN3, atol=1e-12)
+        none = contrastive_loss(sims, valid, np.zeros((2, 3), dtype=bool), tau=1.0)
+        assert none.values == 0.0 and not none.requires_grad
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        sims, valid = padded((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=6)), (0.3, [0.1]))
-        report = ad.grad_check(lambda s: contrastive_loss(s, valid, tau=0.1), [sims], h=1e-5, tol=1e-4)
+        sims, valid, positive = padded(
+            (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=6)), (0.3, [0.1])
+        )
+        report = ad.grad_check(
+            lambda s: contrastive_loss(s, valid, positive, tau=0.1), [sims], h=1e-5, tol=1e-4
+        )
         assert report.passed, str(report)
 
 
@@ -197,14 +215,14 @@ class TestCombinedLoss:
         # route B: (1 - lam) * grad(l_cl) + lam * grad(l_ce), run separately
         rng = np.random.default_rng(4)
         lam = 0.3
-        base_sims, valid = padded((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=4)))
+        base_sims, valid, positive = padded((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=4)))
         base_logits = rng.normal(size=(3, 2))
 
         def build():
             return ad.param(base_sims.values.copy()), ad.param(base_logits.copy())
 
         def losses(sims, logits):
-            l_cl = contrastive_loss(sims, valid, tau=0.2)
+            l_cl = contrastive_loss(sims, valid, positive, tau=0.2)
             l_ce = classification_loss(logits, [0, 1, 0])
             return l_cl, l_ce
 

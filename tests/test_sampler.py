@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lahn import autodiff as ad
 from lahn.encoder import EncoderDims, init_params
 from lahn.momentum import MomentumQueue
 from lahn.sampler import Strategy, anchor_class_prob, sample_for_batch, top_k_order
@@ -149,6 +150,22 @@ class TestScoreCandidates:
             l0 = math.fsum(c[t] * wh[t, 0] for t in range(d)) + bh[0]
             l1 = math.fsum(c[t] * wh[t, 1] for t in range(d)) + bh[1]
             assert abs(score - naive_cosine(anchor, c) * naive_prob(l0, l1, 1)) < 1e-12
+
+    @pytest.mark.parametrize("strategy", [Strategy.SIM_ONLY, Strategy.LABEL_SIM_WEIGHT])
+    def test_scores_are_the_cosine_op_bitwise(self, strategy):
+        # a zero anchor and a zero queue row sit on the norm clamp
+        rng = np.random.default_rng(3)
+        snap = filled_queue(rng, 20)
+        snap.features[5] = 0.0
+        anchors, labels = rng.normal(size=(4, 4)), np.array([0, 1, 1, 0])
+        anchors[2] = 0.0
+        params = head_params()
+        got = sample_for_batch(anchors, labels, snap, params, strategy, k=99)
+        want = ad.cosine(ad.constant(anchors), ad.constant(snap.features)).values
+        if strategy is Strategy.LABEL_SIM_WEIGHT:
+            want = want * anchor_class_prob(snap.features @ params.wh.values + params.bh.values, labels)
+        for i, view in enumerate(got):
+            np.testing.assert_array_equal(view.scores, want[i, view.queue_indices])
 
     def test_dim_mismatch_rejected(self):
         snap = filled_queue(np.random.default_rng(3), 2)
@@ -342,10 +359,9 @@ class TestSampleForBatch:
         snap = filled_queue(rng, 10, labels=np.array([0] * 7 + [1] * 3))
         anchors, labels = rng.normal(size=(3, 4)), np.array([1, 0, 0])
         got = sample_for_batch(anchors, labels, snap, head_params(), Strategy.SIM_ONLY, k=5)
-        assert len(got) == 3 and got.valid.shape == (3, 5) and got.features.shape == (3, 5, 4)
+        assert len(got) == 3 and got.valid.shape == (3, 5)
         np.testing.assert_array_equal(got.valid.sum(axis=1), [5, 3, 3])
         assert (np.diff(got.valid.astype(int), axis=1) <= 0).all()  # a prefix per row
-        assert (got.features[~got.valid] == 0.0).all()
         assert (got.queue_indices[~got.valid] == -1).all() and (got.scores[~got.valid] == 0.0).all()
         for i, view in enumerate(got):
             n = view.size
@@ -356,7 +372,7 @@ class TestSampleForBatch:
         snap = MomentumQueue(capacity=4, d_feat=4).snapshot()
         for strat in Strategy:
             got = sample_for_batch(np.ones((2, 4)), np.array([0, 1]), snap, head_params(), strat, k=3)
-            assert got.valid.shape == (2, 0) and got.features.shape == (2, 0, 4)
+            assert got.valid.shape == (2, 0)
 
     def test_batched_equals_per_anchor_brute_force(self):
         # integer-valued rows with duplicates force exact score ties; one

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lahn import autodiff as ad
-from lahn.data import encode_examples, generate_confound_corpus, make_batches
+from lahn import sampler, trainer
+from lahn.data import encode_examples, generate_confound_corpus, iter_eval_batches, make_batches
 from lahn.encoder import clone_params, load_checkpoint
 from lahn.momentum import EmaState
 from lahn.trainer import (
@@ -316,6 +317,78 @@ class TestAdam:
         grads = {"emb": ad.RowGrad(np.array([1, 3]), np.array([[0.0, 1.0], [np.inf, 0.0]])), "w": None}
         with pytest.raises(ValueError, match="'emb'"):
             adam_step(p, grads, init_adam(p), lr=1e-3)
+
+
+def naive_cosine(a, b, eps=1e-8):
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    na = max(math.sqrt(math.fsum(x * x for x in a)), eps)
+    nb = max(math.sqrt(math.fsum(y * y for y in b)), eps)
+    return dot / (na * nb)
+
+
+def spied_step(monkeypatch, state, batch, config):
+    """One train_step that also hands back the main and momentum outputs and
+    the sampler's result."""
+    seen = {"outs": []}
+    real_forward, real_sample = trainer.forward, sampler.sample_for_batch
+
+    def forward(*args, **kwargs):
+        seen["outs"].append(real_forward(*args, **kwargs))
+        return seen["outs"][-1]
+
+    def sample_for_batch(*args, **kwargs):
+        seen["negs"] = real_sample(*args, **kwargs)
+        return seen["negs"]
+
+    monkeypatch.setattr(trainer, "forward", forward)
+    monkeypatch.setattr(sampler, "sample_for_batch", sample_for_batch)
+    lb = train_step(state, batch, config)
+    monkeypatch.undo()
+    main, momentum = seen["outs"]
+    return lb, main.feature.values, momentum.feature.values, seen["negs"]
+
+
+def per_anchor_contrastive(feats, x_aug, negs, tau) -> float:
+    """Independent route, plain python: each anchor's -log softmax over
+    [pos, its own negatives] / tau at the positive, averaged over the batch."""
+    per_anchor = []
+    for i, view in enumerate(negs):
+        logits = [naive_cosine(feats[i], x_aug[i]) / tau]
+        logits += [naive_cosine(feats[i], row) / tau for row in view.features]
+        m = max(logits)
+        z = math.fsum(math.exp(l - m) for l in logits)
+        per_anchor.append(-(logits[0] - m - math.log(z)))
+    return math.fsum(per_anchor) / len(per_anchor)
+
+
+class TestLahnContrastiveTerm:
+    def test_equals_per_anchor_route_on_a_steady_queue(self, monkeypatch):
+        cfg = small_config(q=8)
+        train, _, _ = tiny_corpus()
+        vocab, enc, batches = first_batch(cfg, train)
+        state = init_state(cfg, len(vocab))
+        for b in batches[:2]:
+            train_step(state, b, cfg)
+        lb, feats, x_aug, negs = spied_step(monkeypatch, state, batches[2], cfg)
+        assert all(view.size > 0 for view in negs)
+        assert abs(lb.l_cl - per_anchor_contrastive(feats, x_aug, negs, cfg.tau)) <= 1e-12
+
+    def test_equals_per_anchor_route_with_empty_anchors_and_the_last_row(self, monkeypatch):
+        # one label-0 anchor, then five label-1 ones: the 4-slot queue keeps
+        # only label-1 entries, so anchor 0 selects every snapshot row, the
+        # last one included, and the rest select nothing (padding index -1)
+        cfg = small_config(strategy="sim", q=4, k=4, batch_size=6)
+        train, _, _ = tiny_corpus()
+        vocab, enc, _ = first_batch(cfg, train)
+        picks = [next(e for e in enc if e.label == 0)] + [e for e in enc if e.label == 1][:5]
+        batch = next(iter_eval_batches(picks, len(picks)))
+        state = init_state(cfg, len(vocab))
+        lb, feats, x_aug, negs = spied_step(monkeypatch, state, batch, cfg)
+        assert sorted(negs[0].queue_indices.tolist()) == [0, 1, 2, 3]
+        assert (negs.queue_indices[1:] == -1).all()
+        want = per_anchor_contrastive(feats, x_aug, negs, cfg.tau)
+        assert want > 0.0
+        assert abs(lb.l_cl - want) <= 1e-12
 
 
 class TestTrainStep:
