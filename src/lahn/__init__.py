@@ -27,13 +27,7 @@ from .encoder import (
 )
 from .metrics import MetricsReport, confound_probe, evaluate, export_embeddings
 from .momentum import EmaState, MomentumQueue, QueueSnapshot, ema_update
-from .objectives import (
-    LossBreakdown,
-    classification_loss,
-    combined_loss,
-    contrastive_loss,
-    scl_loss,
-)
+from .objectives import classification_loss, combined_loss, contrastive_loss, scl_loss
 from .sampler import (
     HardNegativeBatch,
     HardNegativeSet,

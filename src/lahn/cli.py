@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,29 @@ def _load_examples(path, flag: str) -> list[Example]:
     return examples
 
 
+def _load_splits(args) -> tuple[list[Example], list[Example], list[Example] | None]:
+    """The --train, --val and optional --test examples. A training file of
+    one record is a usage error: it makes no batch of 2, so it trains nothing."""
+    train = _load_examples(args.train, "--train")
+    if len(train) < 2:
+        raise UsageError(f"--train: {args.train}: needs at least 2 records, got {len(train)}")
+    val = _load_examples(args.val, "--val")
+    return train, val, _load_examples(args.test, "--test") if args.test else None
+
+
+def _load_json_object(path, flag: str) -> dict:
+    """The JSON object in a file; a missing, undecodable, invalid or
+    non-object file is a usage error that names the flag and the file."""
+    p = _require_file(path, flag)
+    try:
+        obj = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise UsageError(f"{flag}: {p}: not valid UTF-8 JSON: {e}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{flag}: {p}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring TrainConfig keys; flags win")
     p.add_argument("--seed", type=int, help="root seed for all named rng sub-streams")
@@ -80,20 +104,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> TrainConfig:
-    base: dict = {}
-    if getattr(args, "config", None):
-        path = _require_file(args.config, "--config")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                base = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"--config: {path}: not valid JSON: {e}")
-        if not isinstance(base, dict):
-            raise UsageError(f"--config: {path}: expected a JSON object of config keys")
-    for key in ("seed", "objective", "strategy", "q", "k", "tau", "lam", "epochs", "lr"):
-        value = getattr(args, key, None)
+    base = _load_json_object(args.config, "--config") if args.config else {}
+    for f in fields(TrainConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            base[key] = value
+            base[f.name] = value
     try:
         return TrainConfig.from_dict(base)
     except (ValueError, TypeError) as e:
@@ -129,9 +144,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _build_config(args)
-    train = _load_examples(args.train, "--train")
-    val = _load_examples(args.val, "--val")
-    test = _load_examples(args.test, "--test") if args.test else None
+    train, val, test = _load_splits(args)
     result = run_training(cfg, train, val, out_dir=args.out)
     summary = {
         "best_epoch": result.best_epoch,
@@ -231,21 +244,14 @@ def _cmd_inspect_negatives(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _build_config(args)
-    grid_path = _require_file(args.grid, "--grid")
-    with open(grid_path, encoding="utf-8") as fh:
-        try:
-            grid_spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"--grid: {grid_path}: not valid JSON: {e}")
+    grid_spec = _load_json_object(args.grid, "--grid")
     cells = grid_spec.get("cells")
     seeds = grid_spec.get("seeds")
     if not isinstance(cells, list) or not cells:
-        raise UsageError(f"--grid: {grid_path}: needs a nonempty 'cells' list")
+        raise UsageError(f"--grid: {args.grid}: needs a nonempty 'cells' list")
     if not isinstance(seeds, list) or not seeds:
-        raise UsageError(f"--grid: {grid_path}: needs a nonempty 'seeds' list")
-    train = _load_examples(args.train, "--train")
-    val = _load_examples(args.val, "--val")
-    test = _load_examples(args.test, "--test") if args.test else None
+        raise UsageError(f"--grid: {args.grid}: needs a nonempty 'seeds' list")
+    train, val, test = _load_splits(args)
     report = run_ablation_grid(cfg, cells, seeds, train, val, test)
     _emit(report, args.out)
     return 0

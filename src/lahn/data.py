@@ -181,6 +181,7 @@ def iter_eval_batches(examples, batch_size: int):
 # ---------------------------------------------------------------------------
 
 IDENTITY_TOKENS = ("blorgs", "snarps", "quibs", "zerts")
+_IDENTITY = frozenset(IDENTITY_TOKENS)
 _NEUTRAL_SUBJECTS = ("people", "folks", "neighbors", "students", "workers", "drivers")
 _NEG_ADJ = ("awful", "vile", "worthless", "dreadful", "rotten", "nasty")
 _POS_ADJ = ("kind", "gentle", "brilliant", "cheerful", "generous", "honest")
@@ -260,5 +261,4 @@ def generate_confound_corpus(
 
 
 def has_identity_token(text: str) -> bool:
-    toks = set(tokenize(text))
-    return any(t in toks for t in IDENTITY_TOKENS)
+    return not _IDENTITY.isdisjoint(tokenize(text))

@@ -1,7 +1,9 @@
 """Classification metrics, embedding export, and the identity-shortcut probe.
 
-All evaluation forwards run without dropout, so every function here is a
-deterministic map from (params, split) to its report.
+Every evaluation forward runs without dropout in one loop that yields each
+batch's features and logits, and ``evaluate`` and ``confound_probe`` share
+one scoring step, so every function here is a deterministic map from
+(params, split) to its result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .encoder import EncoderParams, forward
 
 @dataclass
 class ConfusionCounts:
-    """Binary confusion counts, viewable from either class's perspective."""
+    """Binary confusion counts, named n<true class><predicted class>."""
 
     n00: int  # true 0, predicted 0
     n01: int  # true 0, predicted 1
@@ -27,18 +29,6 @@ class ConfusionCounts:
     @property
     def n(self) -> int:
         return self.n00 + self.n01 + self.n10 + self.n11
-
-    def tp(self, c: int) -> int:
-        return self.n11 if c == 1 else self.n00
-
-    def fp(self, c: int) -> int:
-        return self.n01 if c == 1 else self.n10
-
-    def fn(self, c: int) -> int:
-        return self.n10 if c == 1 else self.n01
-
-    def tn(self, c: int) -> int:
-        return self.n00 if c == 1 else self.n11
 
 
 @dataclass
@@ -69,8 +59,7 @@ def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     )
 
 
-def _f1(counts: ConfusionCounts, c: int) -> float:
-    tp, fp, fn = counts.tp(c), counts.fp(c), counts.fn(c)
+def _f1(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     # zero division -> 0, keeping macro-F1 defined on degenerate predictions
@@ -81,7 +70,7 @@ def report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsRe
     counts = confusion(y_true, y_pred)
     if counts.n == 0:
         raise ValueError("cannot score an empty split")
-    f1 = (_f1(counts, 0), _f1(counts, 1))
+    f1 = (_f1(counts.n00, counts.n10, counts.n01), _f1(counts.n11, counts.n01, counts.n10))
     return MetricsReport(
         accuracy=(counts.n00 + counts.n11) / counts.n,
         f1=f1,
@@ -90,28 +79,36 @@ def report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsRe
     )
 
 
+def _eval_outputs(params: EncoderParams, split: list[Example], batch_size: int):
+    """Each batch's eval-mode features [b x d_feat] and logits [b x 2], in
+    split order. Callers keep only what they need of each batch, so scoring
+    a split never holds all of its features."""
+    for batch in iter_eval_batches(split, batch_size):
+        out = forward(params, batch, training=False)
+        yield out.feature.values, out.logits.values
+
+
 def predict(params: EncoderParams, split: list[Example], batch_size: int = 16) -> np.ndarray:
     """Argmax predictions over eval-mode forwards; equal logits predict 0."""
-    preds = []
-    for batch in iter_eval_batches(split, batch_size):
-        logits = forward(params, batch, training=False).logits.values
-        preds.append((logits[:, 1] > logits[:, 0]).astype(np.int64))
-    return np.concatenate(preds)
+    wins = [lg[:, 1] > lg[:, 0] for _, lg in _eval_outputs(params, split, batch_size)]
+    return np.concatenate(wins).astype(np.int64)
 
 
 def features_of(params: EncoderParams, split: list[Example], batch_size: int = 16) -> np.ndarray:
-    rows = [
-        forward(params, batch, training=False).feature.values
-        for batch in iter_eval_batches(split, batch_size)
-    ]
-    return np.concatenate(rows, axis=0)
+    return np.concatenate([f for f, _ in _eval_outputs(params, split, batch_size)])
+
+
+def _scored(params: EncoderParams, split: list[Example], batch_size: int):
+    """A split's true labels, predictions and report."""
+    if not split:
+        raise ValueError("cannot score an empty split")
+    y_true = np.array([e.label for e in split], dtype=np.int64)
+    y_pred = predict(params, split, batch_size)
+    return y_true, y_pred, report_from_predictions(y_true, y_pred)
 
 
 def evaluate(params: EncoderParams, split: list[Example], batch_size: int = 16) -> MetricsReport:
-    if not split:
-        raise ValueError("cannot evaluate an empty split")
-    y_true = np.array([e.label for e in split], dtype=np.int64)
-    return report_from_predictions(y_true, predict(params, split, batch_size))
+    return _scored(params, split, batch_size)[2]
 
 
 _ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
@@ -136,14 +133,10 @@ def export_embeddings(params: EncoderParams, split: list[Example], path, batch_s
 def confound_probe(params: EncoderParams, test_split: list[Example], batch_size: int = 16) -> dict:
     """Overall metrics plus the false-positive rate on identity-bearing
     non-hate examples, the signature of the identity-term shortcut."""
-    if not test_split:
-        raise ValueError("cannot probe an empty split")
-    id_flags = np.array([has_identity_token(e.text) for e in test_split])
+    id_flags = np.array([has_identity_token(e.text) for e in test_split], dtype=bool)
     if not id_flags.any():
         raise ValueError("split carries no identity tokens; not a confound test split")
-    y_true = np.array([e.label for e in test_split], dtype=np.int64)
-    y_pred = predict(params, test_split, batch_size)
-    overall = report_from_predictions(y_true, y_pred)
+    y_true, y_pred, overall = _scored(params, test_split, batch_size)
     subset = id_flags & (y_true == 0)
     n_subset = int(subset.sum())
     fpr = float(y_pred[subset].mean()) if n_subset else 0.0

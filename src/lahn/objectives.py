@@ -11,18 +11,9 @@ and the same-label ones are positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-
-
-@dataclass
-class LossBreakdown:
-    l_cl: float
-    l_ce: float
-    total: float
 
 
 def contrastive_loss(sims: ad.Tensor, valid, positive, tau: float) -> ad.Tensor:

@@ -86,7 +86,7 @@ def anchor_class_prob(head_logits, anchor_labels) -> np.ndarray:
     An int label gives [S]; an array of B labels gives [B x S], row b being
     the column of ``anchor_labels[b]``.
     """
-    logits = np.asarray(getattr(head_logits, "values", head_logits), dtype=np.float64)
+    logits = np.asarray(head_logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != 2:
         raise ValueError(f"expected [S x 2] logits, got shape {logits.shape}")
     labels = np.asarray(anchor_labels)

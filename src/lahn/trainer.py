@@ -26,7 +26,6 @@ from .encoder import (
     ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, save_checkpoint
 )
 from .momentum import EmaState, MomentumQueue, ema_update
-from .objectives import LossBreakdown
 from .sampler import Strategy
 from .seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
 
@@ -267,8 +266,10 @@ def init_state(config: TrainConfig, vocab_size: int) -> TrainState:
     return state
 
 
-def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
-    """One optimizer step; returns the loss components that were logged."""
+def train_step(state: TrainState, batch, config: TrainConfig) -> dict:
+    """One optimizer step; returns its ``metrics.jsonl`` record: the step
+    count after it, the loss terms and the queue's fill fraction (0 without
+    a queue)."""
     p = state.params
     p.zero_grads()
     labels = batch.labels
@@ -323,7 +324,13 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> LossBreakdown:
     if state.ema is not None:
         ema_update(p, state.ema)
     state.step += 1
-    return LossBreakdown(float(l_cl.values), float(l_ce.values), float(total.values))
+    return {
+        "step": state.step,
+        "l_cl": float(l_cl.values),
+        "l_ce": float(l_ce.values),
+        "total": float(total.values),
+        "queue_fill": state.queue.fill_fraction() if state.queue is not None else 0.0,
+    }
 
 
 @dataclass
@@ -358,8 +365,11 @@ def run_training(
     its latest complete epoch.
     """
     config.validate()
-    if not train_split or not val_split:
-        raise ValueError("train and val splits must be nonempty")
+    if len(train_split) < 2 or not val_split:
+        # fewer than 2 training examples make no batch, so nothing would train
+        raise ValueError(
+            f"need >= 2 train examples and a nonempty val split, got {len(train_split)} and {len(val_split)}"
+        )
     vocab = build_vocab((e.text for e in train_split), config.min_freq, config.max_vocab)
     train_enc = encode_examples(train_split, vocab, config.max_len)
     val_enc = encode_examples(val_split, vocab, config.max_len)
@@ -372,17 +382,7 @@ def run_training(
     for epoch in range(1, config.epochs + 1):
         epoch_seed = int(shuffle_rng.integers(2**63))
         for batch in make_batches(train_enc, config.batch_size, epoch_seed):
-            lb = train_step(state, batch, config)
-            fill = state.queue.fill_fraction() if state.queue is not None else 0.0
-            records.append(
-                {
-                    "step": state.step,
-                    "l_cl": lb.l_cl,
-                    "l_ce": lb.l_ce,
-                    "total": lb.total,
-                    "queue_fill": fill,
-                }
-            )
+            records.append(train_step(state, batch, config))
         report = metrics.evaluate(state.params, val_enc, config.batch_size)
         records.append(
             {"epoch": epoch, "val_accuracy": report.accuracy, "val_macro_f1": report.macro_f1}

@@ -180,6 +180,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--data" in err and "bad.jsonl" in err and detail in err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_one_record_train_file_is_usage_error(self, workdir, tmp_path, capsys, command):
+        one = tmp_path / "one.jsonl"
+        one.write_text(json.dumps({"text": "those people are kind", "label": 0}) + "\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [{}], "seeds": [0]}))
+        extra = ["--out", str(tmp_path / "run")] if command == "train" else ["--grid", str(grid)]
+        rc = cli.main(
+            [command, "--config", str(workdir["config"]), "--train", str(one),
+             "--val", str(workdir["data"] / "val.jsonl"), *extra]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--train" in err and "one.jsonl" in err and "at least 2" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, content, detail",
+        [
+            ("train", "--config", b"\xff\xfe{}", "UTF-8"),
+            ("ablate", "--grid", b"\xff\xfe{}", "UTF-8"),
+            ("ablate", "--grid", b'[{"tau": 0.1}]', "JSON object"),
+        ],
+        ids=["config-undecodable", "grid-undecodable", "grid-list"],
+    )
+    def test_bad_json_flag_file_is_usage_error(self, workdir, tmp_path, capsys, command, flag, content, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [{}], "seeds": [0]}))
+        files = {"--config": workdir["config"], "--grid": grid, flag: bad}
+        extra = ["--out", str(tmp_path / "run")] if command == "train" else ["--grid", str(files["--grid"])]
+        rc = cli.main(
+            [command, "--config", str(files["--config"]),
+             "--train", str(workdir["data"] / "train.jsonl"),
+             "--val", str(workdir["data"] / "val.jsonl"), *extra]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert flag in err and "bad.json" in err and detail in err
+        assert not (tmp_path / "run").exists()
+
     def test_gen_data_flag_validation(self, tmp_path):
         assert cli.main(["gen-data", "--n", "0", "--out", str(tmp_path)]) == 1
         assert cli.main(["gen-data", "--n", "4", "--confound", "1.5", "--out", str(tmp_path)]) == 1

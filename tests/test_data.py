@@ -253,6 +253,14 @@ def identity_rate(split, label):
 
 
 class TestConfoundCorpus:
+    @pytest.mark.parametrize(
+        "text, want",
+        [("those blorgs are kind", True), ("ZERTS!", True), ("quibs,snarps", True),
+         ("blorgsville is far", False), ("no identity here", False), ("", False)],
+    )
+    def test_identity_token_matches_whole_tokens(self, text, want):
+        assert data.has_identity_token(text) is want
+
     def test_rate_one_identity_iff_hate_in_train(self):
         train, val, _ = generate_confound_corpus(150, 1.0, seed=2)
         assert identity_rate(train, 1) == 1.0

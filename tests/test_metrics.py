@@ -8,8 +8,9 @@ from lahn.data import (
     encode_examples,
     generate_confound_corpus,
     has_identity_token,
+    iter_eval_batches,
 )
-from lahn.encoder import EncoderDims, init_params
+from lahn.encoder import EncoderDims, forward, init_params
 from lahn.metrics import (
     confound_probe,
     confusion,
@@ -22,6 +23,21 @@ from lahn.metrics import (
 
 _NEGATION = ("not", "never")
 _NEG_ADJ = ("awful", "vile", "worthless", "dreadful", "rotten", "nasty")
+
+
+def reference_report(y_true, y_pred):
+    """(accuracy, per-class F1, macro-F1) by counting in plain python."""
+    pairs = list(zip(y_true, y_pred))
+    f1 = []
+    for c in (0, 1):
+        tp = sum(1 for t, p in pairs if t == c and p == c)
+        fp = sum(1 for t, p in pairs if t != c and p == c)
+        fn = sum(1 for t, p in pairs if t == c and p != c)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
+    accuracy = sum(1 for t, p in pairs if t == p) / len(pairs)
+    return accuracy, tuple(f1), (f1[0] + f1[1]) / 2
 
 
 class TestConfusionAndF1:
@@ -49,8 +65,6 @@ class TestConfusionAndF1:
         assert c.n == 100
         assert c.n00 + c.n01 == int((y_true == 0).sum())
         assert c.n10 + c.n11 == int((y_true == 1).sum())
-        assert c.tp(1) == c.n11 and c.tn(1) == c.n00
-        assert c.fp(0) == c.fn(1)
 
     def test_accuracy_identity(self):
         rng = np.random.default_rng(1)
@@ -71,6 +85,24 @@ class TestConfusionAndF1:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             report_from_predictions([], [])
+
+    def test_equals_plain_python_reference_exactly(self):
+        rng = np.random.default_rng(3)
+        kinds = ("random", "single-class truth", "single-class predictions", "all wrong")
+        for i in range(240):
+            n = int(rng.integers(1, 40))
+            y_true = rng.integers(0, 2, size=n)
+            y_pred = rng.integers(0, 2, size=n)
+            kind = kinds[i % len(kinds)]
+            if kind == "single-class truth":
+                y_true[:] = i % 2
+            elif kind == "single-class predictions":
+                y_pred[:] = i % 2
+            elif kind == "all wrong":
+                y_pred = 1 - y_true
+            r = report_from_predictions(y_true, y_pred)
+            assert (r.accuracy, r.f1, r.macro_f1) == reference_report(y_true.tolist(), y_pred.tolist()), kind
+            assert r.n == n
 
 
 def fitted(split, **dim_overrides):
@@ -105,6 +137,18 @@ class TestPredictAndEvaluate:
         f16 = features_of(params, enc, batch_size=16)
         assert f3.shape == (len(enc), 8)
         np.testing.assert_array_equal(f3, f16)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    def test_one_loop_equals_per_batch_forwards(self, batch_size):
+        train, _, _ = generate_confound_corpus(10, 0.5, seed=9)
+        vocab, enc, params = fitted(train, dropout=0.5)  # eval mode must ignore it
+        enc = enc[:19]  # ragged tails: 1 at batch size 3, 3 at batch size 16
+        outs = [forward(params, b, training=False) for b in iter_eval_batches(enc, batch_size)]
+        logits = np.concatenate([o.logits.values for o in outs])
+        feats = np.concatenate([o.feature.values for o in outs])
+        np.testing.assert_array_equal(predict(params, enc, batch_size), np.argmax(logits, axis=1))
+        got = features_of(params, enc, batch_size)
+        assert got.shape == feats.shape and got.tobytes() == feats.tobytes()
 
     def test_evaluate_empty_split_rejected(self):
         train, _, _ = generate_confound_corpus(4, 0.5, seed=3)
@@ -208,6 +252,19 @@ class TestConfoundProbe:
         params = init_params(0, EncoderDims(len(vocab), d_emb=2, hidden=2, d_feat=2))
         with pytest.raises(ValueError, match="identity"):
             confound_probe(params, examples)
+
+    @pytest.mark.parametrize("kind", ["identity", "context", "random"])
+    def test_overall_scores_equal_evaluate(self, kind):
+        _, _, test = generate_confound_corpus(16, 0.5, seed=11)
+        vocab = build_vocab((e.text for e in test), min_freq=1)
+        enc = encode_examples(test, vocab, 16)
+        if kind == "random":
+            params = init_params(3, EncoderDims(len(vocab), d_emb=8, hidden=8, d_feat=8))
+        else:
+            params = handcrafted_classifier(vocab, kind)
+        probe = confound_probe(params, enc, batch_size=5)
+        report = evaluate(params, enc, batch_size=5)
+        assert probe["accuracy"] == report.accuracy and probe["macro_f1"] == report.macro_f1
 
     def test_probe_keys(self):
         _, _, test = generate_confound_corpus(8, 0.5, seed=8)

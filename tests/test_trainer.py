@@ -371,7 +371,7 @@ class TestLahnContrastiveTerm:
             train_step(state, b, cfg)
         lb, feats, x_aug, negs = spied_step(monkeypatch, state, batches[2], cfg)
         assert all(view.size > 0 for view in negs)
-        assert abs(lb.l_cl - per_anchor_contrastive(feats, x_aug, negs, cfg.tau)) <= 1e-12
+        assert abs(lb["l_cl"] - per_anchor_contrastive(feats, x_aug, negs, cfg.tau)) <= 1e-12
 
     def test_equals_per_anchor_route_with_empty_anchors_and_the_last_row(self, monkeypatch):
         # one label-0 anchor, then five label-1 ones: the 4-slot queue keeps
@@ -388,7 +388,7 @@ class TestLahnContrastiveTerm:
         assert (negs.queue_indices[1:] == -1).all()
         want = per_anchor_contrastive(feats, x_aug, negs, cfg.tau)
         assert want > 0.0
-        assert abs(lb.l_cl - want) <= 1e-12
+        assert abs(lb["l_cl"] - want) <= 1e-12
 
 
 class TestTrainStep:
@@ -398,8 +398,8 @@ class TestTrainStep:
         vocab, enc, batches = first_batch(cfg, train)
         state = init_state(cfg, len(vocab))
         lb = train_step(state, batches[0], cfg)
-        assert lb.l_cl == 0.0
-        assert lb.total == lb.l_ce
+        assert lb["l_cl"] == 0.0
+        assert lb["total"] == lb["l_ce"]
         assert state.queue.fill_fraction() < WARMUP_FILL
 
     def test_active_gate_builds_convex_combination(self):
@@ -408,9 +408,9 @@ class TestTrainStep:
         vocab, enc, batches = first_batch(cfg, train)
         state = init_state(cfg, len(vocab))
         lb = train_step(state, batches[0], cfg)
-        assert lb.l_cl != 0.0
+        assert lb["l_cl"] != 0.0
         np.testing.assert_allclose(
-            lb.total, (1 - cfg.lam) * lb.l_cl + cfg.lam * lb.l_ce, atol=1e-12
+            lb["total"], (1 - cfg.lam) * lb["l_cl"] + cfg.lam * lb["l_ce"], atol=1e-12
         )
 
     def test_momentum_params_evolve_by_ema_only(self):
@@ -456,7 +456,21 @@ class TestTrainStep:
         state = init_state(cfg, len(vocab))
         lb = train_step(state, batches[0], cfg)
         assert state.step == 1
-        assert all(math.isfinite(x) for x in (lb.l_cl, lb.l_ce, lb.total))
+        assert all(math.isfinite(x) for x in (lb["l_cl"], lb["l_ce"], lb["total"]))
+
+    @pytest.mark.parametrize("objective, q", [("lahn", 64), ("lahn", 8), ("scl", 8), ("ce", 8)])
+    def test_returns_the_record_it_logs(self, objective, q):
+        cfg = small_config(objective=objective, q=q)
+        train, _, _ = tiny_corpus()
+        vocab, enc, batches = first_batch(cfg, train)
+        state = init_state(cfg, len(vocab))
+        for batch in batches[:3]:
+            rec = train_step(state, batch, cfg)
+            assert set(rec) == {"step", "l_cl", "l_ce", "total", "queue_fill"}
+            assert rec["step"] == state.step
+            fill = state.queue.fill_fraction() if objective == "lahn" else 0.0
+            assert rec["queue_fill"] == fill
+            assert all(type(v) is float for k, v in rec.items() if k != "step")
 
     def test_lambda_one_walks_the_ce_trajectory(self):
         # with lam=1 the contrastive branch is weighted to zero and the main
@@ -532,6 +546,12 @@ class TestRunTraining:
         train, val, _ = tiny_corpus()
         with pytest.raises(ValueError, match="nonempty"):
             run_training(small_config(), [], val)
+
+    def test_one_example_training_split_rejected(self):
+        # make_batches drops a size-1 batch, so such a run would take no step
+        train, val, _ = tiny_corpus()
+        with pytest.raises(ValueError, match=">= 2 train examples"):
+            run_training(small_config(), train[:1], val)
 
     def test_scl_objective_runs(self):
         cfg = small_config(objective="scl", lam=0.5)
