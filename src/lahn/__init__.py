@@ -26,7 +26,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .metrics import MetricsReport, confound_probe, evaluate, export_embeddings
-from .momentum import EmaState, MomentumQueue, QueueSnapshot, ema_update
+from .momentum import MomentumQueue, QueueSnapshot, ema_update
 from .objectives import classification_loss, combined_loss, contrastive_loss, scl_loss
 from .sampler import (
     HardNegativeBatch,

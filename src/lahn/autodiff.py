@@ -82,10 +82,6 @@ class Tensor:
         """The value of a scalar tensor as a Python float."""
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        """A gradient-free copy; backward never propagates past it."""
-        return Tensor(self.values.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

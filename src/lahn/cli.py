@@ -2,7 +2,8 @@
 export, hard-negative inspection, and ablation grids.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing files, empty or
-malformed data files, invalid config), 2 runtime error. All randomness flows from --seed through named
+malformed data files or checkpoints, invalid config or ablation grid), 2
+runtime error. All randomness flows from --seed through named
 sub-streams, so every command is reproducible from its flags alone.
 """
 
@@ -13,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .data import Example, encode_examples, generate_confound_corpus, load_jsonl
 from .encoder import apply_head, load_checkpoint
 from .momentum import MomentumQueue
 from .sampler import Strategy, anchor_class_prob, sample_for_batch
-from .trainer import TrainConfig, run_ablation_grid, run_training
+from .trainer import OBJECTIVES, TrainConfig, run_ablation_grid, run_training
 
 log = logging.getLogger("lahn")
 
@@ -89,7 +91,7 @@ def _load_json_object(path, flag: str) -> dict:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring TrainConfig keys; flags win")
     p.add_argument("--seed", type=int, help="root seed for all named rng sub-streams")
-    p.add_argument("--objective", choices=["ce", "scl", "lahn"], help="training objective")
+    p.add_argument("--objective", choices=OBJECTIVES, help="training objective")
     p.add_argument(
         "--strategy",
         choices=[s.value for s in Strategy],
@@ -160,12 +162,17 @@ def _cmd_train(args) -> int:
 
 def _load_checkpoint_bundle(args):
     """The checkpoint's parameters and ``TrainConfig``, and the ``--data``
-    examples raw and encoded with its vocabulary."""
+    examples raw and encoded with its vocabulary. A checkpoint that cannot
+    be read, holds an invalid config or has no vocabulary is a usage error
+    that names the flag and the file."""
     path = _require_file(args.checkpoint, "--checkpoint")
-    params, config, vocab = load_checkpoint(path)
+    try:
+        params, config, vocab = load_checkpoint(path)
+        cfg = TrainConfig.from_dict(config)
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise UsageError(f"--checkpoint: {path}: not a usable checkpoint: {type(e).__name__}: {e}")
     if vocab is None:
-        raise RuntimeError(f"checkpoint {path} carries no vocabulary")
-    cfg = TrainConfig.from_dict(config)
+        raise UsageError(f"--checkpoint: {path}: carries no vocabulary")
     examples = _load_examples(args.data, "--data")
     return params, cfg, examples, encode_examples(examples, vocab, cfg.max_len)
 
@@ -251,6 +258,10 @@ def _cmd_ablate(args) -> int:
         raise UsageError(f"--grid: {args.grid}: needs a nonempty 'cells' list")
     if not isinstance(seeds, list) or not seeds:
         raise UsageError(f"--grid: {args.grid}: needs a nonempty 'seeds' list")
+    if not all(isinstance(cell, dict) for cell in cells):
+        raise UsageError(f"--grid: {args.grid}: every cell must be a JSON object of config overrides")
+    if not all(type(seed) is int and seed >= 0 for seed in seeds):
+        raise UsageError(f"--grid: {args.grid}: seeds must be non-negative integers, got {seeds}")
     train, val, test = _load_splits(args)
     report = run_ablation_grid(cfg, cells, seeds, train, val, test)
     _emit(report, args.out)

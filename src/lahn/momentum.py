@@ -3,7 +3,8 @@ queue (a ring buffer) of detached feature vectors with labels.
 
 The queue is the negative-candidate pool. Entries carry a monotonically
 increasing insertion id so a training step can exclude an anchor's own
-just-enqueued view from that anchor's candidates.
+just-enqueued view from that anchor's candidates. The ids are not stored:
+the live ones are always the last ``size`` handed out.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class MomentumQueue:
         self.d_feat = d_feat
         self._features = np.empty((capacity, d_feat))
         self._labels = np.empty(capacity, dtype=np.int64)
-        self._ids = np.empty(capacity, dtype=np.int64)
         self._counter = 0  # ids handed out so far; the next entry gets this one
 
     @property
@@ -75,35 +75,25 @@ class MomentumQueue:
         slots = assigned[newest] % self.capacity
         self._features[slots] = features[newest]
         self._labels[slots] = labels[newest]
-        self._ids[slots] = assigned[newest]
         return assigned
 
     def snapshot(self) -> QueueSnapshot:
         # one fancy index in age order: a copy, untouched by later enqueues
-        age_order = np.arange(self._counter - self.size, self._counter) % self.capacity
+        entry_ids = np.arange(self._counter - self.size, self._counter)
+        age_order = entry_ids % self.capacity
         return QueueSnapshot(
             features=self._features[age_order],
             labels=self._labels[age_order],
-            entry_ids=self._ids[age_order],
+            entry_ids=entry_ids,
         )
 
 
-@dataclass
-class EmaState:
-    m: float
-    params: EncoderParams
-
-    def __post_init__(self):
-        if not 0.0 <= self.m <= 1.0:
-            raise ValueError(f"momentum coefficient must be in [0, 1], got {self.m}")
-
-
-def ema_update(main: EncoderParams, state: EmaState) -> EmaState:
+def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
     """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place."""
-    m = state.m
-    for (name, mom), (_, cur) in zip(state.params.named(), main.named()):
+    if not 0.0 <= m <= 1.0:
+        raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
+    for (name, mom), (_, cur) in zip(momentum.named(), main.named()):
         if mom.values.shape != cur.values.shape:
             raise ValueError(f"shape mismatch for {name}: {mom.values.shape} vs {cur.values.shape}")
         mom.values *= m
         mom.values += (1.0 - m) * cur.values
-    return state

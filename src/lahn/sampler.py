@@ -7,7 +7,7 @@ ablation strategies relax that pipeline: SimOnly ranks by similarity alone,
 AllQueue skips both the label filter and the top-k cut.
 
 The whole batch runs at once: one [B x S] score matrix against the snapshot
-(``autodiff.cosine`` on constants), one keep-mask, one row-wise stable sort.
+(``autodiff.cosine`` on constants), one keep-mask, one row-wise stable top-k.
 Selection influences which similarities enter the contrastive loss, but no
 gradient flows through the selection itself. The result holds snapshot
 indices, not feature rows; a per-anchor view reads its rows off the snapshot.
@@ -107,18 +107,18 @@ def top_k_order(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[np.ndarra
         raise ValueError(f"k must be >= 1, got {k}")
     n_kept = np.minimum(keep.sum(axis=1), k)
     width = int(n_kept.max(initial=0))
+    if width == 0:
+        empty = np.zeros((keep.shape[0], 0), dtype=np.intp)
+        return empty, empty.astype(bool)
     key = np.where(keep, -scores, np.inf)
-    if not 0 < width < key.shape[1]:
-        order = np.argsort(key, axis=1, kind="stable")[:, :width]
-    else:
-        # only the entries at or below each row's width-th smallest key can
-        # make its cut, ties with that key included; sort just those, stably
-        survive = key <= np.partition(key, width - 1, axis=1)[:, width - 1 : width]
-        row, pos = np.nonzero(survive)
-        ranked = pos[np.lexsort((pos, key[row, pos], row))]
-        counts = survive.sum(axis=1)
-        starts = np.cumsum(counts) - counts
-        order = ranked[starts[:, None] + np.arange(width)]
+    # only the entries at or below each row's width-th smallest key can make
+    # its cut, ties with that key included; sort just those, stably
+    survive = key <= np.partition(key, width - 1, axis=1)[:, width - 1 : width]
+    row, pos = np.nonzero(survive)
+    ranked = pos[np.lexsort((pos, key[row, pos], row))]
+    counts = survive.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    order = ranked[starts[:, None] + np.arange(width)]
     return order, np.arange(width) < n_kept[:, None]
 
 

@@ -25,7 +25,7 @@ from .data import Example, Vocabulary, build_vocab, encode_examples, make_batche
 from .encoder import (
     ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, save_checkpoint
 )
-from .momentum import EmaState, MomentumQueue, ema_update
+from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
 from .seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
 
@@ -231,12 +231,14 @@ def _adam_blocks(theta, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> No
 
 @dataclass
 class TrainState:
+    """All a run carries between steps, each fact in one place: the step
+    count is ``opt.t``; ``momentum`` (the EMA twin) and ``queue`` are lahn's."""
+
     params: EncoderParams
     opt: AdamState
     streams: dict[str, np.random.Generator]
-    ema: EmaState | None = None
+    momentum: EncoderParams | None = None
     queue: MomentumQueue | None = None
-    step: int = 0
     best_val_macro_f1: float = -1.0
     best_epoch: int = 0
     best_params: EncoderParams | None = None
@@ -256,39 +258,41 @@ def init_state(config: TrainConfig, vocab_size: int) -> TrainState:
         params=params,
         opt=init_adam(params),
         streams={
-            STREAM_DROPOUT_MAIN: substream(config.seed, STREAM_DROPOUT_MAIN),
-            STREAM_DROPOUT_MOMENTUM: substream(config.seed, STREAM_DROPOUT_MOMENTUM),
+            name: substream(config.seed, name)
+            for name in (STREAM_SHUFFLE, STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM)
         },
     )
     if config.objective == "lahn":
-        state.ema = EmaState(config.m, clone_params(params))
+        state.momentum = clone_params(params)
         state.queue = MomentumQueue(config.q, config.d_feat)
     return state
 
 
 def train_step(state: TrainState, batch, config: TrainConfig) -> dict:
     """One optimizer step; returns its ``metrics.jsonl`` record: the step
-    count after it, the loss terms and the queue's fill fraction (0 without
-    a queue)."""
+    count after it (``state.opt.t``), the loss terms and the queue's fill
+    fraction (0 without a queue)."""
     p = state.params
     p.zero_grads()
     labels = batch.labels
+    l_cl = None
     with ad.Tape() as tape:
         main_out = forward(p, batch, training=True, rng=state.streams[STREAM_DROPOUT_MAIN])
         l_ce = objectives.classification_loss(main_out.logits, labels)
         if config.objective == "lahn":
             mom_out = forward(
-                state.ema.params, batch, training=True, rng=state.streams[STREAM_DROPOUT_MOMENTUM]
+                state.momentum, batch, training=True, rng=state.streams[STREAM_DROPOUT_MOMENTUM]
             )
             x_aug = mom_out.feature.values  # momentum params carry no gradient
             entry_ids = state.queue.enqueue_batch(x_aug, labels)
+            # warmup: the contrastive term waits until the queue is a quarter full
             if state.queue.fill_fraction() >= WARMUP_FILL:
                 snap = state.queue.snapshot()
                 negs = sampler.sample_for_batch(
                     main_out.feature.values,
                     labels,
                     snap,
-                    state.ema.params,
+                    state.momentum,
                     Strategy.parse(config.strategy),
                     config.k,
                     exclude_ids=entry_ids,
@@ -303,29 +307,24 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> dict:
                 valid[np.nonzero(negs.valid)[0], batch.size + slot] = True
                 sims = ad.cosine(main_out.feature, ad.constant(rows))
                 l_cl = objectives.contrastive_loss(sims, valid, positive, config.tau)
-                total = objectives.combined_loss(l_cl, l_ce, config.lam)
-            else:
-                # warmup: contrastive term inactive until the queue is a quarter full
-                l_cl = ad.constant(0.0)
-                total = l_ce
         elif config.objective == "scl":
             l_cl = objectives.scl_loss(main_out.feature, labels, config.tau)
-            total = objectives.combined_loss(l_cl, l_ce, config.lam)
-        else:
+        if l_cl is None:
             l_cl = ad.constant(0.0)
             total = l_ce
+        else:
+            total = objectives.combined_loss(l_cl, l_ce, config.lam)
         if not np.isfinite(total.values):
             raise NonFiniteLossError(
-                state.step, config.lr, float(l_cl.values), float(l_ce.values), float(total.values)
+                state.opt.t, config.lr, float(l_cl.values), float(l_ce.values), float(total.values)
             )
         tape.backward(total)
     grads = {name: t.grad for name, t in p.named()}
     adam_step(p, grads, state.opt, config.lr, config.beta1, config.beta2, config.eps)
-    if state.ema is not None:
-        ema_update(p, state.ema)
-    state.step += 1
+    if state.momentum is not None:
+        ema_update(p, state.momentum, config.m)
     return {
-        "step": state.step,
+        "step": state.opt.t,
         "l_cl": float(l_cl.values),
         "l_ce": float(l_ce.values),
         "total": float(total.values),
@@ -374,13 +373,12 @@ def run_training(
     train_enc = encode_examples(train_split, vocab, config.max_len)
     val_enc = encode_examples(val_split, vocab, config.max_len)
     state = init_state(config, len(vocab))
-    shuffle_rng = substream(config.seed, STREAM_SHUFFLE)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         vocab.save(out / "vocab.txt")
     records: list[dict] = []
     for epoch in range(1, config.epochs + 1):
-        epoch_seed = int(shuffle_rng.integers(2**63))
+        epoch_seed = int(state.streams[STREAM_SHUFFLE].integers(2**63))
         for batch in make_batches(train_enc, config.batch_size, epoch_seed):
             records.append(train_step(state, batch, config))
         report = metrics.evaluate(state.params, val_enc, config.batch_size)

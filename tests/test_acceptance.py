@@ -354,10 +354,10 @@ def test_criterion_4_mechanism_invariants(capsys):
     vocab = build_vocab((e.text for e in train), cfg.min_freq, cfg.max_vocab)
     enc = encode_examples(train, vocab, cfg.max_len)
     state = init_state(cfg, len(vocab))
-    before = clone_params(state.ema.params)
+    before = clone_params(state.momentum)
     train_step(state, make_batches(enc, cfg.batch_size, 0)[0], cfg)
     for (name, mom), (_, prev), (_, cur) in zip(
-        state.ema.params.named(), before.named(), state.params.named()
+        state.momentum.named(), before.named(), state.params.named()
     ):
         expected = prev.values.copy()
         expected *= 0.999

@@ -484,14 +484,6 @@ class TestTapeMechanics:
         y = ad.scale(x, 2.0)  # outside any tape
         assert y.requires_grad is False
 
-    def test_detach_blocks_gradient(self):
-        x = ad.param(np.ones(3))
-        with ad.Tape() as tape:
-            y = ad.scale(x, 2.0)
-            z = scalar_sum(y.detach())
-            tape.backward(z)
-        assert x.grad is None
-
     def test_tapes_are_independent_between_steps(self):
         x = ad.param(np.ones(2))
         with ad.Tape() as t1:

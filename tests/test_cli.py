@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lahn import cli
+from lahn.encoder import load_checkpoint, save_checkpoint
 
 TRAIN_CONFIG = {
     "objective": "lahn",
@@ -143,6 +144,32 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["text", "truncated", "no-vocab", "bad-config"])
+    def test_bad_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, kind):
+        good = workdir["run"] / "checkpoint_best.npz"
+        bad = tmp_path / "bad.npz"
+        if kind == "text":
+            bad.write_text("not a checkpoint\n")
+        elif kind == "truncated":
+            raw = good.read_bytes()
+            bad.write_bytes(raw[: len(raw) // 2])
+        else:
+            params, config, vocab = load_checkpoint(good)
+            if kind == "no-vocab":
+                save_checkpoint(bad, params, config)
+            else:
+                save_checkpoint(bad, params, {**config, "tau": -1.0}, vocab)
+        data = ["--data", str(workdir["data"] / "train.jsonl")]
+        for extra in (
+            ["eval", *data],
+            ["export-embeddings", *data, "--out", str(tmp_path / "emb.tsv")],
+            ["inspect-negatives", *data, "--anchor", "0"],
+        ):
+            assert cli.main([*extra, "--checkpoint", str(bad)]) == 1, extra[0]
+            err = capsys.readouterr().err
+            assert "--checkpoint" in err and "bad.npz" in err, err
+        assert not (tmp_path / "emb.tsv").exists()
 
     @pytest.mark.parametrize(
         "content, detail",
@@ -388,6 +415,28 @@ class TestAblate:
         bad, good = report["cells"]
         assert "error" in bad
         assert "median_val_macro_f1" in good
+
+    @pytest.mark.parametrize(
+        "spec, detail",
+        [
+            ({"cells": [{"k": 2}], "seeds": ["x"]}, "seeds"),
+            ({"cells": [{"k": 2}], "seeds": [0, -1]}, "seeds"),
+            ({"cells": [{"k": 2}], "seeds": [True]}, "seeds"),
+            ({"cells": [{"k": 2}, 1], "seeds": [0]}, "cell"),
+        ],
+        ids=["seed-string", "seed-negative", "seed-bool", "cell-not-object"],
+    )
+    def test_bad_grid_is_usage_error(self, workdir, tmp_path, capsys, spec, detail):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(spec))
+        rc = cli.main(
+            ["ablate", "--config", str(workdir["config"]), "--grid", str(grid),
+             "--train", str(workdir["data"] / "train.jsonl"),
+             "--val", str(workdir["data"] / "val.jsonl")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--grid" in err and "grid.json" in err and detail in err
 
     def test_malformed_grid_is_usage_error(self, workdir, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lahn.encoder import EncoderDims, clone_params, init_params
-from lahn.momentum import EmaState, MomentumQueue, ema_update
+from lahn.momentum import MomentumQueue, ema_update
 
 
 def rows(*vals, d=3):
@@ -70,17 +70,19 @@ class TestRingBuffer:
     def test_wrap_around_matches_list_model(self):
         rng = np.random.default_rng(0)
         q = MomentumQueue(capacity=5, d_feat=2)
-        model_feats, model_labels = [], []
-        for n in (2, 3, 1, 4, 2, 5, 3):
+        model_feats, model_labels, model_ids = [], [], []
+        for n in (2, 3, 1, 4, 2, 5, 3, 8, 1):
             feats = rng.normal(size=(n, 2))
             labels = rng.integers(0, 2, size=n)
-            q.enqueue_batch(feats, labels)
+            model_ids += list(q.enqueue_batch(feats, labels))
             model_feats += list(feats)
             model_labels += list(labels)
             snap = q.snapshot()
             total = len(model_labels)
             np.testing.assert_array_equal(snap.features, np.array(model_feats[-5:]))
             np.testing.assert_array_equal(snap.labels, model_labels[-5:])
+            # the snapshot's ids are the ones enqueue handed out for those rows
+            np.testing.assert_array_equal(snap.entry_ids, model_ids[-5:])
             np.testing.assert_array_equal(snap.entry_ids, np.arange(max(total - 5, 0), total))
 
     def test_batch_larger_than_capacity_after_wrap(self):
@@ -163,20 +165,20 @@ class TestEma:
             t.values[:] = 0.0
         for _, t in main.named():
             t.values[:] = 1.0
-        state = ema_update(main, EmaState(0.999, mom))
-        for _, t in state.params.named():
+        ema_update(main, mom, 0.999)
+        for _, t in mom.named():
             np.testing.assert_allclose(t.values, 0.001, rtol=1e-12)
 
     def test_m_one_is_identity(self):
         main, mom = tiny_params(1), clone_params(tiny_params(2))
         before = {n: t.values.copy() for n, t in mom.named()}
-        ema_update(main, EmaState(1.0, mom))
+        ema_update(main, mom, 1.0)
         for n, t in mom.named():
             np.testing.assert_array_equal(t.values, before[n])
 
     def test_m_zero_copies_main(self):
         main, mom = tiny_params(1), clone_params(tiny_params(2))
-        ema_update(main, EmaState(0.0, mom))
+        ema_update(main, mom, 0.0)
         for (_, a), (_, b) in zip(mom.named(), main.named()):
             np.testing.assert_allclose(a.values, b.values, rtol=1e-15)
 
@@ -185,7 +187,7 @@ class TestEma:
         m = 0.999
         main, mom = tiny_params(3), clone_params(tiny_params(4))
         before = {n: t.values.copy() for n, t in mom.named()}
-        ema_update(main, EmaState(m, mom))
+        ema_update(main, mom, m)
         for (n, t), (_, cur) in zip(mom.named(), main.named()):
             expected = before[n] * m
             expected += (1.0 - m) * cur.values
@@ -195,7 +197,7 @@ class TestEma:
         m = 0.9
         main, mom = tiny_params(5), clone_params(tiny_params(6))
         gap_before = {n: t.values - dict(main.named())[n].values for n, t in mom.named()}
-        ema_update(main, EmaState(m, mom))
+        ema_update(main, mom, m)
         for n, t in mom.named():
             gap_after = t.values - dict(main.named())[n].values
             np.testing.assert_allclose(gap_after, m * gap_before[n], rtol=1e-12, atol=1e-15)
@@ -204,8 +206,13 @@ class TestEma:
         main = tiny_params(1)
         other = init_params(0, EncoderDims(vocab_size=6, d_emb=4, hidden=5, d_feat=4))
         with pytest.raises(ValueError, match="w2"):
-            ema_update(main, EmaState(0.5, clone_params(other)))
+            ema_update(main, clone_params(other), 0.5)
 
     def test_invalid_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            EmaState(1.5, clone_params(tiny_params(0)))
+        main, mom = tiny_params(0), clone_params(tiny_params(1))
+        before = {n: t.values.copy() for n, t in mom.named()}
+        for m in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="momentum coefficient"):
+                ema_update(main, mom, m)
+        for n, t in mom.named():
+            np.testing.assert_array_equal(t.values, before[n])

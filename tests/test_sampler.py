@@ -222,17 +222,26 @@ class TestSelect:
     def test_equals_stable_argsort_on_wide_tied_rows(self):
         # queue-sized rows: many ties at each row's cut, signed zeros, and
         # rows that keep fewer than k entries next to rows that keep many
+        def check(scores, keep, k):
+            order, valid = top_k_order(scores, keep, k)
+            assert order.shape == valid.shape == (keep.shape[0], min(k, keep.sum(axis=1).max()))
+            full = np.argsort(np.where(keep, -scores, np.inf), axis=1, kind="stable")
+            want_valid = np.arange(order.shape[1]) < np.minimum(keep.sum(axis=1), k)[:, None]
+            np.testing.assert_array_equal(valid, want_valid)
+            np.testing.assert_array_equal(order[valid], full[:, : order.shape[1]][valid])
+
         rng = np.random.default_rng(4)
         for _ in range(300):
             b, n, k = int(rng.integers(1, 17)), int(rng.integers(1, 300)), int(rng.integers(1, 33))
             scores = rng.integers(-3, 4, size=(b, n)) / 3.0
             scores[rng.random((b, n)) < 0.2] = -0.0
             keep = rng.random((b, n)) < rng.random(size=(b, 1))
-            order, valid = top_k_order(scores, keep, k)
-            full = np.argsort(np.where(keep, -scores, np.inf), axis=1, kind="stable")
-            want_valid = np.arange(order.shape[1]) < np.minimum(keep.sum(axis=1), k)[:, None]
-            np.testing.assert_array_equal(valid, want_valid)
-            np.testing.assert_array_equal(order[valid], full[:, : order.shape[1]][valid])
+            check(scores, keep, k)
+            # width 0: no row keeps anything
+            check(scores, np.zeros((b, n), dtype=bool), k)
+            # width n: k reaches the row length and one row keeps every entry
+            keep[0] = True
+            check(scores, keep, n + int(rng.integers(0, 3)))
 
     @given(
         st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=20),

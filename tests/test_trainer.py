@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,11 +9,12 @@ from lahn import autodiff as ad
 from lahn import sampler, trainer
 from lahn.data import encode_examples, generate_confound_corpus, iter_eval_batches, make_batches
 from lahn.encoder import clone_params, load_checkpoint
-from lahn.momentum import EmaState
+from lahn.seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
 from lahn.trainer import (
     WARMUP_FILL,
     NonFiniteLossError,
     TrainConfig,
+    TrainState,
     adam_step,
     init_adam,
     init_state,
@@ -391,6 +393,22 @@ class TestLahnContrastiveTerm:
         assert abs(lb["l_cl"] - want) <= 1e-12
 
 
+class TestTrainState:
+    """The state a resume must save: a new piece of it shows up here."""
+
+    @pytest.mark.parametrize("objective", ["ce", "scl", "lahn"])
+    def test_fields_and_streams(self, objective):
+        assert [f.name for f in dataclasses.fields(TrainState)] == [
+            "params", "opt", "streams", "momentum", "queue",
+            "best_val_macro_f1", "best_epoch", "best_params",
+        ]
+        state = init_state(small_config(objective=objective), 10)
+        assert set(state.streams) == {STREAM_SHUFFLE, STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM}
+        assert state.opt.t == 0
+        lahn = objective == "lahn"
+        assert (state.momentum is not None) == lahn and (state.queue is not None) == lahn
+
+
 class TestTrainStep:
     def test_warmup_gate_keeps_contrastive_silent(self):
         cfg = small_config(q=64)  # 4/64 fill after the first enqueue
@@ -418,10 +436,10 @@ class TestTrainStep:
         train, _, _ = tiny_corpus()
         vocab, enc, batches = first_batch(cfg, train)
         state = init_state(cfg, len(vocab))
-        before = clone_params(state.ema.params)
+        before = clone_params(state.momentum)
         train_step(state, batches[0], cfg)
         for (name, mom), (_, prev), (_, cur) in zip(
-            state.ema.params.named(), before.named(), state.params.named()
+            state.momentum.named(), before.named(), state.params.named()
         ):
             expected = prev.values.copy()
             expected *= cfg.m
@@ -433,10 +451,10 @@ class TestTrainStep:
         train, _, _ = tiny_corpus()
         vocab, enc, batches = first_batch(cfg, train)
         state = init_state(cfg, len(vocab))
-        before = clone_params(state.ema.params)
+        before = clone_params(state.momentum)
         for b in batches[:3]:
             train_step(state, b, cfg)
-        for (name, mom), (_, prev) in zip(state.ema.params.named(), before.named()):
+        for (name, mom), (_, prev) in zip(state.momentum.named(), before.named()):
             np.testing.assert_array_equal(mom.values, prev.values, err_msg=name)
 
     def test_queue_holds_most_recent_labels_in_order(self):
@@ -455,7 +473,7 @@ class TestTrainStep:
         vocab, enc, batches = first_batch(cfg, train)
         state = init_state(cfg, len(vocab))
         lb = train_step(state, batches[0], cfg)
-        assert state.step == 1
+        assert state.opt.t == 1
         assert all(math.isfinite(x) for x in (lb["l_cl"], lb["l_ce"], lb["total"]))
 
     @pytest.mark.parametrize("objective, q", [("lahn", 64), ("lahn", 8), ("scl", 8), ("ce", 8)])
@@ -467,7 +485,7 @@ class TestTrainStep:
         for batch in batches[:3]:
             rec = train_step(state, batch, cfg)
             assert set(rec) == {"step", "l_cl", "l_ce", "total", "queue_fill"}
-            assert rec["step"] == state.step
+            assert rec["step"] == state.opt.t
             fill = state.queue.fill_fraction() if objective == "lahn" else 0.0
             assert rec["queue_fill"] == fill
             assert all(type(v) is float for k, v in rec.items() if k != "step")
@@ -497,6 +515,18 @@ class TestTrainStep:
 
 
 class TestRunTraining:
+    def test_epoch_shuffles_draw_from_the_state_stream(self, monkeypatch):
+        cfg = small_config(epochs=3)
+        train, val, _ = tiny_corpus()
+        states = []
+        real_init = trainer.init_state
+        monkeypatch.setattr(trainer, "init_state", lambda *a: states.append(real_init(*a)) or states[-1])
+        run_training(cfg, train, val)
+        fresh = substream(cfg.seed, STREAM_SHUFFLE)
+        for _ in range(cfg.epochs):
+            fresh.integers(2**63)
+        assert states[0].streams[STREAM_SHUFFLE].integers(2**63) == fresh.integers(2**63)
+
     def test_record_schema_and_counts(self):
         cfg = small_config(epochs=2)
         train, val, _ = tiny_corpus()
