@@ -163,16 +163,14 @@ def _cmd_train(args) -> int:
 def _load_checkpoint_bundle(args):
     """The checkpoint's parameters and ``TrainConfig``, and the ``--data``
     examples raw and encoded with its vocabulary. A checkpoint that cannot
-    be read, holds an invalid config or has no vocabulary is a usage error
-    that names the flag and the file."""
+    be read, has no vocabulary, or holds an invalid config or model shape is
+    a usage error that names the flag and the file."""
     path = _require_file(args.checkpoint, "--checkpoint")
     try:
         params, config, vocab = load_checkpoint(path)
         cfg = TrainConfig.from_dict(config)
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise UsageError(f"--checkpoint: {path}: not a usable checkpoint: {type(e).__name__}: {e}")
-    if vocab is None:
-        raise UsageError(f"--checkpoint: {path}: carries no vocabulary")
     examples = _load_examples(args.data, "--data")
     return params, cfg, examples, encode_examples(examples, vocab, cfg.max_len)
 

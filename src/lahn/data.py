@@ -95,7 +95,8 @@ def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> list[Exam
 
 
 def load_jsonl(path) -> list[Example]:
-    """Order-preserving load of {"text": str, "label": 0|1} records.
+    """Order-preserving load of {"text": str, "label": 0|1} records whose
+    text holds at least one token.
 
     Lines holding only whitespace (a trailing blank line, say) are skipped;
     errors name the physical line number in the file.
@@ -111,6 +112,8 @@ def load_jsonl(path) -> list[Example]:
                 raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from e
             if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
                 raise ValueError(f"{path}: line {lineno}: record needs a string 'text' field")
+            if not tokenize(rec["text"]):
+                raise ValueError(f"{path}: line {lineno}: record text holds no token")
             label = rec.get("label")
             if isinstance(label, bool) or label not in (0, 1):
                 raise ValueError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")

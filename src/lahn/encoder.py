@@ -81,22 +81,25 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
+def _shapes(dims: EncoderDims) -> dict[str, tuple[int, ...]]:
+    """Each parameter tensor's shape, in declaration order."""
+    v, e, h, f = dims.vocab_size, dims.d_emb, dims.hidden, dims.d_feat
+    return {"emb": (v, e), "w1": (e, h), "b1": (h,), "w2": (h, f), "b2": (f,), "wh": (f, 2), "bh": (2,)}
+
+
 def init_params(seed: int, dims: EncoderDims) -> EncoderParams:
-    """Uniform Xavier linear layers, N(0, 0.02^2) embeddings, zero PAD row."""
+    """Uniform Xavier linear layers, N(0, 0.02^2) embeddings, zero PAD row,
+    zero biases; the rng draws in declaration order."""
     dims.validate()
     rng = substream(seed, STREAM_INIT)
-    emb = rng.normal(0.0, 0.02, size=(dims.vocab_size, dims.d_emb))
-    emb[0] = 0.0  # PAD row carries no signal
-    return EncoderParams(
-        dims=dims,
-        emb=ad.param(emb),
-        w1=ad.param(_xavier(rng, dims.d_emb, dims.hidden)),
-        b1=ad.param(np.zeros(dims.hidden)),
-        w2=ad.param(_xavier(rng, dims.hidden, dims.d_feat)),
-        b2=ad.param(np.zeros(dims.d_feat)),
-        wh=ad.param(_xavier(rng, dims.d_feat, 2)),
-        bh=ad.param(np.zeros(2)),
-    )
+    values = {}
+    for name, shape in _shapes(dims).items():
+        if name == "emb":
+            values[name] = rng.normal(0.0, 0.02, size=shape)
+            values[name][0] = 0.0  # PAD row carries no signal
+        else:
+            values[name] = _xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+    return EncoderParams(dims=dims, **{name: ad.param(v) for name, v in values.items()})
 
 
 def clone_params(src: EncoderParams) -> EncoderParams:
@@ -137,8 +140,8 @@ def apply_head(params: EncoderParams, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary | None = None) -> None:
-    """Atomic npz container: parameter tensors, config echo, optional vocab.
+def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary) -> None:
+    """Atomic npz container: parameter tensors, config echo, vocabulary.
 
     Values round-trip bitwise (float64 in, float64 out), and the file bytes
     themselves are deterministic for identical inputs: they equal
@@ -153,8 +156,7 @@ def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary
         "config": config,
     }
     arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-    if vocab is not None:
-        arrays["__vocab__"] = np.array(vocab.id_to_token)
+    arrays["__vocab__"] = np.array(vocab.id_to_token)
 
     def write(fh) -> None:
         with zipfile.ZipFile(fh, "w", allowZip64=True) as z:
@@ -171,14 +173,21 @@ def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary
     fileio.atomic_write(path, write)
 
 
-def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary | None]:
+def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
+    """The parameters, config echo and vocabulary of a checkpoint. Model
+    dims that are invalid or disagree with the stored arrays or vocabulary
+    raise ``ValueError``."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["__meta__"]))
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         dims = EncoderDims(**meta["dims"])
         tensors = {name: ad.param(z[name]) for name in _PARAM_NAMES}
-        vocab = None
-        if "__vocab__" in z.files:
-            vocab = Vocabulary([str(t) for t in z["__vocab__"]])
+        vocab = Vocabulary([str(t) for t in z["__vocab__"]])
+    dims.validate()
+    for name, shape in _shapes(dims).items():
+        if tensors[name].shape != shape:
+            raise ValueError(f"{name} has shape {tensors[name].shape}, but the model dims give {shape}")
+    if len(vocab) != dims.vocab_size:
+        raise ValueError(f"the vocabulary holds {len(vocab)} tokens, but vocab_size is {dims.vocab_size}")
     return EncoderParams(dims=dims, **tensors), meta["config"], vocab

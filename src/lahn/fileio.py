@@ -14,14 +14,8 @@ from typing import Callable
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    def write(fh) -> None:
-        fh.write(data)
-
-    atomic_write(path, write)
+    data = text.encode("utf-8")
+    atomic_write(path, lambda fh: fh.write(data))
 
 
 def atomic_write(path: str | os.PathLike, write: Callable) -> None:

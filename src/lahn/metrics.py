@@ -18,20 +18,6 @@ from .encoder import EncoderParams, forward
 
 
 @dataclass
-class ConfusionCounts:
-    """Binary confusion counts, named n<true class><predicted class>."""
-
-    n00: int  # true 0, predicted 0
-    n01: int  # true 0, predicted 1
-    n10: int  # true 1, predicted 0
-    n11: int  # true 1, predicted 1
-
-    @property
-    def n(self) -> int:
-        return self.n00 + self.n01 + self.n10 + self.n11
-
-
-@dataclass
 class MetricsReport:
     accuracy: float
     f1: tuple[float, float]  # per class (0, 1)
@@ -48,17 +34,6 @@ class MetricsReport:
         }
 
 
-def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    return ConfusionCounts(
-        n00=int(((y_true == 0) & (y_pred == 0)).sum()),
-        n01=int(((y_true == 0) & (y_pred == 1)).sum()),
-        n10=int(((y_true == 1) & (y_pred == 0)).sum()),
-        n11=int(((y_true == 1) & (y_pred == 1)).sum()),
-    )
-
-
 def _f1(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -67,15 +42,25 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 
 
 def report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsReport:
-    counts = confusion(y_true, y_pred)
-    if counts.n == 0:
+    """Scores 1-D labels against predictions of the same shape, all 0 or 1."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    if y_true.ndim != 1 or y_true.shape != y_pred.shape:
+        raise ValueError(f"labels {y_true.shape} and predictions {y_pred.shape} must be 1-D of one shape")
+    if y_true.size == 0:
         raise ValueError("cannot score an empty split")
-    f1 = (_f1(counts.n00, counts.n10, counts.n01), _f1(counts.n11, counts.n01, counts.n10))
+    both = np.stack([y_true, y_pred])
+    if not ((both == 0) | (both == 1)).all():
+        raise ValueError("labels and predictions must be 0 or 1")
+    # the confusion counts, named n<true class><predicted class>
+    n00, n01, n10, n11 = np.bincount((2 * both[0] + both[1]).astype(np.int64), minlength=4).tolist()
+    n = n00 + n01 + n10 + n11
+    f1 = (_f1(n00, n10, n01), _f1(n11, n01, n10))
     return MetricsReport(
-        accuracy=(counts.n00 + counts.n11) / counts.n,
+        accuracy=(n00 + n11) / n,
         f1=f1,
         macro_f1=(f1[0] + f1[1]) / 2,
-        n=counts.n,
+        n=n,
     )
 
 
@@ -100,8 +85,6 @@ def features_of(params: EncoderParams, split: list[Example], batch_size: int = 1
 
 def _scored(params: EncoderParams, split: list[Example], batch_size: int):
     """A split's true labels, predictions and report."""
-    if not split:
-        raise ValueError("cannot score an empty split")
     y_true = np.array([e.label for e in split], dtype=np.int64)
     y_pred = predict(params, split, batch_size)
     return y_true, y_pred, report_from_predictions(y_true, y_pred)

@@ -1,4 +1,7 @@
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,3 +686,18 @@ class TestGradCheckHarness:
         before = x.values.copy()
         ad.grad_check(scalar_sum, [x])
         np.testing.assert_array_equal(x.values, before)
+
+
+def test_every_public_op_has_a_caller_in_src():
+    # an op that nothing in src/lahn calls is dead code: delete it with its tests
+    src = Path(ad.__file__).parent
+    text = "".join(p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py")) if p.name != "autodiff.py")
+    called = set(re.findall(r"\bad\.(\w+)", text))
+    public = {
+        name
+        for name, obj in vars(ad).items()
+        if inspect.isfunction(obj) and obj.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    test_tools = {"grad_check", "reshape"}
+    assert test_tools <= public
+    assert public - test_tools - called == set()

@@ -145,7 +145,11 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["text", "truncated", "no-vocab", "bad-config"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["text", "truncated", "no-vocab", "bad-config", "bad-activation", "bad-dropout",
+         "narrow-w2", "short-emb", "dims-disagree", "short-vocab"],
+    )
     def test_bad_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, kind):
         good = workdir["run"] / "checkpoint_best.npz"
         bad = tmp_path / "bad.npz"
@@ -154,12 +158,30 @@ class TestExitCodes:
         elif kind == "truncated":
             raw = good.read_bytes()
             bad.write_bytes(raw[: len(raw) // 2])
-        else:
+        elif kind == "bad-config":
             params, config, vocab = load_checkpoint(good)
+            save_checkpoint(bad, params, {**config, "tau": -1.0}, vocab)
+        else:
+            # the good checkpoint's members, rewritten with one change
+            with np.load(good) as z:
+                members = {name: z[name] for name in z.files}
+            meta = json.loads(str(members["__meta__"]))
             if kind == "no-vocab":
-                save_checkpoint(bad, params, config)
+                del members["__vocab__"]
+            elif kind == "bad-activation":
+                meta["dims"]["activation"] = "tanh"
+            elif kind == "bad-dropout":
+                meta["dims"]["dropout"] = 1.5
+            elif kind == "narrow-w2":
+                members["w2"] = members["w2"][:, :5]
+            elif kind == "short-emb":
+                members["emb"] = members["emb"][:5]
+            elif kind == "dims-disagree":
+                meta["dims"]["d_feat"] = 7
             else:
-                save_checkpoint(bad, params, {**config, "tau": -1.0}, vocab)
+                members["__vocab__"] = members["__vocab__"][:-1]
+            members["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+            np.savez(bad, **members)
         data = ["--data", str(workdir["data"] / "train.jsonl")]
         for extra in (
             ["eval", *data],
@@ -169,6 +191,8 @@ class TestExitCodes:
             assert cli.main([*extra, "--checkpoint", str(bad)]) == 1, extra[0]
             err = capsys.readouterr().err
             assert "--checkpoint" in err and "bad.npz" in err, err
+            if kind not in ("text", "truncated", "no-vocab"):
+                assert "ValueError" in err, err
         assert not (tmp_path / "emb.tsv").exists()
 
     @pytest.mark.parametrize(
@@ -177,8 +201,9 @@ class TestExitCodes:
             (b"", "no records"),
             (b'{"text": "fine", "label": 0}\n{"text": \n', "line 2"),
             (b"\xff\xfe not text\n", "not UTF-8"),
+            (b'{"text": "", "label": 0}\n{"text": "fine", "label": 1}\n', "line 1"),
         ],
-        ids=["empty", "malformed", "undecodable"],
+        ids=["empty", "malformed", "undecodable", "no-token"],
     )
     def test_bad_train_file_is_usage_error(self, workdir, tmp_path, capsys, content, detail):
         bad = tmp_path / "bad.jsonl"
@@ -194,8 +219,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content, detail",
-        [("\n", "no records"), ('{"text": "fine", "label": 7}\n', "line 1")],
-        ids=["empty", "malformed"],
+        [
+            ("\n", "no records"),
+            ('{"text": "fine", "label": 7}\n', "line 1"),
+            ('{"text": "fine", "label": 0}\n{"text": " \\t ", "label": 1}\n', "line 2"),
+        ],
+        ids=["empty", "malformed", "whitespace-text"],
     )
     def test_bad_eval_file_is_usage_error(self, workdir, tmp_path, capsys, content, detail):
         bad = tmp_path / "bad.jsonl"

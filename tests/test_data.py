@@ -179,6 +179,13 @@ class TestJsonl:
         with pytest.raises(ValueError, match="text"):
             load_jsonl(p)
 
+    @pytest.mark.parametrize("text", ["", " \t ", "\u3000"])
+    def test_record_without_a_token_names_line(self, tmp_path, text):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"text": "a", "label": 0}) + "\n" + json.dumps({"text": text, "label": 1}) + "\n")
+        with pytest.raises(ValueError, match="line 2: record text holds no token"):
+            load_jsonl(p)
+
     def test_whitespace_only_lines_are_skipped(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"text": "a", "label": 0}\n\n  \t\n{"text": "b", "label": 1}\n\n')

@@ -14,7 +14,7 @@ from lahn.encoder import (
     save_checkpoint,
 )
 from lahn.objectives import classification_loss
-from lahn.seeding import substream
+from lahn.seeding import STREAM_INIT, substream
 
 TEXTS = [
     "those folks are kind and gentle",
@@ -66,6 +66,20 @@ class TestInit:
         params = init_params(1, tiny_dims(vocab))
         for t in (params.b1, params.b2, params.bh):
             np.testing.assert_array_equal(t.values, 0.0)
+
+    def test_draws_equal_the_layer_by_layer_reference(self):
+        # embeddings first, then w1, w2 and wh, each from the one init stream
+        _, vocab = tiny_batch()
+        dims = tiny_dims(vocab)
+        rng = substream(4, STREAM_INIT)
+        emb = rng.normal(0.0, 0.02, size=(len(vocab), 8))
+        emb[0] = 0.0
+        expected = {"emb": emb, "b1": np.zeros(10), "b2": np.zeros(6), "bh": np.zeros(2)}
+        for name, fan_in, fan_out in (("w1", 8, 10), ("w2", 10, 6), ("wh", 6, 2)):
+            a = np.sqrt(6.0 / (fan_in + fan_out))
+            expected[name] = rng.uniform(-a, a, size=(fan_in, fan_out))
+        for name, t in init_params(4, dims).named():
+            np.testing.assert_array_equal(t.values, expected[name], err_msg=name)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):

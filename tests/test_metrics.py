@@ -13,7 +13,6 @@ from lahn.data import (
 from lahn.encoder import EncoderDims, forward, init_params
 from lahn.metrics import (
     confound_probe,
-    confusion,
     evaluate,
     export_embeddings,
     features_of,
@@ -57,15 +56,6 @@ class TestConfusionAndF1:
         r = report_from_predictions([1, 1], [0, 0])
         assert r.accuracy == 0.0 and r.f1 == (0.0, 0.0) and r.macro_f1 == 0.0
 
-    def test_counts_partition_the_split(self):
-        rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 2, size=100)
-        y_pred = rng.integers(0, 2, size=100)
-        c = confusion(y_true, y_pred)
-        assert c.n == 100
-        assert c.n00 + c.n01 == int((y_true == 0).sum())
-        assert c.n10 + c.n11 == int((y_true == 1).sum())
-
     def test_accuracy_identity(self):
         rng = np.random.default_rng(1)
         y_true = rng.integers(0, 2, size=64)
@@ -85,6 +75,17 @@ class TestConfusionAndF1:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             report_from_predictions([], [])
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred",
+        [([1], [0, 0, 1, 1]), ([0, 1], [0, 1, 1]), ([0, 1, 2], [0, 1, 1]), ([[0, 1]], [[0, 1]])],
+        ids=["broadcast", "unequal", "non-binary", "2-d"],
+    )
+    def test_mismatched_or_non_binary_rejected(self, y_true, y_pred):
+        with pytest.raises(ValueError):
+            report_from_predictions(y_true, y_pred)
+        with pytest.raises(ValueError):
+            report_from_predictions(y_pred, y_true)
 
     def test_equals_plain_python_reference_exactly(self):
         rng = np.random.default_rng(3)
