@@ -2,9 +2,10 @@
 export, hard-negative inspection, and ablation grids.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing files, empty or
-malformed data files or checkpoints, invalid config or ablation grid), 2
-runtime error. All randomness flows from --seed through named
-sub-streams, so every command is reproducible from its flags alone.
+malformed data files or checkpoints, invalid config or ablation grid, an
+output file that is a directory), 2 runtime error. All randomness flows
+from --seed through named sub-streams, so every command is reproducible
+from its flags alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import numpy as np
 
 from . import __version__, fileio, metrics
 from . import autodiff as ad
-from .data import Example, encode_examples, generate_confound_corpus, load_jsonl, write_jsonl
+from .data import (
+    Example,
+    encode_examples,
+    generate_confound_corpus,
+    has_identity_token,
+    load_jsonl,
+    write_jsonl,
+)
 from .encoder import apply_head, load_checkpoint
 from .momentum import MomentumQueue
 from .sampler import Strategy, anchor_class_prob, sample_for_batch
@@ -48,6 +56,13 @@ def _require_file(path, flag: str) -> Path:
     if not p.is_file():
         raise UsageError(f"{flag}: file not found: {p}")
     return p
+
+
+def _reject_directory(path, flag: str) -> None:
+    """An output file flag that names an existing directory is a usage
+    error, caught before any work that would be lost when the write fails."""
+    if path is not None and Path(path).is_dir():
+        raise UsageError(f"{flag}: is a directory, not a file: {path}")
 
 
 def _load_examples(path, flag: str) -> list[Example]:
@@ -176,8 +191,11 @@ def _load_checkpoint_bundle(args):
 
 
 def _cmd_eval(args) -> int:
-    params, cfg, _, encoded = _load_checkpoint_bundle(args)
+    _reject_directory(args.out, "--out")
+    params, cfg, examples, encoded = _load_checkpoint_bundle(args)
     if args.probe:
+        if not any(has_identity_token(e.text) for e in examples):
+            raise UsageError(f"--data: {args.data}: no record holds an identity token for --probe")
         report = metrics.confound_probe(params, encoded, cfg.batch_size)
     else:
         report = metrics.evaluate(params, encoded, cfg.batch_size).to_dict()
@@ -186,6 +204,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
+    _reject_directory(args.out, "--out")
     params, cfg, _, encoded = _load_checkpoint_bundle(args)
     metrics.export_embeddings(params, encoded, args.out, cfg.batch_size)
     _emit({"rows": len(encoded), "out": str(args.out)})
@@ -193,6 +212,7 @@ def _cmd_export_embeddings(args) -> int:
 
 
 def _cmd_inspect_negatives(args) -> int:
+    _reject_directory(args.out, "--out")
     if args.k is not None and args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     params, cfg, corpus, encoded = _load_checkpoint_bundle(args)
@@ -248,6 +268,7 @@ def _cmd_inspect_negatives(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _reject_directory(args.out, "--out")
     cfg = _build_config(args)
     grid_spec = _load_json_object(args.grid, "--grid")
     cells = grid_spec.get("cells")

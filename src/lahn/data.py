@@ -25,11 +25,12 @@ UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
 
-# a run of characters that are neither whitespace nor punctuation, or one
+# a run of word characters (neither whitespace nor punctuation), or one
 # punctuation character; regex \s and str.split() treat the same code points
 # as whitespace
 _PUNCT = re.escape(string.punctuation)
-_TOKEN = re.compile(rf"[^\s{_PUNCT}]+|[{_PUNCT}]")
+_WORD_CHAR = rf"[^\s{_PUNCT}]"
+_TOKEN = re.compile(rf"{_WORD_CHAR}+|[{_PUNCT}]")
 
 
 def tokenize(text: str) -> list[str]:
@@ -184,7 +185,10 @@ def iter_eval_batches(examples, batch_size: int):
 # ---------------------------------------------------------------------------
 
 IDENTITY_TOKENS = ("blorgs", "snarps", "quibs", "zerts")
-_IDENTITY = frozenset(IDENTITY_TOKENS)
+# an identity word that is a whole token: no word character on either side
+_IDENTITY_RE = re.compile(
+    rf"(?<!{_WORD_CHAR})(?:{'|'.join(map(re.escape, IDENTITY_TOKENS))})(?!{_WORD_CHAR})"
+)
 _NEUTRAL_SUBJECTS = ("people", "folks", "neighbors", "students", "workers", "drivers")
 _NEG_ADJ = ("awful", "vile", "worthless", "dreadful", "rotten", "nasty")
 _POS_ADJ = ("kind", "gentle", "brilliant", "cheerful", "generous", "honest")
@@ -264,4 +268,5 @@ def generate_confound_corpus(
 
 
 def has_identity_token(text: str) -> bool:
-    return not _IDENTITY.isdisjoint(tokenize(text))
+    """Whether ``tokenize(text)`` holds an identity token."""
+    return _IDENTITY_RE.search(text.lower()) is not None

@@ -173,10 +173,20 @@ def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary
     fileio.atomic_write(path, write)
 
 
+def _check_arrays(dims: EncoderDims, arrays: dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` naming the first parameter array whose shape
+    disagrees with ``dims`` or that holds a value that is not finite."""
+    for name, shape in _shapes(dims).items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name} has shape {arrays[name].shape}, but the model dims give {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{name} holds a value that is not finite")
+
+
 def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
     """The parameters, config echo and vocabulary of a checkpoint. Model
-    dims that are invalid or disagree with the stored arrays or vocabulary
-    raise ``ValueError``."""
+    dims that are invalid or disagree with the stored arrays or vocabulary,
+    and a parameter that is not finite, raise ``ValueError``."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["__meta__"]))
         if meta.get("version") != _CHECKPOINT_VERSION:
@@ -185,9 +195,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
         tensors = {name: ad.param(z[name]) for name in _PARAM_NAMES}
         vocab = Vocabulary([str(t) for t in z["__vocab__"]])
     dims.validate()
-    for name, shape in _shapes(dims).items():
-        if tensors[name].shape != shape:
-            raise ValueError(f"{name} has shape {tensors[name].shape}, but the model dims give {shape}")
+    _check_arrays(dims, {name: t.values for name, t in tensors.items()})
     if len(vocab) != dims.vocab_size:
         raise ValueError(f"the vocabulary holds {len(vocab)} tokens, but vocab_size is {dims.vocab_size}")
     return EncoderParams(dims=dims, **tensors), meta["config"], vocab

@@ -106,10 +106,8 @@ def _escape(text: str) -> str:
 def export_embeddings(params: EncoderParams, split: list[Example], path, batch_size: int = 16) -> None:
     """TSV rows: d_feat floats at 9 significant digits, label, escaped text."""
     feats = features_of(params, split, batch_size)
-    lines = []
-    for e, f in zip(split, feats):
-        cells = ["%.9g" % v for v in f] + [str(e.label), _escape(e.text)]
-        lines.append("\t".join(cells) + "\n")
+    row = "\t".join(["%.9g"] * feats.shape[1] + ["%s", "%s"]) + "\n"
+    lines = [row % (*f, e.label, _escape(e.text)) for e, f in zip(split, feats.tolist())]
     fileio.atomic_write_text(path, "".join(lines))
 
 

@@ -454,6 +454,30 @@ class TestMaskedSoftmaxCrossEntropy:
             ad.masked_softmax_cross_entropy(logits, np.ones((2, 3), bool), np.zeros((2, 3)))
 
 
+def reference_gelu(x: float) -> float:
+    """The tanh-approximate gelu in plain Python, kept as the oracle."""
+    c = math.sqrt(2.0 / math.pi)
+    return 0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x**3)))
+
+
+class TestGelu:
+    @pytest.mark.parametrize("sigma", [1.0, 5.0, 30.0])
+    def test_matches_plain_python_reference(self, sigma):
+        v = np.random.default_rng(int(sigma)).normal(0.0, sigma, (64, 128))
+        want = np.array([reference_gelu(x) for x in v.ravel()]).reshape(v.shape)
+        np.testing.assert_allclose(ad.gelu(ad.constant(v)).values, want, rtol=1e-12, atol=1e-15)
+
+    def test_zeros_tiny_huge_and_infinite_inputs(self):
+        v = np.array([0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, 1e103, -1e103, np.inf, -np.inf])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = ad.gelu(ad.constant(v)).values
+        want = np.array([0.0, -0.0, 5e-301, -5e-301, 1e200, -0.0, 1e103, -0.0, np.inf, np.nan])
+        np.testing.assert_array_equal(got, want)
+        # the sign of each zero too; a NaN's sign bit is the platform's
+        number = ~np.isnan(want)
+        np.testing.assert_array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
 class TestDropout:
     def test_p_zero_identity(self):
         x = ad.constant([1.0, 2.0])

@@ -131,24 +131,59 @@ class TestExitCodes:
         assert cli.main(["gen-data", "--n", "1", "--out", "ignored"]) == 1
         assert "LAHN_LOG_LEVEL" in capsys.readouterr().err
 
-    def test_runtime_failure_is_exit_two(self, workdir, tmp_path, capsys):
-        # probing a split with no identity tokens fails past flag validation
+    def test_runtime_failure_is_exit_two(self, workdir, monkeypatch, capsys):
+        # a failure past flag and input validation, inside the scoring
+        def fail(*args):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(cli.metrics, "evaluate", fail)
+        rc = cli.main(
+            ["eval", "--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),
+             "--data", str(workdir["data"] / "test.jsonl")]
+        )
+        assert rc == 2
+        assert "error: RuntimeError: scoring failed" in capsys.readouterr().err
+
+    def test_probe_split_without_identity_token_is_usage_error(self, workdir, tmp_path, capsys):
         plain = tmp_path / "plain.jsonl"
         plain.write_text(
-            json.dumps({"text": "those people are kind and honest", "label": 0}) + "\n"
-            + json.dumps({"text": "those folks are awful and rotten", "label": 1}) + "\n"
+            json.dumps({"text": "people are kind", "label": 0}) + "\n"
+            + json.dumps({"text": "folks are vile", "label": 1}) + "\n"
         )
         rc = cli.main(
             ["eval", "--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),
              "--data", str(plain), "--probe"]
         )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--data" in err and "plain.jsonl" in err and "identity token" in err
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings", "inspect-negatives", "ablate"])
+    def test_out_naming_a_directory_is_usage_error(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.mkdir()
+        data = workdir["data"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [{}], "seeds": [0]}))
+        checkpoint = ["--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),
+                      "--data", str(data / "train.jsonl")]
+        extra = {
+            "eval": checkpoint,
+            "export-embeddings": checkpoint,
+            "inspect-negatives": [*checkpoint, "--anchor", "0"],
+            "ablate": ["--config", str(workdir["config"]), "--grid", str(grid),
+                       "--train", str(data / "train.jsonl"), "--val", str(data / "val.jsonl")],
+        }[command]
+        assert cli.main([command, *extra, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and "taken" in captured.err and "directory" in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "kind",
         ["text", "truncated", "no-vocab", "bad-config", "bad-activation", "bad-dropout",
-         "narrow-w2", "short-emb", "dims-disagree", "short-vocab"],
+         "narrow-w2", "short-emb", "dims-disagree", "short-vocab", "nan-w1", "inf-emb"],
     )
     def test_bad_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, kind):
         good = workdir["run"] / "checkpoint_best.npz"
@@ -178,6 +213,10 @@ class TestExitCodes:
                 members["emb"] = members["emb"][:5]
             elif kind == "dims-disagree":
                 meta["dims"]["d_feat"] = 7
+            elif kind == "nan-w1":
+                members["w1"][0, 0] = np.nan
+            elif kind == "inf-emb":
+                members["emb"][3, 1] = -np.inf
             else:
                 members["__vocab__"] = members["__vocab__"][:-1]
             members["__meta__"] = np.array(json.dumps(meta, sort_keys=True))

@@ -259,6 +259,37 @@ def identity_rate(split, label):
     return sum(flagged) / len(flagged)
 
 
+def reference_has_identity_token(text: str) -> bool:
+    """The token-list test has_identity_token used before, kept as the oracle."""
+    return not frozenset(IDENTITY_TOKENS).isdisjoint(tokenize(text))
+
+
+# identity words whole, upper-cased and as letters, glued by punctuation and
+# by whitespace beyond ASCII, and a character whose lowercase is two code points
+_IDENTITY_FUZZ_PIECES = (
+    list(IDENTITY_TOKENS)
+    + [t.upper() for t in IDENTITY_TOKENS]
+    + sorted(set("".join(IDENTITY_TOKENS)))
+    + list(string.punctuation)
+    + list("\x1c\x1d\x1e\x1f\x85\xa0\u3000\u2028 \u0130")
+)
+
+
+class TestHasIdentityToken:
+    def test_fuzzed_strings_match_reference(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            pieces = rng.choice(_IDENTITY_FUZZ_PIECES, size=int(rng.integers(0, 8)))
+            text = "".join(pieces)
+            assert data.has_identity_token(text) is reference_has_identity_token(text), repr(text)
+
+    @given(st.lists(st.one_of(st.sampled_from(_IDENTITY_FUZZ_PIECES), st.text(max_size=3)), max_size=10))
+    @settings(max_examples=300)
+    def test_arbitrary_text_matches_reference(self, pieces):
+        text = "".join(pieces)
+        assert data.has_identity_token(text) is reference_has_identity_token(text)
+
+
 class TestConfoundCorpus:
     @pytest.mark.parametrize(
         "text, want",

@@ -10,6 +10,7 @@ from lahn.data import (
     has_identity_token,
     iter_eval_batches,
 )
+from lahn import metrics
 from lahn.encoder import EncoderDims, forward, init_params
 from lahn.metrics import (
     confound_probe,
@@ -158,7 +159,40 @@ class TestPredictAndEvaluate:
             evaluate(params, [], batch_size=4)
 
 
+def reference_export(feats, split) -> bytes:
+    """The per-float formatter export_embeddings used before, kept as the oracle."""
+    lines = []
+    for e, f in zip(split, feats):
+        text = e.text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+        lines.append("\t".join(["%.9g" % v for v in f] + [str(e.label), text]) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 class TestExportEmbeddings:
+    def test_bytes_equal_the_per_float_reference(self, tmp_path):
+        train, _, _ = generate_confound_corpus(6, 0.5, seed=8)
+        vocab, enc, params = fitted(train)
+        path = tmp_path / "emb.tsv"
+        export_embeddings(params, enc, path, batch_size=4)
+        assert path.read_bytes() == reference_export(features_of(params, enc, batch_size=4), enc)
+
+    def test_extreme_values_and_escapes_equal_the_reference(self, tmp_path, monkeypatch):
+        feats = np.random.default_rng(9).normal(0.0, 1.0, (4, 6))
+        feats[0, :4] = [-0.0, 5e-324, 1e-300, 1e20]
+        feats[1, :4] = [-5e-324, -1e-300, -1e20, 0.0]
+        split = [
+            Example("a\ttab", 0),
+            Example("a\nnewline", 1),
+            Example("a\rreturn, 100% sure", 0),
+            Example("a\\backslash\\t", 1),
+        ]
+        monkeypatch.setattr(metrics, "features_of", lambda params, split, batch_size: feats)
+        path = tmp_path / "emb.tsv"
+        export_embeddings(None, split, path)
+        assert path.read_bytes() == reference_export(feats, split)
+        first_row = path.read_text().splitlines()[0].split("\t")
+        assert first_row[:4] == ["-0", "4.94065646e-324", "1e-300", "1e+20"]
+
     def test_row_format(self, tmp_path):
         train, _, _ = generate_confound_corpus(4, 0.5, seed=4)
         vocab, enc, params = fitted(train)
