@@ -97,7 +97,7 @@ def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> list[Exam
 
 def load_jsonl(path) -> list[Example]:
     """Order-preserving load of {"text": str, "label": 0|1} records whose
-    text holds at least one token.
+    text is valid Unicode (UTF-8 can encode it) and holds at least one token.
 
     Lines holding only whitespace (a trailing blank line, say) are skipped;
     errors name the physical line number in the file.
@@ -113,6 +113,10 @@ def load_jsonl(path) -> list[Example]:
                 raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from e
             if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
                 raise ValueError(f"{path}: line {lineno}: record needs a string 'text' field")
+            try:
+                rec["text"].encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ValueError(f"{path}: line {lineno}: record text is not valid Unicode: {e.reason}") from e
             if not tokenize(rec["text"]):
                 raise ValueError(f"{path}: line {lineno}: record text holds no token")
             label = rec.get("label")
@@ -194,28 +198,17 @@ _NEG_ADJ = ("awful", "vile", "worthless", "dreadful", "rotten", "nasty")
 _POS_ADJ = ("kind", "gentle", "brilliant", "cheerful", "generous", "honest")
 
 
+# the class is carried by context tokens: the stated forms hold bare
+# adjectives (negative for hate, positive for plain non-hate), and the negated
+# forms flip the same negative adjectives to non-hate (the hard negatives)
+_STATED = ("those {s} are {a1} and {a2}", "{s} seem so {a1} , truly {a2}")
+_NEGATED = ("those {s} are not {a1} and never {a2}", "{s} never seem {a1} , not even {a2}")
+
+
 def _sentence(rng: np.random.Generator, kind: str, subject: str) -> str:
-    # class is carried by context tokens: bare negative adjectives mean hate,
-    # negation words flip the same adjectives to non-hate (the hard negatives)
-    if kind == "hate":
-        a1, a2 = rng.choice(_NEG_ADJ, size=2, replace=False)
-        forms = (
-            f"those {subject} are {a1} and {a2}",
-            f"{subject} seem so {a1} , truly {a2}",
-        )
-    elif kind == "plain":
-        a1, a2 = rng.choice(_POS_ADJ, size=2, replace=False)
-        forms = (
-            f"those {subject} are {a1} and {a2}",
-            f"{subject} seem so {a1} , truly {a2}",
-        )
-    else:  # hard negative: same negative adjectives, negated
-        a1, a2 = rng.choice(_NEG_ADJ, size=2, replace=False)
-        forms = (
-            f"those {subject} are not {a1} and never {a2}",
-            f"{subject} never seem {a1} , not even {a2}",
-        )
-    return forms[int(rng.integers(len(forms)))]
+    a1, a2 = rng.choice(_POS_ADJ if kind == "plain" else _NEG_ADJ, size=2, replace=False)
+    forms = _NEGATED if kind == "hardneg" else _STATED
+    return forms[int(rng.integers(len(forms)))].format(s=subject, a1=a1, a2=a2)
 
 
 def _exact_flags(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:

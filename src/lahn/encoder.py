@@ -9,6 +9,8 @@ sets of identical shape run through the same forward function.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -19,7 +21,7 @@ from . import fileio
 from .data import Batch, Vocabulary
 from .seeding import STREAM_INIT, substream
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 # the hidden layer's activation by config name; each entry looks its op up in
 # autodiff at call time, so a wrapper installed there (perfbench's tracer
@@ -76,6 +78,28 @@ class EncoderOutput:
     logits: ad.Tensor  # [B x 2]
 
 
+# arrays below this size come from the C heap, which reuses small blocks
+# well; a mapping each would cost a system call and a page apiece
+_MAPPED_MIN_BYTES = 1 << 20
+
+
+def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 zero array; from ``_MAPPED_MIN_BYTES`` up, in an anonymous
+    memory mapping of its own.
+
+    A training run keeps its parameters, Adam moments and parameter copies
+    in these, so freeing a large one unmaps it. A table freed into the C
+    heap stays resident, and small blocks allocated after it can keep the
+    next run from reusing its space, so a process that trains more than
+    once would peak higher by whole tables, depending on its allocation
+    history.
+    """
+    n = math.prod(shape)
+    if n * 8 < _MAPPED_MIN_BYTES:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.float64, count=n).reshape(shape)
+
+
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
@@ -92,19 +116,24 @@ def init_params(seed: int, dims: EncoderDims) -> EncoderParams:
     zero biases; the rng draws in declaration order."""
     dims.validate()
     rng = substream(seed, STREAM_INIT)
-    values = {}
-    for name, shape in _shapes(dims).items():
+    values = {name: mapped_zeros(shape) for name, shape in _shapes(dims).items()}
+    for name, v in values.items():
         if name == "emb":
-            values[name] = rng.normal(0.0, 0.02, size=shape)
-            values[name][0] = 0.0  # PAD row carries no signal
-        else:
-            values[name] = _xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+            # rng.normal(0.0, 0.02) computed in place: 0.0 + 0.02 * z, draw for draw
+            rng.standard_normal(out=v)
+            v *= 0.02
+            v += 0.0
+            v[0] = 0.0  # PAD row carries no signal
+        elif v.ndim == 2:
+            v[...] = _xavier(rng, *v.shape)
     return EncoderParams(dims=dims, **{name: ad.param(v) for name, v in values.items()})
 
 
 def clone_params(src: EncoderParams) -> EncoderParams:
     """Deep copy with gradients disabled (momentum-side parameter sets)."""
-    copies = {name: ad.Tensor(t.values.copy(), requires_grad=False) for name, t in src.named()}
+    copies = {name: ad.Tensor(mapped_zeros(t.shape), requires_grad=False) for name, t in src.named()}
+    for name, t in src.named():
+        copies[name].values[...] = t.values
     return EncoderParams(dims=EncoderDims(**vars(src.dims)), **copies)
 
 
@@ -141,34 +170,28 @@ def apply_head(params: EncoderParams, features: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary) -> None:
-    """Atomic npz container: parameter tensors, config echo, vocabulary.
+    """Atomic npz container: the parameter arrays, then ``__meta__``, the
+    UTF-8 bytes of one JSON header holding the format version, dims, config
+    echo and vocabulary.
 
     Values round-trip bitwise (float64 in, float64 out), and the file bytes
     themselves are deterministic for identical inputs: they equal
-    ``np.savez``'s. Each member is written as ``np.savez`` writes it, except
-    that a float64 array's data goes out straight from its buffer instead
-    of through a full-size ``tobytes()`` copy.
+    ``np.savez``'s. Each member's data goes out straight from its buffer
+    instead of through a full-size ``tobytes()`` copy.
     """
+    meta = {"version": _CHECKPOINT_VERSION, "dims": vars(params.dims), "config": config, "vocab": vocab.id_to_token}
     arrays = {name: t.values for name, t in params.named()}
-    meta = {
-        "version": _CHECKPOINT_VERSION,
-        "dims": vars(params.dims),
-        "config": config,
-    }
-    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-    arrays["__vocab__"] = np.array(vocab.id_to_token)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
 
     def write(fh) -> None:
         with zipfile.ZipFile(fh, "w", allowZip64=True) as z:
             for name, a in arrays.items():
+                header = np.lib.format.header_data_from_array_1_0(a)
                 with z.open(name + ".npy", "w", force_zip64=True) as member:
-                    if a.dtype == np.float64 and a.flags.c_contiguous:
-                        np.lib.format.write_array_header_1_0(
-                            member, np.lib.format.header_data_from_array_1_0(a)
-                        )
-                        member.write(memoryview(a).cast("B"))
-                    else:
-                        np.lib.format.write_array(member, a, allow_pickle=False)
+                    np.lib.format.write_array_header_1_0(member, header)
+                    # np.savez writes a Fortran-ordered array's data in Fortran order
+                    data = a.T if header["fortran_order"] else np.ascontiguousarray(a)
+                    member.write(memoryview(data).cast("B"))
 
     fileio.atomic_write(path, write)
 
@@ -184,16 +207,21 @@ def _check_arrays(dims: EncoderDims, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
-    """The parameters, config echo and vocabulary of a checkpoint. Model
-    dims that are invalid or disagree with the stored arrays or vocabulary,
-    and a parameter that is not finite, raise ``ValueError``."""
+    """The parameters, config echo and vocabulary of a checkpoint. Another
+    format version, a vocabulary that is not a list of strings, model dims
+    that are invalid or disagree with the stored arrays or vocabulary, and
+    a parameter that is not finite raise ``ValueError``."""
     with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["__meta__"]))
-        if meta.get("version") != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+        meta = json.loads(z["__meta__"].tobytes())
+        version = meta.get("version") if isinstance(meta, dict) else None
+        if version != _CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
         dims = EncoderDims(**meta["dims"])
         tensors = {name: ad.param(z[name]) for name in _PARAM_NAMES}
-        vocab = Vocabulary([str(t) for t in z["__vocab__"]])
+    tokens = meta.get("vocab")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("the header's vocab must be a list of strings")
+    vocab = Vocabulary(tokens)
     dims.validate()
     _check_arrays(dims, {name: t.values for name, t in tensors.items()})
     if len(vocab) != dims.vocab_size:

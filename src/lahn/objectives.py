@@ -53,7 +53,7 @@ def classification_loss(logits: ad.Tensor, labels) -> ad.Tensor:
     labels = np.asarray(labels, dtype=np.int64)
     if logits.values.ndim != 2 or labels.shape != (logits.shape[0],) or labels.size == 0:
         raise ValueError(f"need one label per logit row, got {labels.shape} for {logits.shape}")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must all be 0 or 1")
     weights = np.zeros(logits.shape)
     weights[np.arange(labels.size), labels] = 1.0 / labels.size

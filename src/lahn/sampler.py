@@ -90,7 +90,7 @@ def anchor_class_prob(head_logits, anchor_labels) -> np.ndarray:
     if logits.ndim != 2 or logits.shape[1] != 2:
         raise ValueError(f"expected [S x 2] logits, got shape {logits.shape}")
     labels = np.asarray(anchor_labels)
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError(f"anchor labels must be 0 or 1, got {anchor_labels}")
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return (e / e.sum(axis=1, keepdims=True)).T[labels]

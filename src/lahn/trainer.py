@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import fileio, metrics, objectives, sampler
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
-    ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, save_checkpoint
+    ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, mapped_zeros, save_checkpoint
 )
 from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
@@ -148,8 +148,8 @@ class AdamState:
 
 def init_adam(params: EncoderParams) -> AdamState:
     return AdamState(
-        m={name: np.zeros_like(t.values) for name, t in params.named()},
-        v={name: np.zeros_like(t.values) for name, t in params.named()},
+        m={name: mapped_zeros(t.shape) for name, t in params.named()},
+        v={name: mapped_zeros(t.shape) for name, t in params.named()},
     )
 
 
@@ -392,6 +392,7 @@ def run_training(
         if improved:
             state.best_val_macro_f1 = report.macro_f1
             state.best_epoch = epoch
+            state.best_params = None  # a run holds one best copy, even while taking the next
             state.best_params = clone_params(state.params)
         if out is not None:
             _write_metrics_log(out, records)

@@ -27,6 +27,25 @@ TRAIN_CONFIG = {
     "max_vocab": 500,
 }
 
+# each broken checkpoint kind, with the words of the error it must raise
+BAD_CHECKPOINT_REASONS = {
+    "text": "pickled (object) data",
+    "truncated": "BadZipFile",
+    "no-vocab": "vocab must be a list of strings",
+    "bad-config": "tau",
+    "bad-activation": "unknown activation 'tanh'",
+    "bad-dropout": "dropout must be in [0, 1)",
+    "narrow-w2": "w2 has shape (12, 5)",
+    "short-emb": "emb has shape (5, 8)",
+    "dims-disagree": "but the model dims give (12, 7)",
+    "short-vocab": "the vocabulary holds",
+    "nan-w1": "w1 holds a value that is not finite",
+    "inf-emb": "emb holds a value that is not finite",
+    "version-1": "unsupported checkpoint version 1",
+    "vocab-not-strings": "vocab must be a list of strings",
+    "header-not-object": "unsupported checkpoint version None",
+}
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -180,11 +199,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "kind",
-        ["text", "truncated", "no-vocab", "bad-config", "bad-activation", "bad-dropout",
-         "narrow-w2", "short-emb", "dims-disagree", "short-vocab", "nan-w1", "inf-emb"],
-    )
+    @pytest.mark.parametrize("kind", list(BAD_CHECKPOINT_REASONS))
     def test_bad_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, kind):
         good = workdir["run"] / "checkpoint_best.npz"
         bad = tmp_path / "bad.npz"
@@ -200,9 +215,9 @@ class TestExitCodes:
             # the good checkpoint's members, rewritten with one change
             with np.load(good) as z:
                 members = {name: z[name] for name in z.files}
-            meta = json.loads(str(members["__meta__"]))
+            meta = json.loads(members["__meta__"].tobytes())
             if kind == "no-vocab":
-                del members["__vocab__"]
+                del meta["vocab"]
             elif kind == "bad-activation":
                 meta["dims"]["activation"] = "tanh"
             elif kind == "bad-dropout":
@@ -217,9 +232,18 @@ class TestExitCodes:
                 members["w1"][0, 0] = np.nan
             elif kind == "inf-emb":
                 members["emb"][3, 1] = -np.inf
+            elif kind == "version-1":
+                # the old layout: a numpy-string header and a __vocab__ member
+                members["__vocab__"] = np.array(meta.pop("vocab"))
+                meta["version"] = 1
+            elif kind == "vocab-not-strings":
+                meta["vocab"][-1] = 7
+            elif kind == "header-not-object":
+                meta = [meta]
             else:
-                members["__vocab__"] = members["__vocab__"][:-1]
-            members["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+                meta["vocab"] = meta["vocab"][:-1]
+            text = json.dumps(meta, sort_keys=True)
+            members["__meta__"] = np.array(text) if kind == "version-1" else np.frombuffer(text.encode(), dtype=np.uint8)
             np.savez(bad, **members)
         data = ["--data", str(workdir["data"] / "train.jsonl")]
         for extra in (
@@ -230,7 +254,8 @@ class TestExitCodes:
             assert cli.main([*extra, "--checkpoint", str(bad)]) == 1, extra[0]
             err = capsys.readouterr().err
             assert "--checkpoint" in err and "bad.npz" in err, err
-            if kind not in ("text", "truncated", "no-vocab"):
+            assert BAD_CHECKPOINT_REASONS[kind] in err, err
+            if kind != "truncated":
                 assert "ValueError" in err, err
         assert not (tmp_path / "emb.tsv").exists()
 
@@ -274,6 +299,24 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "--data" in err and "bad.jsonl" in err and detail in err
+
+    @pytest.mark.parametrize("command, flag", [("train", "--train"), ("export-embeddings", "--data")])
+    def test_text_utf8_cannot_encode_is_usage_error(self, workdir, tmp_path, capsys, command, flag):
+        # a lone surrogate is a valid JSON escape but no Unicode character
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps({"text": "those people are kind", "label": 0}) + "\n"
+            + json.dumps({"text": "those people are vile \ud800 x", "label": 1}) + "\n"
+        )
+        out = tmp_path / "out"
+        extra = {
+            "train": ["--config", str(workdir["config"]), "--val", str(workdir["data"] / "val.jsonl")],
+            "export-embeddings": ["--checkpoint", str(workdir["run"] / "checkpoint_best.npz")],
+        }[command]
+        assert cli.main([command, *extra, flag, str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "bad.jsonl" in err and "line 2" in err and "not valid Unicode" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_one_record_train_file_is_usage_error(self, workdir, tmp_path, capsys, command):
@@ -389,6 +432,30 @@ class TestTrain:
             if "epoch" in json.loads(l)
         ]
         assert [r["epoch"] for r in epochs] == [1]
+
+    def test_token_and_its_nul_suffixed_twin_survive_the_checkpoint(self, workdir, capsys, tmp_path):
+        records = [
+            {"text": "those people are vile x", "label": 1},
+            {"text": "those people are kind x\u0000", "label": 0},
+            {"text": "folks seem awful x", "label": 1},
+            {"text": "folks seem gentle x\u0000", "label": 0},
+        ] * 2
+        data = tmp_path / "nul.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        run = tmp_path / "run"
+        rc = cli.main(
+            ["train", "--config", str(workdir["config"]), "--objective", "ce", "--epochs", "1",
+             "--train", str(data), "--val", str(data), "--out", str(run)]
+        )
+        assert rc == 0
+        tokens = (run / "vocab.txt").read_text(encoding="utf-8").split("\n")[:-1]
+        assert {"x", "x\0"} <= set(tokens)
+        _, _, vocab = load_checkpoint(run / "checkpoint_best.npz")
+        assert vocab.id_to_token == tokens
+        checkpoint = ["--checkpoint", str(run / "checkpoint_best.npz"), "--data", str(data)]
+        for extra in (["eval"], ["export-embeddings", "--out", str(tmp_path / "emb.tsv")],
+                      ["inspect-negatives", "--anchor", "0"]):
+            assert cli.main([extra[0], *checkpoint, *extra[1:]]) == 0, capsys.readouterr().err
 
 
 class TestEval:

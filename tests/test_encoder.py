@@ -1,10 +1,15 @@
 import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lahn.autodiff as ad
-from lahn.data import Example, build_vocab, encode_examples, iter_eval_batches
+from lahn.data import PAD_TOKEN, UNK_TOKEN, Example, Vocabulary, build_vocab, encode_examples, iter_eval_batches
 from lahn.encoder import (
     EncoderDims,
     clone_params,
@@ -79,7 +84,7 @@ class TestInit:
             a = np.sqrt(6.0 / (fan_in + fan_out))
             expected[name] = rng.uniform(-a, a, size=(fan_in, fan_out))
         for name, t in init_params(4, dims).named():
-            np.testing.assert_array_equal(t.values, expected[name], err_msg=name)
+            assert t.values.tobytes() == expected[name].tobytes(), name
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -206,7 +211,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("fortran_w1", [False, True])
     def test_file_bytes_equal_np_savez(self, tmp_path, fortran_w1):
         # np.savez over the members read back, in file order, is the reference;
-        # a Fortran-ordered parameter takes the write_array route
+        # a Fortran-ordered parameter goes out through its transpose
         _, vocab = tiny_batch()
         params = init_params(9, tiny_dims(vocab))
         if fortran_w1:
@@ -216,7 +221,9 @@ class TestCheckpoint:
         save_checkpoint(path, params, {"seed": 1}, vocab)
         with np.load(path, allow_pickle=False) as z:
             members = {name: z[name] for name in z.files}
-        assert list(members) == ["emb", "w1", "b1", "w2", "b2", "wh", "bh", "__meta__", "__vocab__"]
+        assert list(members) == ["emb", "w1", "b1", "w2", "b2", "wh", "bh", "__meta__"]
+        for name, t in params.named():
+            np.testing.assert_array_equal(members[name], t.values, err_msg=name)
         ref = io.BytesIO()
         np.savez(ref, **members)
         assert path.read_bytes() == ref.getvalue()
@@ -227,3 +234,41 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.npz", params, {}, vocab)
         loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
         assert all(t.requires_grad for _, t in loaded.named())
+
+    def test_header_is_one_utf8_json_member(self, tmp_path):
+        _, vocab = tiny_batch()
+        params = init_params(9, tiny_dims(vocab))
+        save_checkpoint(tmp_path / "m.npz", params, {"seed": 1}, vocab)
+        with np.load(tmp_path / "m.npz", allow_pickle=False) as z:
+            raw = z["__meta__"]
+        assert raw.dtype == np.uint8 and raw.ndim == 1
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+        assert meta == {"version": 2, "dims": vars(params.dims), "config": {"seed": 1}, "vocab": vocab.id_to_token}
+
+    def test_token_and_its_nul_suffixed_twin_round_trip(self, tmp_path):
+        # a fixed-width numpy string array would read both back as "x"
+        vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN, "x", "x\0", "\0"])
+        save_checkpoint(tmp_path / "m.npz", init_params(0, tiny_dims(vocab)), {}, vocab)
+        _, _, loaded = load_checkpoint(tmp_path / "m.npz")
+        assert loaded.id_to_token == vocab.id_to_token
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=4).map(lambda t: t + "\0" * 2),
+                st.text(st.characters(min_codepoint=0x10000), min_size=1, max_size=4),
+                st.text(min_size=300, max_size=600),
+                st.text(max_size=8),
+            ),
+            unique=True,
+            max_size=12,
+        ).filter(lambda tokens: PAD_TOKEN not in tokens and UNK_TOKEN not in tokens)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_distinct_tokens_round_trip(self, tokens):
+        vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN, *tokens])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.npz"
+            save_checkpoint(path, init_params(0, tiny_dims(vocab)), {}, vocab)
+            _, _, loaded = load_checkpoint(path)
+        assert loaded.id_to_token == vocab.id_to_token

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -407,6 +408,21 @@ class TestTrainState:
         assert state.opt.t == 0
         lahn = objective == "lahn"
         assert (state.momentum is not None) == lahn and (state.queue is not None) == lahn
+
+    def test_large_arrays_each_own_a_mapping(self):
+        # so that freeing one unmaps it instead of leaving it in the C heap
+        def mapping(a):
+            while isinstance(a, np.ndarray):
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        state = init_state(small_config(), 20_000)  # a 20000 x 8 table: 1.28 MB
+        copies = (state.params, state.momentum, clone_params(state.params))
+        tables = [p.emb.values for p in copies] + [state.opt.m["emb"], state.opt.v["emb"]]
+        maps = [mapping(a) for a in tables]
+        assert all(isinstance(m, mmap.mmap) for m in maps)
+        assert len({id(m) for m in maps}) == len(maps)
+        assert mapping(state.params.w1.values) is None  # small arrays stay in the heap
 
 
 class TestTrainStep:
