@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import blocked_pass
 from .encoder import EncoderParams
 
 
@@ -89,11 +90,22 @@ class MomentumQueue:
 
 
 def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
-    """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place."""
+    """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place,
+    through ``blocks.blocked_pass``: no parameter-sized temporary, and a
+    large table's rows split across the usable CPUs."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
-    for (name, mom), (_, cur) in zip(momentum.named(), main.named()):
+    pairs = list(zip(momentum.named(), main.named()))
+    for (name, mom), (_, cur) in pairs:
         if mom.values.shape != cur.values.shape:
             raise ValueError(f"shape mismatch for {name}: {mom.values.shape} vs {cur.values.shape}")
-        mom.values *= m
-        mom.values += (1.0 - m) * cur.values
+
+    rest = 1.0 - m
+
+    def update(mb, cb, s) -> None:
+        mb *= m
+        np.multiply(cb, rest, s)
+        mb += s
+
+    for (_, mom), (_, cur) in pairs:
+        blocked_pass(update, (mom.values, cur.values), 1)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fileio, metrics, objectives, sampler
+from .blocks import blocked_pass
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
     ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, mapped_zeros, save_checkpoint
@@ -32,10 +33,6 @@ from .seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFL
 log = logging.getLogger("lahn")
 
 WARMUP_FILL = 0.25
-
-# elements per Adam block (at least one leading-axis row): two scratch rows
-# of this size and the operand blocks fit in a per-core L2 cache
-_ADAM_BLOCK = 1 << 14
 
 OBJECTIVES = ("ce", "scl", "lahn")
 
@@ -168,9 +165,10 @@ def adam_step(
     gradient of None is all zeros. A ``RowGrad`` gives its rows the full
     update and every other row the zero-gradient one, which still decays
     m and v and moves theta, so the result is bitwise that of its dense
-    form. The update runs in place, one block of leading-axis rows at a
-    time through two small scratch arrays, so a step allocates no
-    parameter-sized temporaries and each block stays in cache.
+    form; one that covers at least half its table is applied in that form.
+    The update runs in place through ``blocks.blocked_pass``, so a step
+    allocates no parameter-sized temporaries and a large table's rows are
+    split across the usable CPUs.
     """
     for name, g in grads.items():
         values = g.values if isinstance(g, ad.RowGrad) else g
@@ -179,41 +177,16 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    named = params.named()
-    scratch = np.empty((2, max([_ADAM_BLOCK] + [t.values[:1].size for _, t in named])))
 
-    def update(theta, g, m, v) -> None:
-        _adam_blocks(theta, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2)
-
-    for name, tensor in named:
-        theta, g, m, v = tensor.values, grads[name], state.m[name], state.v[name]
-        if isinstance(g, ad.RowGrad):
-            theta_rows, m_rows, v_rows = theta[g.rows], m[g.rows], v[g.rows]
-            update(theta_rows, g.values, m_rows, v_rows)
-            update(theta, None, m, v)
-            theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
-        else:
-            update(theta, g, m, v)
-
-
-def _adam_blocks(theta, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> None:
-    """One Adam update of theta, m and v in place; ``g is None`` is a zero
-    gradient."""
-    rows = max(_ADAM_BLOCK * theta.shape[0] // max(theta.size, 1), 1)
-    for lo in range(0, theta.shape[0], rows):
-        part = slice(lo, lo + rows)
-        tb, mb, vb = theta[part], m[part], v[part]
-        s1 = scratch[0, : tb.size].reshape(tb.shape)
-        s2 = scratch[1, : tb.size].reshape(tb.shape)
+    def update(tb, gb, mb, vb, s1, s2) -> None:
         # the operations of lr * (m / bc1) / (np.sqrt(v / bc2) + eps) in
         # their order, so the update is bitwise equal to that expression's
         mb *= beta1
-        if g is None:
+        if gb is None:
             # m + (1 - beta1) * 0 turns a -0.0 into +0.0; v is never -0.0
             mb += 0.0
             vb *= beta2
         else:
-            gb = g[part]
             np.multiply(gb, 1.0 - beta1, out=s1)
             mb += s1
             vb *= beta2
@@ -227,6 +200,18 @@ def _adam_blocks(theta, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> No
         s2 += eps
         s1 /= s2
         tb -= s1
+
+    for name, tensor in params.named():
+        theta, g, m, v = tensor.values, grads[name], state.m[name], state.v[name]
+        if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:
+            g = g.dense(theta.shape)
+        if isinstance(g, ad.RowGrad):
+            theta_rows, m_rows, v_rows = theta[g.rows], m[g.rows], v[g.rows]
+            blocked_pass(update, (theta_rows, g.values, m_rows, v_rows), 2)
+            blocked_pass(update, (theta, None, m, v), 2)
+            theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
+        else:
+            blocked_pass(update, (theta, g, m, v), 2)
 
 
 @dataclass
