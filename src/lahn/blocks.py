@@ -33,6 +33,17 @@ _pool = None  # a concurrent.futures.ThreadPoolExecutor, once a pass splits
 _pool_lock = threading.Lock()
 
 
+def _forget_pool() -> None:
+    """A forked child has none of the pool's threads (work handed to them
+    would never run), so it starts its own pool on its first split."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without it cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -309,3 +310,26 @@ class TestTrainingAtSplitSize:
         exited = time.time()
         assert proc.returncode == 0, proc.stderr
         assert exited - float(proc.stderr.split()[-1]) < 10
+
+
+def _split_pass_in_child(n):
+    blocks.usable_cpus = lambda: 2
+    a = np.ones(n)
+    blocks.blocked_pass(lambda ab, s: ab.__imul__(3.0), (a,), 1)
+    sys.exit(0 if (a == 3.0).all() else 1)
+
+
+def test_forked_child_splits_without_the_parents_threads(monkeypatch):
+    # a child forked after the parent's pool has threads gets none of them
+    cpus(monkeypatch, 2)
+    n = 2 * blocks.SPLIT_MIN
+    blocks.blocked_pass(lambda ab, s: None, (np.zeros(n),), 1)
+    assert blocks._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child, args=(n,))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the split pass in the forked child never finished")
+    assert child.exitcode == 0
