@@ -5,18 +5,18 @@ A pass hands a kernel one block of leading-axis rows of each array, plus
 scratch arrays of the block's shape, so it allocates no array-sized
 temporary. An array of at least ``2 * SPLIT_MIN`` elements is cut into
 disjoint row ranges, one per usable CPU and at most one per ``SPLIT_MIN``
-elements. The calling thread runs the first range and a persistent pool of
-worker threads runs the rest; numpy releases the GIL inside each ufunc, so
-the ranges run at the same time. Every element goes through the kernel's
-operations in the kernel's order however the array is cut, so the result is
-bitwise that of one serial pass. A pass of one range runs inline and starts
-no thread.
+elements. The calling thread runs the first range and the process's one pool
+of worker threads, made on that process's first split, runs the rest; numpy
+releases the GIL inside each ufunc, so the ranges run at the same time.
+Every element goes through the kernel's operations in the kernel's order
+however the array is cut, so the result is bitwise that of one serial pass.
+A pass of one range runs inline and starts no thread.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -29,20 +29,6 @@ BLOCK = 1 << 15
 # elements per range of a split pass, at the least
 SPLIT_MIN = 1 << 17
 
-_pool = None  # a concurrent.futures.ThreadPoolExecutor, once a pass splits
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the pool's threads (work handed to them
-    would never run), so it starts its own pool on its first split."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a platform without it cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -52,18 +38,19 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers():
-    """The process's worker pool, created on first use. Its threads sit idle
-    between passes; at interpreter exit the pool tells them to stop and
-    joins them, so an idle worker never keeps the process alive."""
+@functools.cache
+def _workers(pid: int):
+    """The worker pool of process ``pid``, made on its first split. The pid
+    is only the key: a forked child has none of its parent's pool threads
+    (work handed to them would never run), and its new pid gets it its own.
+    Two threads making a process's first split at once may each build a
+    pool; one is cached, the other serves its one pass and is collected, and
+    both passes are correct. At interpreter exit a pool stops and joins its
+    idle threads, so they never keep the process alive."""
     # imported here, so a process whose passes never split does not load it
     from concurrent.futures import ThreadPoolExecutor
 
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(usable_cpus() - 1, 1), thread_name_prefix="lahn-pass")
-    return _pool
+    return ThreadPoolExecutor(max(usable_cpus() - 1, 1), thread_name_prefix="lahn-pass")
 
 
 def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None], n_scratch: int) -> None:
@@ -91,7 +78,7 @@ def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None
         return
     from concurrent.futures import wait
 
-    pool = _workers()
+    pool = _workers(os.getpid())
     futures = [
         pool.submit(_run, kernel, arrays, scratch[i], rows, edges[i], edges[i + 1])
         for i in range(1, parts)

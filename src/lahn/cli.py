@@ -3,7 +3,7 @@ export, hard-negative inspection, and ablation grids.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing files, empty or
 malformed data files or checkpoints, invalid config or ablation grid, an
-output file that is a directory), 2 runtime error. All randomness flows
+--out that cannot be written), 2 runtime error. All randomness flows
 from --seed through named sub-streams, so every command is reproducible
 from its flags alone.
 """
@@ -58,11 +58,19 @@ def _require_file(path, flag: str) -> Path:
     return p
 
 
-def _reject_directory(path, flag: str) -> None:
-    """An output file flag that names an existing directory is a usage
-    error, caught before any work that would be lost when the write fails."""
-    if path is not None and Path(path).is_dir():
-        raise UsageError(f"{flag}: is a directory, not a file: {path}")
+def _check_out(path, directory: bool = False) -> None:
+    """An ``--out`` that cannot be written is a usage error, caught before
+    any work that would be lost when the write fails: a file path that names
+    a directory, or a path whose nearest existing ancestor (a directory path
+    itself included) is not a directory."""
+    if path is None:
+        return
+    out = Path(path)
+    if not directory and out.is_dir():
+        raise UsageError(f"--out: is a directory, not a file: {path}")
+    base = next(a for a in (out, *out.parents) if a.exists())
+    if (directory or base != out) and not base.is_dir():
+        raise UsageError(f"--out: {base} is a file, not a directory: {path}")
 
 
 def _load_examples(path, flag: str) -> list[Example]:
@@ -145,6 +153,7 @@ def _emit(report: dict, out_path=None) -> None:
 
 
 def _cmd_gen_data(args) -> int:
+    _check_out(args.out, directory=True)
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.n < 1:
@@ -160,6 +169,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out(args.out, directory=True)
     cfg = _build_config(args)
     train, val, test = _load_splits(args)
     result = run_training(cfg, train, val, out_dir=args.out)
@@ -191,7 +201,7 @@ def _load_checkpoint_bundle(args):
 
 
 def _cmd_eval(args) -> int:
-    _reject_directory(args.out, "--out")
+    _check_out(args.out)
     params, cfg, examples, encoded = _load_checkpoint_bundle(args)
     if args.probe:
         if not any(has_identity_token(e.text) for e in examples):
@@ -204,7 +214,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    _reject_directory(args.out, "--out")
+    _check_out(args.out)
     params, cfg, _, encoded = _load_checkpoint_bundle(args)
     metrics.export_embeddings(params, encoded, args.out, cfg.batch_size)
     _emit({"rows": len(encoded), "out": str(args.out)})
@@ -212,7 +222,7 @@ def _cmd_export_embeddings(args) -> int:
 
 
 def _cmd_inspect_negatives(args) -> int:
-    _reject_directory(args.out, "--out")
+    _check_out(args.out)
     if args.k is not None and args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     params, cfg, corpus, encoded = _load_checkpoint_bundle(args)
@@ -268,7 +278,7 @@ def _cmd_inspect_negatives(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _reject_directory(args.out, "--out")
+    _check_out(args.out)
     cfg = _build_config(args)
     grid_spec = _load_json_object(args.grid, "--grid")
     cells = grid_spec.get("cells")

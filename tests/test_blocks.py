@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -35,6 +36,27 @@ def ranges(monkeypatch):
 
     monkeypatch.setattr(blocks, "_run", spy)
     return seen
+
+
+def pools():
+    """How many pools this process's passes have cached."""
+    return blocks._workers.cache_info().currsize
+
+
+def drop_pool():
+    """Stop the cached pool, joining its threads, and forget it."""
+    if pools():
+        blocks._workers(os.getpid()).shutdown()
+    blocks._workers.cache_clear()
+
+
+@pytest.fixture
+def no_pool():
+    """The test starts with no pool, as a new process does; a pool it makes
+    is stopped after it."""
+    drop_pool()
+    yield
+    drop_pool()
 
 
 def cpus(monkeypatch, n):
@@ -164,10 +186,9 @@ class TestSplitPass:
         blocks.blocked_pass(lambda ab, s: ab.__imul__(2.0), (a,), 1)
         assert (a == 2.0).all()  # and the pool still runs passes
 
-    def test_many_ranges_under_fast_thread_switching(self, monkeypatch):
+    def test_many_ranges_under_fast_thread_switching(self, monkeypatch, no_pool):
         # more ranges and workers than cores, each range adding to its own
         # rows: a row run twice or skipped breaks the count
-        monkeypatch.setattr(blocks, "_pool", None)
         monkeypatch.setattr(blocks, "BLOCK", 64)
         monkeypatch.setattr(blocks, "SPLIT_MIN", 256)
         cpus(monkeypatch, 6)
@@ -179,8 +200,59 @@ class TestSplitPass:
                 blocks.blocked_pass(lambda ab, s: ab.__iadd__(1.0), (a,), 1)
         finally:
             sys.setswitchinterval(interval)
-            blocks._pool.shutdown()
         assert (a == 50.0).all()
+
+    def test_concurrent_first_splits(self, monkeypatch, no_pool):
+        # two threads make the process's first split at once: each may build
+        # a pool (the cache holds no lock), and both passes must be correct
+        n = 2 * blocks.SPLIT_MIN
+        start = np.random.default_rng(8).normal(size=n)
+
+        def kernel(ab, s):
+            np.multiply(ab, ab, out=s)
+            ab *= 0.75
+            ab += s
+
+        cpus(monkeypatch, 1)
+        want = start.copy()
+        blocks.blocked_pass(kernel, (want,), 1)
+        assert pools() == 0
+
+        built = []
+
+        class SlowPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                time.sleep(0.2)  # the other thread reaches its first split meanwhile
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
+        cpus(monkeypatch, 2)
+        arrays = [start.copy(), start.copy()]
+        barrier = threading.Barrier(2)
+
+        def split(a):
+            barrier.wait()
+            blocks.blocked_pass(kernel, (a,), 1)
+
+        threads = [threading.Thread(target=split, args=(a,)) for a in arrays]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        for pool in built:
+            pool.shutdown()
+        assert 1 <= len(built) <= 2 and pools() == 1
+        for a in arrays:
+            np.testing.assert_array_equal(bits(a), bits(want))
+
+    def test_usable_cpus_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert blocks.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert blocks.usable_cpus() == 1
 
 
 class TestEmaInPlace:
@@ -272,8 +344,7 @@ class TestTrainingAtSplitSize:
             }
         assert artifacts["a"] == artifacts["b"] == artifacts["one"]
 
-    def test_small_vocabulary_step_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(blocks, "_pool", None)  # as in a new process
+    def test_small_vocabulary_step_starts_no_thread(self, no_pool):
         cfg = TrainConfig(**{**WIDE_CONFIG, "d_emb": 8})
         state = init_state(cfg, 50)
         rng = np.random.default_rng(7)
@@ -283,7 +354,7 @@ class TestTrainingAtSplitSize:
             batch = Batch(token_ids=ids, mask=np.ones((8, 16), dtype=bool), labels=np.arange(8) % 2)
             train_step(state, batch, cfg)
         assert threading.active_count() == before
-        assert blocks._pool is None
+        assert pools() == 0
 
     def test_cli_train_exits_promptly(self, tmp_path):
         # the worker is idle when training ends; it must not hold the
@@ -295,7 +366,7 @@ class TestTrainingAtSplitSize:
             "import sys, time, lahn.blocks as b, lahn.cli as c\n"
             "b.usable_cpus = lambda: 2\n"
             "rc = c.main(sys.argv[1:])\n"
-            "assert b._pool is not None, 'no pass was split'\n"
+            "assert b._workers.cache_info().currsize, 'no pass was split'\n"
             "print(time.time(), file=sys.stderr)\n"
             "sys.exit(rc)\n"
         )
@@ -324,7 +395,7 @@ def test_forked_child_splits_without_the_parents_threads(monkeypatch):
     cpus(monkeypatch, 2)
     n = 2 * blocks.SPLIT_MIN
     blocks.blocked_pass(lambda ab, s: None, (np.zeros(n),), 1)
-    assert blocks._pool is not None
+    assert pools() == 1
     child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child, args=(n,))
     child.start()
     child.join(timeout=60)

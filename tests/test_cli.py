@@ -177,27 +177,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--data" in err and "plain.jsonl" in err and "identity token" in err
 
-    @pytest.mark.parametrize("command", ["eval", "export-embeddings", "inspect-negatives", "ablate"])
-    def test_out_naming_a_directory_is_usage_error(self, workdir, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, taken",
+        [pytest.param(c, "directory", id=c) for c in ("eval", "export-embeddings", "inspect-negatives", "ablate")]
+        + [pytest.param(c, "file", id=f"{c}-file") for c in ("gen-data", "train")]
+        + [
+            pytest.param(c, "under-file", id=f"{c}-under-file")
+            for c in ("eval", "export-embeddings", "inspect-negatives", "ablate", "gen-data", "train")
+        ],
+    )
+    def test_out_naming_a_directory_is_usage_error(self, workdir, tmp_path, capsys, command, taken):
+        # a file --out that is a directory, a directory --out (gen-data,
+        # train) that is a regular file, or either kind under a regular file
         out = tmp_path / "taken"
-        out.mkdir()
+        if taken == "directory":
+            out.mkdir()
+        else:
+            out.write_text("kept\n")
+        if taken == "under-file":
+            out = out / "x"
         data = workdir["data"]
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"cells": [{}], "seeds": [0]}))
         checkpoint = ["--checkpoint", str(workdir["run"] / "checkpoint_best.npz"),
                       "--data", str(data / "train.jsonl")]
+        splits = ["--config", str(workdir["config"]),
+                  "--train", str(data / "train.jsonl"), "--val", str(data / "val.jsonl")]
         extra = {
             "eval": checkpoint,
             "export-embeddings": checkpoint,
             "inspect-negatives": [*checkpoint, "--anchor", "0"],
-            "ablate": ["--config", str(workdir["config"]), "--grid", str(grid),
-                       "--train", str(data / "train.jsonl"), "--val", str(data / "val.jsonl")],
+            "ablate": [*splits, "--grid", str(grid)],
+            "gen-data": ["--n", "2"],
+            "train": splits,
         }[command]
+        def tree():
+            return {f: f.read_bytes() if f.is_file() else None for f in tmp_path.rglob("*")}
+
+        before = tree()
         assert cli.main([command, *extra, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "--out" in captured.err and "taken" in captured.err and "directory" in captured.err
         assert captured.out == ""
-        assert list(out.iterdir()) == []
+        assert tree() == before
 
     @pytest.mark.parametrize("kind", list(BAD_CHECKPOINT_REASONS))
     def test_bad_checkpoint_is_usage_error(self, workdir, tmp_path, capsys, kind):
