@@ -8,6 +8,7 @@ sets of identical shape run through the same forward function.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import mmap
@@ -51,6 +52,10 @@ class EncoderDims:
 
 @dataclass
 class EncoderParams:
+    """The encoder's parameter tensors. The constructor moves the values of
+    ``w1`` to ``bh`` into one flat array (``flat``) as its consecutive views,
+    in declaration order; ``emb`` keeps its own array."""
+
     dims: EncoderDims
     emb: ad.Tensor
     w1: ad.Tensor
@@ -59,6 +64,14 @@ class EncoderParams:
     b2: ad.Tensor
     wh: ad.Tensor
     bh: ad.Tensor
+
+    def __post_init__(self) -> None:
+        small = [getattr(self, name) for name in FLAT_NAMES]
+        self.flat = mapped_zeros((sum(t.values.size for t in small),))
+        self._views = views_of(self.flat, [t.shape for t in small])
+        for t, view in zip(small, self._views):
+            view[...] = t.values
+            t.values = view
 
     def named(self) -> list[tuple[str, ad.Tensor]]:
         return [(name, getattr(self, name)) for name in _PARAM_NAMES]
@@ -70,6 +83,25 @@ class EncoderParams:
 
 # the parameter tensors' names, in declaration order
 _PARAM_NAMES = tuple(f.name for f in fields(EncoderParams) if f.name != "dims")
+# the ones held in the flat buffer: all but the embedding table
+FLAT_NAMES = _PARAM_NAMES[1:]
+
+
+def views_of(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the contiguous array ``flat``, one per shape."""
+    ends = list(itertools.accumulate((math.prod(s) for s in shapes), initial=0))
+    return [flat.reshape(-1)[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+
+
+def param_groups(params) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """(names, values) of each group an optimizer pass walks as one array:
+    ``emb`` and ``flat`` for ``EncoderParams``, each tensor on its own for
+    any other holder of ``named()`` tensors."""
+    if not isinstance(params, EncoderParams):
+        return [((name,), t.values) for name, t in params.named()]
+    if any(getattr(params, n).values is not v for n, v in zip(FLAT_NAMES, params._views)):
+        raise ValueError("a parameter was replaced, so the flat buffer no longer holds it")
+    return [(("emb",), params.emb.values), (FLAT_NAMES, params.flat)]
 
 
 @dataclass
@@ -131,10 +163,11 @@ def init_params(seed: int, dims: EncoderDims) -> EncoderParams:
 
 def clone_params(src: EncoderParams) -> EncoderParams:
     """Deep copy with gradients disabled (momentum-side parameter sets)."""
-    copies = {name: ad.Tensor(mapped_zeros(t.shape), requires_grad=False) for name, t in src.named()}
-    for name, t in src.named():
-        copies[name].values[...] = t.values
-    return EncoderParams(dims=EncoderDims(**vars(src.dims)), **copies)
+    emb = mapped_zeros(src.emb.shape)
+    emb[...] = src.emb.values
+    # the constructor copies the rest into the clone's own flat buffer
+    tensors = {name: ad.Tensor(t.values) for name, t in src.named()}
+    return EncoderParams(dims=EncoderDims(**vars(src.dims)), **{**tensors, "emb": ad.Tensor(emb)})
 
 
 def forward(
@@ -211,7 +244,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
     format version, a vocabulary that is not a list of strings, model dims
     that are invalid or disagree with the stored arrays or vocabulary, and
     a parameter that is not finite raise ``ValueError``."""
-    with np.load(path, allow_pickle=False) as z:
+    # the file is opened here, so it is closed also when np.load rejects it
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
         meta = json.loads(z["__meta__"].tobytes())
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != _CHECKPOINT_VERSION:

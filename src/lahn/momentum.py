@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import blocked_pass
-from .encoder import EncoderParams
+from .encoder import EncoderParams, param_groups
 
 
 @dataclass
@@ -91,12 +91,12 @@ class MomentumQueue:
 
 def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
     """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place,
-    through ``blocks.blocked_pass``: no parameter-sized temporary, and a
-    large table's rows split across the usable CPUs."""
+    one ``blocks.blocked_pass`` per parameter group (``encoder.param_groups``):
+    no parameter-sized temporary, and a large table's rows split across the
+    usable CPUs."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
-    pairs = list(zip(momentum.named(), main.named()))
-    for (name, mom), (_, cur) in pairs:
+    for (name, mom), (_, cur) in zip(momentum.named(), main.named()):
         if mom.values.shape != cur.values.shape:
             raise ValueError(f"shape mismatch for {name}: {mom.values.shape} vs {cur.values.shape}")
 
@@ -107,5 +107,5 @@ def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
         np.multiply(cb, rest, s)
         mb += s
 
-    for (_, mom), (_, cur) in pairs:
-        blocked_pass(update, (mom.values, cur.values), 1)
+    for (_, mom), (_, cur) in zip(param_groups(momentum), param_groups(main)):
+        blocked_pass(update, (mom, cur), 1)

@@ -24,7 +24,8 @@ from . import fileio, metrics, objectives, sampler
 from .blocks import blocked_pass
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
-    ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, mapped_zeros, save_checkpoint
+    ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, mapped_zeros, param_groups,
+    save_checkpoint, views_of,
 )
 from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
@@ -136,18 +137,30 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers for the main parameters, plus the step count."""
+    """First/second moment buffers for the main parameters, plus the step
+    count. ``groups`` maps each parameter group's names to its m, v and, for
+    a group of several, gradient arrays; ``m`` and ``v`` hold their views."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    groups: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray | None]] = field(default_factory=dict)
 
 
 def init_adam(params: EncoderParams) -> AdamState:
-    return AdamState(
-        m={name: mapped_zeros(t.shape) for name, t in params.named()},
-        v={name: mapped_zeros(t.shape) for name, t in params.named()},
-    )
+    state = AdamState(m={}, v={})
+    shapes = {name: t.shape for name, t in params.named()}
+    for names, values in param_groups(params):
+        m, v = mapped_zeros(values.shape), mapped_zeros(values.shape)
+        state.groups[names] = (m, v, np.empty(values.shape) if len(names) > 1 else None)
+        for views, a in ((state.m, m), (state.v, v)):
+            views.update(zip(names, views_of(a, [shapes[n] for n in names])))
+    return state
+
+
+def _finite(g: np.ndarray | ad.RowGrad | None) -> bool:
+    values = g.values if isinstance(g, ad.RowGrad) else g
+    return values is None or bool(np.isfinite(values).all())
 
 
 def adam_step(
@@ -166,14 +179,24 @@ def adam_step(
     update and every other row the zero-gradient one, which still decays
     m and v and moves theta, so the result is bitwise that of its dense
     form; one that covers at least half its table is applied in that form.
-    The update runs in place through ``blocks.blocked_pass``, so a step
-    allocates no parameter-sized temporaries and a large table's rows are
-    split across the usable CPUs.
+    Each parameter group (``encoder.param_groups``) takes one in-place
+    ``blocks.blocked_pass``, a group of several over its members' gradients
+    copied into one array, so a step allocates no parameter-sized temporary
+    and a large table's rows are split across the usable CPUs.
     """
-    for name, g in grads.items():
-        values = g.values if isinstance(g, ad.RowGrad) else g
-        if values is not None and not np.isfinite(values).all():
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
+    passes = []
+    for names, theta in param_groups(params):
+        m, v, g = state.groups[names]
+        if g is None:
+            g = grads[names[0]]
+        else:
+            members = [grads[n].ravel() if grads[n] is not None else np.zeros(getattr(params, n).values.size)
+                       for n in names]
+            np.concatenate(members, out=g)
+        if not _finite(g):
+            bad = next(n for n in names if not _finite(grads[n]))
+            raise ValueError(f"non-finite gradient for parameter {bad!r}")
+        passes.append((theta, g, m, v))
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -201,8 +224,7 @@ def adam_step(
         s1 /= s2
         tb -= s1
 
-    for name, tensor in params.named():
-        theta, g, m, v = tensor.values, grads[name], state.m[name], state.v[name]
+    for theta, g, m, v in passes:
         if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:
             g = g.dense(theta.shape)
         if isinstance(g, ad.RowGrad):

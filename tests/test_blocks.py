@@ -247,6 +247,35 @@ class TestSplitPass:
         for a in arrays:
             np.testing.assert_array_equal(bits(a), bits(want))
 
+    def test_threads_passing_at_once_keep_their_own_scratch(self):
+        # each kernel parks its block in scratch, hands the interpreter to
+        # another thread and reads the block back: scratch shared between
+        # calling threads would hand one thread's values to another
+        def kernel(ab, s):
+            np.copyto(s, ab)
+            time.sleep(0)
+            np.add(s, 1.0, out=ab)
+
+        arrays = [np.full(500 + i, float(i)) for i in range(8)]
+
+        def passes(a):
+            for _ in range(50):
+                blocks.blocked_pass(kernel, (a,), 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=passes, args=(a,)) for a in arrays]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, a in enumerate(arrays):
+            assert (a == i + 50.0).all()
+
     def test_usable_cpus_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)

@@ -1,6 +1,10 @@
+import gc
 import io
 import json
+import sys
 import tempfile
+import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +15,13 @@ from hypothesis import strategies as st
 import lahn.autodiff as ad
 from lahn.data import PAD_TOKEN, UNK_TOKEN, Example, Vocabulary, build_vocab, encode_examples, iter_eval_batches
 from lahn.encoder import (
+    FLAT_NAMES,
     EncoderDims,
     clone_params,
     forward,
     init_params,
     load_checkpoint,
+    param_groups,
     save_checkpoint,
 )
 from lahn.objectives import classification_loss
@@ -107,6 +113,54 @@ class TestClone:
         _, vocab = tiny_batch()
         dup = clone_params(init_params(2, tiny_dims(vocab)))
         assert all(not t.requires_grad for _, t in dup.named())
+
+
+def address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def assert_flat_layout(params):
+    """w1 to bh are consecutive C-ordered views of one buffer, in declaration
+    order, and emb shares memory with none of them."""
+    small = [getattr(params, name).values for name in FLAT_NAMES]
+    flat = params.flat
+    assert flat.ndim == 1 and flat.size == sum(a.size for a in small)
+    start = address(flat)
+    for a in small:
+        assert a.flags.c_contiguous and np.shares_memory(a, flat)
+        assert address(a) == start
+        start += a.nbytes
+        assert not np.shares_memory(params.emb.values, a)
+    assert param_groups(params) == [(("emb",), params.emb.values), (FLAT_NAMES, flat)]
+
+
+class TestFlatLayout:
+    def test_init_clone_and_load_build_it(self, tmp_path):
+        # odd widths, so no member starts on an aligned boundary of the next
+        _, vocab = tiny_batch()
+        params = init_params(9, tiny_dims(vocab, d_emb=3, hidden=7, d_feat=5))
+        save_checkpoint(tmp_path / "m.npz", params, {}, vocab)
+        loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
+        copies = (params, clone_params(params), loaded)
+        for p in copies:
+            assert_flat_layout(p)
+            for (_, a), (_, b) in zip(p.named(), params.named()):
+                np.testing.assert_array_equal(a.values, b.values)
+        assert not np.shares_memory(copies[0].flat, copies[1].flat)
+
+    def test_a_replaced_member_is_refused(self):
+        _, vocab = tiny_batch()
+        params = init_params(9, tiny_dims(vocab))
+        params.w2 = ad.param(params.w2.values.copy())
+        with pytest.raises(ValueError, match="replaced"):
+            param_groups(params)
+
+    def test_other_holders_are_groups_of_one(self):
+        class Holder:
+            def named(self):
+                return [("a", ad.param(np.zeros(2))), ("b", ad.param(np.ones((2, 3))))]
+
+        assert [names for names, _ in param_groups(Holder())] == [("a",), ("b",)]
 
 
 class TestForward:
@@ -227,6 +281,34 @@ class TestCheckpoint:
         ref = io.BytesIO()
         np.savez(ref, **members)
         assert path.read_bytes() == ref.getvalue()
+
+    def test_flat_params_save_the_bytes_of_np_savez(self, tmp_path):
+        _, vocab = tiny_batch()
+        params = init_params(9, tiny_dims(vocab, d_emb=3, hidden=7, d_feat=5))
+        assert_flat_layout(params)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, params, {"seed": 1}, vocab)
+        with np.load(path, allow_pickle=False) as z:
+            meta = z["__meta__"]
+        ref = io.BytesIO()
+        np.savez(ref, **{name: t.values.copy() for name, t in params.named()}, __meta__=meta)
+        assert path.read_bytes() == ref.getvalue()
+
+    def test_a_rejected_file_is_closed(self, tmp_path, monkeypatch):
+        # np.load hands the open file to a zip reader that raises on a
+        # truncated file, so the caller must close it
+        _, vocab = tiny_batch()
+        save_checkpoint(tmp_path / "m.npz", init_params(9, tiny_dims(vocab)), {}, vocab)
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes((tmp_path / "m.npz").read_bytes()[:100])
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(zipfile.BadZipFile):
+                load_checkpoint(bad)
+            gc.collect()
+        assert [type(u.exc_value) for u in unraisable] == []
 
     def test_loaded_params_are_trainable(self, tmp_path):
         _, vocab = tiny_batch()

@@ -9,7 +9,8 @@ import pytest
 from lahn import autodiff as ad
 from lahn import sampler, trainer
 from lahn.data import encode_examples, generate_confound_corpus, iter_eval_batches, make_batches
-from lahn.encoder import clone_params, load_checkpoint
+from lahn.encoder import FLAT_NAMES, EncoderDims, clone_params, init_params, load_checkpoint
+from lahn.momentum import ema_update
 from lahn.seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
 from lahn.trainer import (
     WARMUP_FILL,
@@ -322,6 +323,74 @@ class TestAdam:
             adam_step(p, grads, init_adam(p), lr=1e-3)
 
 
+def bits(a):
+    return a.view(np.uint64).copy()
+
+
+class TestGroupedUpdates:
+    """Adam and the EMA over EncoderParams' flat group against the same
+    values held as separate arrays, each a group of one."""
+
+    def test_sixty_steps_bitwise_equal_to_groups_of_one(self):
+        rng = np.random.default_rng(7)
+        main = init_params(5, EncoderDims(vocab_size=9, d_emb=3, hidden=7, d_feat=5))
+        mom = clone_params(init_params(6, main.dims))
+        main.emb.values[...] = rng.normal(size=main.emb.shape)
+        sep, sep_mom = (_Params(**{n: t.values.copy() for n, t in p.named()}) for p in (main, mom))
+        state, sep_state = init_adam(main), init_adam(sep)
+        for st in (state, sep_state):
+            for name in ("emb", "w1", "b2"):
+                st.m[name].reshape(-1)[0::2] = -0.0
+                st.m[name].reshape(-1)[1::2] = -5e-324
+        names = [n for n, _ in main.named()]
+        for step in range(60):
+            grads = {}
+            for i, (name, t) in enumerate(main.named()):
+                kind = (step + i) % 4  # dense, None, all zero, and for emb rows
+                g = rng.normal(size=t.shape)
+                g[rng.random(t.shape) < 0.2] = -0.0
+                if kind == 1:
+                    g = None
+                elif kind == 2:
+                    g = np.zeros(t.shape)
+                elif kind == 3 and name == "emb":
+                    rows = np.flatnonzero(rng.random(t.shape[0]) < 0.3)
+                    g = ad.RowGrad(rows, g[rows])
+                grads[name] = g
+            adam_step(main, grads, state, lr=1e-2, beta1=0.3)
+            adam_step(sep, grads, sep_state, lr=1e-2, beta1=0.3)
+            ema_update(main, mom, 0.9)
+            ema_update(sep, sep_mom, 0.9)
+        assert state.t == sep_state.t == 60
+        for name in names:
+            pairs = [
+                (getattr(main, name).values, sep.tensors[name].values),
+                (getattr(mom, name).values, sep_mom.tensors[name].values),
+                (state.m[name], sep_state.m[name]),
+                (state.v[name], sep_state.v[name]),
+            ]
+            for got, want in pairs:
+                np.testing.assert_array_equal(bits(got), bits(want), err_msg=name)
+
+    def test_nonfinite_gradient_in_the_flat_group_names_its_parameter(self):
+        p = init_params(5, EncoderDims(vocab_size=9, d_emb=3, hidden=7, d_feat=5))
+        state = init_adam(p)
+        adam_step(p, {n: np.ones(t.shape) for n, t in p.named()}, state, lr=1e-2)
+
+        def snapshot():
+            return [bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.v[n])]
+
+        before = snapshot()
+        grads = {n: np.ones(t.shape) for n, t in p.named()}
+        grads["w2"][3, 1] = np.nan
+        grads["b1"] = None
+        with pytest.raises(ValueError, match="'w2'"):
+            adam_step(p, grads, state, lr=1e-2)
+        assert state.t == 1
+        for got, want in zip(snapshot(), before):
+            np.testing.assert_array_equal(got, want)
+
+
 def naive_cosine(a, b, eps=1e-8):
     dot = math.fsum(x * y for x, y in zip(a, b))
     na = max(math.sqrt(math.fsum(x * x for x in a)), eps)
@@ -394,6 +463,13 @@ class TestLahnContrastiveTerm:
         assert abs(lb["l_cl"] - want) <= 1e-12
 
 
+def mapping(a):
+    """The object that owns ``a``'s memory: an mmap, or None for the heap."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
 class TestTrainState:
     """The state a resume must save: a new piece of it shows up here."""
 
@@ -411,11 +487,6 @@ class TestTrainState:
 
     def test_large_arrays_each_own_a_mapping(self):
         # so that freeing one unmaps it instead of leaving it in the C heap
-        def mapping(a):
-            while isinstance(a, np.ndarray):
-                a = a.base
-            return a.obj if isinstance(a, memoryview) else a
-
         state = init_state(small_config(), 20_000)  # a 20000 x 8 table: 1.28 MB
         copies = (state.params, state.momentum, clone_params(state.params))
         tables = [p.emb.values for p in copies] + [state.opt.m["emb"], state.opt.v["emb"]]
@@ -423,6 +494,19 @@ class TestTrainState:
         assert all(isinstance(m, mmap.mmap) for m in maps)
         assert len({id(m) for m in maps}) == len(maps)
         assert mapping(state.params.w1.values) is None  # small arrays stay in the heap
+
+    def test_a_large_flat_group_owns_a_mapping(self):
+        # at hidden 1024 the six small tensors hold 132 290 floats: 1.06 MB
+        state = init_state(small_config(d_emb=64, hidden=1024, d_feat=64), 10)
+        assert state.params.flat.nbytes >= 1 << 20
+        m, v, _ = state.opt.groups[FLAT_NAMES]
+        flats = [state.params.flat, state.momentum.flat, m, v]
+        maps = [mapping(a) for a in flats]
+        assert all(isinstance(x, mmap.mmap) for x in maps)
+        assert len({id(x) for x in maps}) == len(maps)
+        for name in FLAT_NAMES:
+            assert mapping(getattr(state.params, name).values) is maps[0]
+            assert mapping(state.opt.m[name]) is maps[2] and mapping(state.opt.v[name]) is maps[3]
 
 
 class TestTrainStep:
