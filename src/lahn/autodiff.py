@@ -203,18 +203,23 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     def rule(g: np.ndarray) -> None:
         example, _ = np.nonzero(keep)
         pairs, slot = np.unique(example * n_rows + idx[keep], return_inverse=True)
-        per_example = np.zeros((pairs.size, table.shape[1]))
-        np.add.at(per_example, slot, (g / counts[:, None])[example])
+        per_example = _sum_rows(slot, (g / counts[:, None])[example], pairs.size)
         if table.grad is None:
             rows, row_slot = np.unique(pairs % n_rows, return_inverse=True)
-            values = np.zeros((rows.size, table.shape[1]))
-            np.add.at(values, row_slot[::-1], per_example[::-1])
-            table.grad = RowGrad(rows, values)
+            table.grad = RowGrad(rows, _sum_rows(row_slot[::-1], per_example[::-1], rows.size))
         else:
             table.grad = _dense_grad(table.grad, table.shape)
             np.add.at(table.grad, pairs[::-1] % n_rows, per_example[::-1])
 
     return _record(out, (table,), rule)
+
+
+def _sum_rows(slot: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """[n x d] whose row i sums the rows ``values[j]`` with ``slot[j] == i``
+    from 0.0 in order of j: ``np.add.at`` into zeros, bit for bit, but one
+    ``np.bincount`` over the flattened elements instead of a row-wise loop."""
+    d = values.shape[1]
+    return np.bincount((slot[:, None] * d + np.arange(d)).reshape(-1), values.reshape(-1), n * d).reshape(n, d)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -16,9 +16,7 @@ A pass of one range runs inline and starts no thread.
 from __future__ import annotations
 
 import functools
-import math
 import os
-import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -55,26 +53,30 @@ def _workers(pid: int):
     return ThreadPoolExecutor(max(usable_cpus() - 1, 1), thread_name_prefix="lahn-pass")
 
 
-def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None], n_scratch: int) -> None:
+def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None], scratch: int | np.ndarray) -> None:
     """Call ``kernel(*blocks, *scratch)`` over consecutive row blocks.
 
     ``arrays`` share one shape; ``blocks`` holds each one's rows of the
-    block (an entry of None stays None) and ``scratch`` ``n_scratch``
-    uninitialised arrays of the block's shape, all views of the calling
-    thread's scratch buffer, so a worker thread allocates no block.
+    block (an entry of None stays None) and ``scratch`` that many
+    uninitialised arrays of the block's shape. The caller allocates every
+    range's scratch in one array, so a worker thread allocates no block.
+    ``scratch`` may instead be the arrays themselves, rows of one array of
+    the arrays' shape: a pass of one block then allocates none.
     An exception raised in any range reaches the caller once every range
     has stopped.
     """
     lead = arrays[0]
+    given = not isinstance(scratch, int)
+    n_scratch = len(scratch) if given else scratch
     if lead.size <= BLOCK:  # one block: the arrays themselves
-        kernel(*arrays, *_scratch((n_scratch,) + lead.shape))
+        kernel(*arrays, *(scratch if given else [np.empty(lead.shape) for _ in range(n_scratch)]))
         return
     n = lead.shape[0]
     rows = max(BLOCK * n // lead.size, 1)
     parts = 1 if lead.size < 2 * SPLIT_MIN else min(usable_cpus(), lead.size // SPLIT_MIN, n)
     edges = [n * i // parts for i in range(parts + 1)]
     # the last range is the longest: ceil(n / parts) rows
-    scratch = _scratch((parts, n_scratch, min(rows, n - edges[-2])) + lead.shape[1:])
+    scratch = np.empty((parts, n_scratch, min(rows, n - edges[-2])) + lead.shape[1:])
     if parts == 1:
         _run(kernel, arrays, scratch[0], rows, 0, n)
         return
@@ -91,20 +93,6 @@ def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None
         wait(futures)
     for f in futures:
         f.result()
-
-
-_local = threading.local()
-
-
-def _scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialised scratch of ``shape``, a view of the calling thread's one
-    buffer, which grows to the largest request: passes then allocate none (a
-    temporary above glibc's 128 KB mmap threshold is mapped, faulted in and
-    unmapped again on every pass)."""
-    size = math.prod(shape)
-    if getattr(_local, "buf", np.empty(0)).size < size:
-        _local.buf = np.empty(size)
-    return _local.buf[:size].reshape(shape)
 
 
 def _run(kernel, arrays, scratch: np.ndarray, rows: int, lo: int, hi: int) -> None:

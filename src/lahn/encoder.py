@@ -8,6 +8,7 @@ sets of identical shape run through the same forward function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -52,9 +53,10 @@ class EncoderDims:
 
 @dataclass
 class EncoderParams:
-    """The encoder's parameter tensors. The constructor moves the values of
-    ``w1`` to ``bh`` into one flat array (``flat``) as its consecutive views,
-    in declaration order; ``emb`` keeps its own array."""
+    """The encoder's parameter tensors. ``w1`` to ``bh`` are consecutive
+    views of one flat array, ``flat``, in declaration order (``_layout``
+    makes them), so they are updated in place, never replaced; ``emb``
+    keeps its own array."""
 
     dims: EncoderDims
     emb: ad.Tensor
@@ -64,14 +66,7 @@ class EncoderParams:
     b2: ad.Tensor
     wh: ad.Tensor
     bh: ad.Tensor
-
-    def __post_init__(self) -> None:
-        small = [getattr(self, name) for name in FLAT_NAMES]
-        self.flat = mapped_zeros((sum(t.values.size for t in small),))
-        self._views = views_of(self.flat, [t.shape for t in small])
-        for t, view in zip(small, self._views):
-            view[...] = t.values
-            t.values = view
+    flat: np.ndarray
 
     def named(self) -> list[tuple[str, ad.Tensor]]:
         return [(name, getattr(self, name)) for name in _PARAM_NAMES]
@@ -80,10 +75,17 @@ class EncoderParams:
         for _, t in self.named():
             t.zero_grad()
 
+    @functools.cached_property
+    def work(self) -> np.ndarray:
+        """Three rows the size of ``flat``, made on first use and kept: an
+        optimizer step's gradient copy and its passes' scratch, so a step
+        allocates none of them."""
+        return mapped_zeros((3, self.flat.size))
+
 
 # the parameter tensors' names, in declaration order
-_PARAM_NAMES = tuple(f.name for f in fields(EncoderParams) if f.name != "dims")
-# the ones held in the flat buffer: all but the embedding table
+_PARAM_NAMES = tuple(f.name for f in fields(EncoderParams) if f.name not in ("dims", "flat"))
+# the ones held in the flat array: all but the embedding table
 FLAT_NAMES = _PARAM_NAMES[1:]
 
 
@@ -99,8 +101,6 @@ def param_groups(params) -> list[tuple[tuple[str, ...], np.ndarray]]:
     any other holder of ``named()`` tensors."""
     if not isinstance(params, EncoderParams):
         return [((name,), t.values) for name, t in params.named()]
-    if any(getattr(params, n).values is not v for n, v in zip(FLAT_NAMES, params._views)):
-        raise ValueError("a parameter was replaced, so the flat buffer no longer holds it")
     return [(("emb",), params.emb.values), (FLAT_NAMES, params.flat)]
 
 
@@ -111,20 +111,22 @@ class EncoderOutput:
 
 
 # arrays below this size come from the C heap, which reuses small blocks
-# well; a mapping each would cost a system call and a page apiece
-_MAPPED_MIN_BYTES = 1 << 20
+# well; a mapping each would cost a system call and a page apiece. It is
+# glibc's default mmap threshold: a block this large seldom fits a hole the
+# heap has, so it grows the heap and, once freed, leaves a hole of its own
+_MAPPED_MIN_BYTES = 1 << 17
 
 
 def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     """A float64 zero array; from ``_MAPPED_MIN_BYTES`` up, in an anonymous
     memory mapping of its own.
 
-    A training run keeps its parameters, Adam moments and parameter copies
-    in these, so freeing a large one unmaps it. A table freed into the C
-    heap stays resident, and small blocks allocated after it can keep the
-    next run from reusing its space, so a process that trains more than
-    once would peak higher by whole tables, depending on its allocation
-    history.
+    A training run keeps its parameters, Adam moments, parameter copies
+    and optimizer scratch in these, so freeing a large one unmaps it. A
+    table freed into the C heap stays resident, and small blocks allocated
+    after it can keep the next run from reusing its space, so a process
+    that trains more than once would peak higher by whole tables,
+    depending on its allocation history.
     """
     n = math.prod(shape)
     if n * 8 < _MAPPED_MIN_BYTES:
@@ -143,31 +145,43 @@ def _shapes(dims: EncoderDims) -> dict[str, tuple[int, ...]]:
     return {"emb": (v, e), "w1": (e, h), "b1": (h,), "w2": (h, f), "b2": (f,), "wh": (f, 2), "bh": (2,)}
 
 
+def _layout(dims: EncoderDims, emb: np.ndarray) -> dict:
+    """``EncoderParams`` fields for ``dims``: ``emb`` and zeroed views of a
+    new flat array, as plain arrays, for the caller to fill and wrap."""
+    shapes = _shapes(dims)
+    flat = mapped_zeros((sum(math.prod(shapes[n]) for n in FLAT_NAMES),))
+    return {"emb": emb, **dict(zip(FLAT_NAMES, views_of(flat, [shapes[n] for n in FLAT_NAMES]))), "flat": flat}
+
+
+def _wrap(dims: EncoderDims, arrays: dict, make=ad.param) -> EncoderParams:
+    return EncoderParams(dims=dims, flat=arrays.pop("flat"), **{name: make(a) for name, a in arrays.items()})
+
+
 def init_params(seed: int, dims: EncoderDims) -> EncoderParams:
     """Uniform Xavier linear layers, N(0, 0.02^2) embeddings, zero PAD row,
     zero biases; the rng draws in declaration order."""
     dims.validate()
     rng = substream(seed, STREAM_INIT)
-    values = {name: mapped_zeros(shape) for name, shape in _shapes(dims).items()}
-    for name, v in values.items():
-        if name == "emb":
-            # rng.normal(0.0, 0.02) computed in place: 0.0 + 0.02 * z, draw for draw
-            rng.standard_normal(out=v)
-            v *= 0.02
-            v += 0.0
-            v[0] = 0.0  # PAD row carries no signal
-        elif v.ndim == 2:
-            v[...] = _xavier(rng, *v.shape)
-    return EncoderParams(dims=dims, **{name: ad.param(v) for name, v in values.items()})
+    values = _layout(dims, mapped_zeros(_shapes(dims)["emb"]))
+    emb = values["emb"]
+    # rng.normal(0.0, 0.02) computed in place: 0.0 + 0.02 * z, draw for draw
+    rng.standard_normal(out=emb)
+    emb *= 0.02
+    emb += 0.0
+    emb[0] = 0.0  # PAD row carries no signal
+    for name in FLAT_NAMES:
+        if values[name].ndim == 2:
+            values[name][...] = _xavier(rng, *values[name].shape)
+    return _wrap(dims, values)
 
 
 def clone_params(src: EncoderParams) -> EncoderParams:
     """Deep copy with gradients disabled (momentum-side parameter sets)."""
-    emb = mapped_zeros(src.emb.shape)
-    emb[...] = src.emb.values
-    # the constructor copies the rest into the clone's own flat buffer
-    tensors = {name: ad.Tensor(t.values) for name, t in src.named()}
-    return EncoderParams(dims=EncoderDims(**vars(src.dims)), **{**tensors, "emb": ad.Tensor(emb)})
+    dims = EncoderDims(**vars(src.dims))
+    values = _layout(dims, mapped_zeros(src.emb.shape))
+    values["emb"][...] = src.emb.values
+    values["flat"][...] = src.flat
+    return _wrap(dims, values, ad.constant)
 
 
 def forward(
@@ -251,13 +265,16 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
         dims = EncoderDims(**meta["dims"])
-        tensors = {name: ad.param(z[name]) for name in _PARAM_NAMES}
+        arrays = {name: z[name] for name in _PARAM_NAMES}
     tokens = meta.get("vocab")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError("the header's vocab must be a list of strings")
     vocab = Vocabulary(tokens)
     dims.validate()
-    _check_arrays(dims, {name: t.values for name, t in tensors.items()})
+    _check_arrays(dims, arrays)
     if len(vocab) != dims.vocab_size:
         raise ValueError(f"the vocabulary holds {len(vocab)} tokens, but vocab_size is {dims.vocab_size}")
-    return EncoderParams(dims=dims, **tensors), meta["config"], vocab
+    values = _layout(dims, np.asarray(arrays["emb"], dtype=np.float64))
+    for name in FLAT_NAMES:
+        values[name][...] = arrays[name]
+    return _wrap(dims, values), meta["config"], vocab

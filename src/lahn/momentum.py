@@ -91,14 +91,15 @@ class MomentumQueue:
 
 def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
     """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place,
-    one ``blocks.blocked_pass`` per parameter group (``encoder.param_groups``):
-    no parameter-sized temporary, and a large table's rows split across the
-    usable CPUs."""
+    one ``blocks.blocked_pass`` per parameter group (``encoder.param_groups``;
+    the flat group's scratch is a row of ``main.work``): no parameter-sized
+    temporary, and a large table's rows split across the usable CPUs."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
-    for (name, mom), (_, cur) in zip(momentum.named(), main.named()):
-        if mom.values.shape != cur.values.shape:
-            raise ValueError(f"shape mismatch for {name}: {mom.values.shape} vs {cur.values.shape}")
+    pairs = list(zip(param_groups(momentum), param_groups(main)))
+    for (names, mom), (_, cur) in pairs:
+        if mom.shape != cur.shape:
+            raise ValueError(f"shape mismatch for {'/'.join(names)}: {mom.shape} vs {cur.shape}")
 
     rest = 1.0 - m
 
@@ -107,5 +108,5 @@ def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
         np.multiply(cb, rest, s)
         mb += s
 
-    for (_, mom), (_, cur) in zip(param_groups(momentum), param_groups(main)):
-        blocked_pass(update, (mom, cur), 1)
+    for (names, mom), (_, cur) in pairs:
+        blocked_pass(update, (mom, cur), main.work[1:2] if len(names) > 1 else 1)

@@ -137,25 +137,30 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers for the main parameters, plus the step
-    count. ``groups`` maps each parameter group's names to its m, v and, for
-    a group of several, gradient arrays; ``m`` and ``v`` hold their views."""
+    """Adam's first and second moments, one array each per parameter group
+    (``encoder.param_groups``) keyed by the group's names, plus the step
+    count. ``m`` and ``v`` view them by parameter name."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    groups: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]]
+    shapes: dict[str, tuple[int, ...]]
     t: int = 0
-    groups: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray | None]] = field(default_factory=dict)
+
+    def _by_name(self, i: int) -> dict[str, np.ndarray]:
+        return {
+            name: view
+            for names, arrays in self.groups.items()
+            for name, view in zip(names, views_of(arrays[i], [self.shapes[n] for n in names]))
+        }
+
+    m = property(lambda self: self._by_name(0))
+    v = property(lambda self: self._by_name(1))
 
 
 def init_adam(params: EncoderParams) -> AdamState:
-    state = AdamState(m={}, v={})
-    shapes = {name: t.shape for name, t in params.named()}
-    for names, values in param_groups(params):
-        m, v = mapped_zeros(values.shape), mapped_zeros(values.shape)
-        state.groups[names] = (m, v, np.empty(values.shape) if len(names) > 1 else None)
-        for views, a in ((state.m, m), (state.v, v)):
-            views.update(zip(names, views_of(a, [shapes[n] for n in names])))
-    return state
+    return AdamState(
+        groups={names: (mapped_zeros(a.shape), mapped_zeros(a.shape)) for names, a in param_groups(params)},
+        shapes={name: t.shape for name, t in params.named()},
+    )
 
 
 def _finite(g: np.ndarray | ad.RowGrad | None) -> bool:
@@ -180,23 +185,22 @@ def adam_step(
     m and v and moves theta, so the result is bitwise that of its dense
     form; one that covers at least half its table is applied in that form.
     Each parameter group (``encoder.param_groups``) takes one in-place
-    ``blocks.blocked_pass``, a group of several over its members' gradients
-    copied into one array, so a step allocates no parameter-sized temporary
-    and a large table's rows are split across the usable CPUs.
+    ``blocks.blocked_pass``; the flat group's gradients are copied into a
+    row of ``EncoderParams.work`` first, a missing one as zeros. So a step
+    allocates no parameter-sized temporary, and a large table's rows are
+    split across the usable CPUs.
     """
     passes = []
     for names, theta in param_groups(params):
-        m, v, g = state.groups[names]
-        if g is None:
-            g = grads[names[0]]
-        else:
-            members = [grads[n].ravel() if grads[n] is not None else np.zeros(getattr(params, n).values.size)
-                       for n in names]
-            np.concatenate(members, out=g)
+        g, scratch = grads[names[0]], None
+        if len(names) > 1:
+            g, scratch = params.work[0], params.work[1:]
+            for view, n in zip(views_of(g, [state.shapes[n] for n in names]), names):
+                view[...] = 0.0 if grads[n] is None else grads[n]
         if not _finite(g):
             bad = next(n for n in names if not _finite(grads[n]))
             raise ValueError(f"non-finite gradient for parameter {bad!r}")
-        passes.append((theta, g, m, v))
+        passes.append((theta, g, *state.groups[names], scratch))
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -224,7 +228,7 @@ def adam_step(
         s1 /= s2
         tb -= s1
 
-    for theta, g, m, v in passes:
+    for theta, g, m, v, scratch in passes:
         if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:
             g = g.dense(theta.shape)
         if isinstance(g, ad.RowGrad):
@@ -233,7 +237,7 @@ def adam_step(
             blocked_pass(update, (theta, None, m, v), 2)
             theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
         else:
-            blocked_pass(update, (theta, g, m, v), 2)
+            blocked_pass(update, (theta, g, m, v), 2 if scratch is None else scratch)
 
 
 @dataclass

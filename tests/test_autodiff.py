@@ -261,6 +261,21 @@ class TestEmbedMeanPool:
             ad.embed_mean_pool(table, [[0, 1]], [[True]])
 
 
+class TestSumRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_add_at_into_zeros(self, n, k, d, seed):
+        # repeated slots in any order, signed zeros and magnitudes far apart,
+        # so a different summation order or start value would show
+        rng = np.random.default_rng(seed)
+        slot = rng.integers(0, n, size=k)
+        values = rng.choice([-0.0, 0.0, 1e-300, -1.0, 1e16, 3.0, -5e-324], size=(k, d)) * rng.normal(size=(k, d))
+        values[rng.random((k, d)) < 0.2] = -0.0
+        want = np.zeros((n, d))
+        np.add.at(want, slot, values)
+        assert_bitwise(ad._sum_rows(slot, values, n), want)
+
+
 def dense_scatter(grad, ids, mask, g):
     """embed_mean_pool's backward as it was before its gradient became
     row-sparse: per-example sums, then one scatter-add into a full table

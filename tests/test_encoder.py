@@ -148,13 +148,6 @@ class TestFlatLayout:
                 np.testing.assert_array_equal(a.values, b.values)
         assert not np.shares_memory(copies[0].flat, copies[1].flat)
 
-    def test_a_replaced_member_is_refused(self):
-        _, vocab = tiny_batch()
-        params = init_params(9, tiny_dims(vocab))
-        params.w2 = ad.param(params.w2.values.copy())
-        with pytest.raises(ValueError, match="replaced"):
-            param_groups(params)
-
     def test_other_holders_are_groups_of_one(self):
         class Holder:
             def named(self):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,23 @@ class TestGroupedUpdates:
         for got, want in zip(snapshot(), before):
             np.testing.assert_array_equal(got, want)
 
+    def test_a_step_allocates_no_flat_sized_array(self):
+        # the flat group's gradient copy and scratch are rows of params.work
+        main = init_params(5, EncoderDims(vocab_size=10))
+        mom = clone_params(main)
+        state = init_adam(main)
+        grads = {n: np.ones(t.shape) for n, t in main.named()}
+        adam_step(main, grads, state, lr=1e-2)
+        ema_update(main, mom, 0.9)
+        tracemalloc.start()
+        try:
+            adam_step(main, grads, state, lr=1e-2)
+            ema_update(main, mom, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < main.flat.nbytes
+
 
 def naive_cosine(a, b, eps=1e-8):
     dot = math.fsum(x * y for x, y in zip(a, b))
@@ -495,13 +513,13 @@ class TestTrainState:
         assert len({id(m) for m in maps}) == len(maps)
         assert mapping(state.params.w1.values) is None  # small arrays stay in the heap
 
-    def test_a_large_flat_group_owns_a_mapping(self):
-        # at hidden 1024 the six small tensors hold 132 290 floats: 1.06 MB
-        state = init_state(small_config(d_emb=64, hidden=1024, d_feat=64), 10)
-        assert state.params.flat.nbytes >= 1 << 20
-        m, v, _ = state.opt.groups[FLAT_NAMES]
-        flats = [state.params.flat, state.momentum.flat, m, v]
-        maps = [mapping(a) for a in flats]
+    def test_flat_group_arrays_each_own_a_mapping(self):
+        # at the default widths the six small tensors hold 16 706 floats: 134 KB
+        state = init_state(small_config(d_emb=64, hidden=128, d_feat=64), 10)
+        assert state.params.flat.nbytes >= 1 << 17
+        m, v = state.opt.groups[FLAT_NAMES]
+        arrays = [state.params.flat, state.momentum.flat, m, v, state.params.work]
+        maps = [mapping(a) for a in arrays]
         assert all(isinstance(x, mmap.mmap) for x in maps)
         assert len({id(x) for x in maps}) == len(maps)
         for name in FLAT_NAMES:
