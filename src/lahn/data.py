@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,10 +81,9 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
 
     Only the training split should be passed here.
     """
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for text in texts:
-        for tok in tokenize(text):
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(tokenize(text))
     kept = sorted(
         (t for t, c in counts.items() if c >= min_freq),
         key=lambda t: (-counts[t], t),

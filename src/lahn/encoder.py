@@ -54,7 +54,7 @@ class EncoderDims:
 @dataclass
 class EncoderParams:
     """The encoder's parameter tensors. ``w1`` to ``bh`` are consecutive
-    views of one flat array, ``flat``, in declaration order (``_layout``
+    views of one flat array, ``flat``, in declaration order (``layout``
     makes them), so they are updated in place, never replaced; ``emb``
     keeps its own array."""
 
@@ -93,15 +93,6 @@ def views_of(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray
     """Consecutive views of the contiguous array ``flat``, one per shape."""
     ends = list(itertools.accumulate((math.prod(s) for s in shapes), initial=0))
     return [flat.reshape(-1)[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
-
-
-def param_groups(params) -> list[tuple[tuple[str, ...], np.ndarray]]:
-    """(names, values) of each group an optimizer pass walks as one array:
-    ``emb`` and ``flat`` for ``EncoderParams``, each tensor on its own for
-    any other holder of ``named()`` tensors."""
-    if not isinstance(params, EncoderParams):
-        return [((name,), t.values) for name, t in params.named()]
-    return [(("emb",), params.emb.values), (FLAT_NAMES, params.flat)]
 
 
 @dataclass
@@ -145,10 +136,13 @@ def _shapes(dims: EncoderDims) -> dict[str, tuple[int, ...]]:
     return {"emb": (v, e), "w1": (e, h), "b1": (h,), "w2": (h, f), "b2": (f,), "wh": (f, 2), "bh": (2,)}
 
 
-def _layout(dims: EncoderDims, emb: np.ndarray) -> dict:
-    """``EncoderParams`` fields for ``dims``: ``emb`` and zeroed views of a
-    new flat array, as plain arrays, for the caller to fill and wrap."""
+def layout(dims: EncoderDims, emb: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Parameter-shaped plain arrays for ``dims``: ``emb`` (zeros if not
+    given), then ``w1`` to ``bh`` as zeroed views of a new flat array,
+    ``"flat"``. The parameters, their momentum copy and Adam's moments each
+    take one; the first two are filled and wrapped as ``EncoderParams``."""
     shapes = _shapes(dims)
+    emb = mapped_zeros(shapes["emb"]) if emb is None else emb
     flat = mapped_zeros((sum(math.prod(shapes[n]) for n in FLAT_NAMES),))
     return {"emb": emb, **dict(zip(FLAT_NAMES, views_of(flat, [shapes[n] for n in FLAT_NAMES]))), "flat": flat}
 
@@ -162,7 +156,7 @@ def init_params(seed: int, dims: EncoderDims) -> EncoderParams:
     zero biases; the rng draws in declaration order."""
     dims.validate()
     rng = substream(seed, STREAM_INIT)
-    values = _layout(dims, mapped_zeros(_shapes(dims)["emb"]))
+    values = layout(dims)
     emb = values["emb"]
     # rng.normal(0.0, 0.02) computed in place: 0.0 + 0.02 * z, draw for draw
     rng.standard_normal(out=emb)
@@ -178,7 +172,7 @@ def init_params(seed: int, dims: EncoderDims) -> EncoderParams:
 def clone_params(src: EncoderParams) -> EncoderParams:
     """Deep copy with gradients disabled (momentum-side parameter sets)."""
     dims = EncoderDims(**vars(src.dims))
-    values = _layout(dims, mapped_zeros(src.emb.shape))
+    values = layout(dims)
     values["emb"][...] = src.emb.values
     values["flat"][...] = src.flat
     return _wrap(dims, values, ad.constant)
@@ -274,7 +268,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
     _check_arrays(dims, arrays)
     if len(vocab) != dims.vocab_size:
         raise ValueError(f"the vocabulary holds {len(vocab)} tokens, but vocab_size is {dims.vocab_size}")
-    values = _layout(dims, np.asarray(arrays["emb"], dtype=np.float64))
+    values = layout(dims, np.asarray(arrays["emb"], dtype=np.float64))
     for name in FLAT_NAMES:
         values[name][...] = arrays[name]
     return _wrap(dims, values), meta["config"], vocab

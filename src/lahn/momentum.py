@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import blocked_pass
-from .encoder import EncoderParams, param_groups
+from .encoder import FLAT_NAMES, EncoderParams
 
 
 @dataclass
@@ -90,16 +90,16 @@ class MomentumQueue:
 
 
 def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
-    """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place,
-    one ``blocks.blocked_pass`` per parameter group (``encoder.param_groups``;
-    the flat group's scratch is a row of ``main.work``): no parameter-sized
+    """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place: one
+    ``blocks.blocked_pass`` over ``emb`` and one over ``flat``, whose
+    scratch is a row of ``main.work``. So it allocates no parameter-sized
     temporary, and a large table's rows split across the usable CPUs."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
-    pairs = list(zip(param_groups(momentum), param_groups(main)))
-    for (names, mom), (_, cur) in pairs:
+    emb, flat = (momentum.emb.values, main.emb.values), (momentum.flat, main.flat)
+    for names, (mom, cur) in (("emb", emb), ("/".join(FLAT_NAMES), flat)):
         if mom.shape != cur.shape:
-            raise ValueError(f"shape mismatch for {'/'.join(names)}: {mom.shape} vs {cur.shape}")
+            raise ValueError(f"shape mismatch for {names}: {mom.shape} vs {cur.shape}")
 
     rest = 1.0 - m
 
@@ -108,5 +108,5 @@ def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
         np.multiply(cb, rest, s)
         mb += s
 
-    for (names, mom), (_, cur) in pairs:
-        blocked_pass(update, (mom, cur), main.work[1:2] if len(names) > 1 else 1)
+    blocked_pass(update, emb, 1)
+    blocked_pass(update, flat, main.work[1:2])

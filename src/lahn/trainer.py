@@ -10,6 +10,7 @@ the main parameters only, and the EMA update of the momentum parameters.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import numbers
@@ -24,8 +25,8 @@ from . import fileio, metrics, objectives, sampler
 from .blocks import blocked_pass
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
-    ACTIVATIONS, EncoderDims, EncoderParams, clone_params, forward, init_params, mapped_zeros, param_groups,
-    save_checkpoint, views_of,
+    ACTIVATIONS, FLAT_NAMES, EncoderDims, EncoderParams, clone_params, forward, init_params, layout, save_checkpoint,
+    views_of,
 )
 from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
@@ -137,30 +138,17 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, one array each per parameter group
-    (``encoder.param_groups``) keyed by the group's names, plus the step
-    count. ``m`` and ``v`` view them by parameter name."""
+    """Adam's first and second moments, each an ``encoder.layout`` of the
+    parameters' shapes (``m["w1"]`` is a view of ``m["flat"]``), and the
+    step count."""
 
-    groups: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]]
-    shapes: dict[str, tuple[int, ...]]
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     t: int = 0
-
-    def _by_name(self, i: int) -> dict[str, np.ndarray]:
-        return {
-            name: view
-            for names, arrays in self.groups.items()
-            for name, view in zip(names, views_of(arrays[i], [self.shapes[n] for n in names]))
-        }
-
-    m = property(lambda self: self._by_name(0))
-    v = property(lambda self: self._by_name(1))
 
 
 def init_adam(params: EncoderParams) -> AdamState:
-    return AdamState(
-        groups={names: (mapped_zeros(a.shape), mapped_zeros(a.shape)) for names, a in param_groups(params)},
-        shapes={name: t.shape for name, t in params.named()},
-    )
+    return AdamState(m=layout(params.dims), v=layout(params.dims))
 
 
 def _finite(g: np.ndarray | ad.RowGrad | None) -> bool:
@@ -184,23 +172,19 @@ def adam_step(
     update and every other row the zero-gradient one, which still decays
     m and v and moves theta, so the result is bitwise that of its dense
     form; one that covers at least half its table is applied in that form.
-    Each parameter group (``encoder.param_groups``) takes one in-place
-    ``blocks.blocked_pass``; the flat group's gradients are copied into a
-    row of ``EncoderParams.work`` first, a missing one as zeros. So a step
-    allocates no parameter-sized temporary, and a large table's rows are
-    split across the usable CPUs.
+    A step makes one in-place ``blocks.blocked_pass`` over ``emb`` and one
+    over ``flat``. Only ``emb``'s gradient may be a ``RowGrad``. The six
+    small gradients are first copied into a row of ``EncoderParams.work``
+    (a missing one as zeros), and that pass's scratch is the other rows.
+    So a step allocates no parameter-sized temporary, and a large table's
+    rows are split across the usable CPUs.
     """
-    passes = []
-    for names, theta in param_groups(params):
-        g, scratch = grads[names[0]], None
-        if len(names) > 1:
-            g, scratch = params.work[0], params.work[1:]
-            for view, n in zip(views_of(g, [state.shapes[n] for n in names]), names):
-                view[...] = 0.0 if grads[n] is None else grads[n]
-        if not _finite(g):
-            bad = next(n for n in names if not _finite(grads[n]))
-            raise ValueError(f"non-finite gradient for parameter {bad!r}")
-        passes.append((theta, g, *state.groups[names], scratch))
+    flat_g = params.work[0]
+    for view, name in zip(views_of(flat_g, [state.m[n].shape for n in FLAT_NAMES]), FLAT_NAMES):
+        view[...] = 0.0 if grads[name] is None else grads[name]
+    if not (_finite(grads["emb"]) and _finite(flat_g)):
+        bad = next(n for n, _ in params.named() if not _finite(grads[n]))
+        raise ValueError(f"non-finite gradient for parameter {bad!r}")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -228,16 +212,17 @@ def adam_step(
         s1 /= s2
         tb -= s1
 
-    for theta, g, m, v, scratch in passes:
-        if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:
-            g = g.dense(theta.shape)
-        if isinstance(g, ad.RowGrad):
-            theta_rows, m_rows, v_rows = theta[g.rows], m[g.rows], v[g.rows]
-            blocked_pass(update, (theta_rows, g.values, m_rows, v_rows), 2)
-            blocked_pass(update, (theta, None, m, v), 2)
-            theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
-        else:
-            blocked_pass(update, (theta, g, m, v), 2 if scratch is None else scratch)
+    theta, g, m, v = params.emb.values, grads["emb"], state.m["emb"], state.v["emb"]
+    if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:
+        g = g.dense(theta.shape)
+    if isinstance(g, ad.RowGrad):
+        theta_rows, m_rows, v_rows = theta[g.rows], m[g.rows], v[g.rows]
+        blocked_pass(update, (theta_rows, g.values, m_rows, v_rows), 2)
+        blocked_pass(update, (theta, None, m, v), 2)
+        theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
+    else:
+        blocked_pass(update, (theta, g, m, v), 2)
+    blocked_pass(update, (params.flat, flat_g, state.m["flat"], state.v["flat"]), params.work[1:])
 
 
 @dataclass
@@ -354,8 +339,6 @@ class RunResult:
 
 
 def _write_metrics_log(out_dir: Path, records: list[dict]) -> None:
-    import json
-
     fileio.atomic_write_text(
         out_dir / "metrics.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     )

@@ -16,7 +16,7 @@ import lahn
 from lahn import autodiff as ad
 from lahn import blocks, trainer
 from lahn.data import Batch, Example, write_jsonl
-from lahn.encoder import EncoderDims, clone_params, init_params, mapped_zeros
+from lahn.encoder import FLAT_NAMES, EncoderDims, clone_params, init_params
 from lahn.momentum import ema_update
 from lahn.trainer import TrainConfig, adam_step, init_adam, init_state, run_training, train_step
 
@@ -67,31 +67,23 @@ def bits(a):
     return a.view(np.uint64).copy()
 
 
-class _Table:
-    def __init__(self, **values):
-        self.tensors = {name: ad.param(v) for name, v in values.items()}
-
-    def named(self):
-        return list(self.tensors.items())
-
-
 def adam_run(n_cpus, monkeypatch, grad_kinds, steps=3):
-    """Adam steps on a split-size table and a small matrix; the gradient
-    form of step i is grad_kinds[i % len]."""
+    """Adam steps on a split-size table and a small flat group; the table's
+    gradient form at step i is grad_kinds[i % len]."""
     cpus(monkeypatch, n_cpus)
     rng = np.random.default_rng(4)
-    emb = mapped_zeros((SPLIT_ROWS, 64))
-    emb[...] = rng.normal(size=emb.shape)
-    p = _Table(emb=emb, w=rng.normal(size=(5, 3)))
+    p = init_params(0, EncoderDims(vocab_size=SPLIT_ROWS, d_emb=64, hidden=5, d_feat=3))
+    p.emb.values[...] = rng.normal(size=p.emb.shape)
     state = init_adam(p)
     state.m["emb"][:, 0] = -0.0
     for i in range(steps):
         kind = grad_kinds[i % len(grad_kinds)]
         rows = np.unique(rng.integers(0, SPLIT_ROWS, size=300))
-        dense = rng.normal(size=emb.shape)
-        g = {"row": ad.RowGrad(rows, dense[rows]), "dense": dense, "none": None}[kind]
-        adam_step(p, {"emb": g, "w": rng.normal(size=(5, 3))}, state, lr=1e-2, beta1=0.3)
-    return [bits(a) for a in (p.tensors["emb"].values, state.m["emb"], state.v["emb"], p.tensors["w"].values)]
+        dense = rng.normal(size=p.emb.shape)
+        grads = {name: rng.normal(size=getattr(p, name).shape) for name in FLAT_NAMES}
+        grads["emb"] = {"row": ad.RowGrad(rows, dense[rows]), "dense": dense, "none": None}[kind]
+        adam_step(p, grads, state, lr=1e-2, beta1=0.3)
+    return [bits(a) for a in (p.emb.values, state.m["emb"], state.v["emb"], p.flat, state.m["flat"], state.v["flat"])]
 
 
 class TestSplitPass:
@@ -329,12 +321,13 @@ class TestRowGradDensified:
         grads[1].values[0] = -0.0
         runs = []
         for dense in (False, True):
-            p = _Table(emb=np.ones((40, 3)))
+            p = init_params(0, EncoderDims(vocab_size=40, d_emb=3, hidden=4, d_feat=2))
+            p.emb.values[...] = 1.0
             state = init_adam(p)
             state.m["emb"][:, 0] = -0.0
             for g in grads:
-                adam_step(p, {"emb": g.dense((40, 3)) if dense else g}, state, lr=1e-2)
-            runs.append([bits(a) for a in (p.tensors["emb"].values, state.m["emb"], state.v["emb"])])
+                adam_step(p, {**dict.fromkeys(FLAT_NAMES), "emb": g.dense((40, 3)) if dense else g}, state, lr=1e-2)
+            runs.append([bits(a) for a in (p.emb.values, state.m["emb"], state.v["emb"])])
             if not dense:
                 assert sum(passes) == dense_passes
         for got, want in zip(*runs):

@@ -21,7 +21,6 @@ from lahn.encoder import (
     forward,
     init_params,
     load_checkpoint,
-    param_groups,
     save_checkpoint,
 )
 from lahn.objectives import classification_loss
@@ -131,7 +130,6 @@ def assert_flat_layout(params):
         assert address(a) == start
         start += a.nbytes
         assert not np.shares_memory(params.emb.values, a)
-    assert param_groups(params) == [(("emb",), params.emb.values), (FLAT_NAMES, flat)]
 
 
 class TestFlatLayout:
@@ -147,13 +145,6 @@ class TestFlatLayout:
             for (_, a), (_, b) in zip(p.named(), params.named()):
                 np.testing.assert_array_equal(a.values, b.values)
         assert not np.shares_memory(copies[0].flat, copies[1].flat)
-
-    def test_other_holders_are_groups_of_one(self):
-        class Holder:
-            def named(self):
-                return [("a", ad.param(np.zeros(2))), ("b", ad.param(np.ones((2, 3))))]
-
-        assert [names for names, _ in param_groups(Holder())] == [("a",), ("b",)]
 
 
 class TestForward:

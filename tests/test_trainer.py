@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lahn import autodiff as ad
-from lahn import sampler, trainer
+from lahn import blocks, sampler, trainer
 from lahn.data import encode_examples, generate_confound_corpus, iter_eval_batches, make_batches
 from lahn.encoder import FLAT_NAMES, EncoderDims, clone_params, init_params, load_checkpoint
 from lahn.momentum import ema_update
@@ -182,94 +182,112 @@ class TestTrainConfig:
         small_config(q=np.int64(16), k=np.int32(4), lr=1, tau=np.float64(0.2))
 
 
-class _OneParam:
-    """Minimal named-parameter holder for optimizer unit tests."""
+def small_params(seed=0):
+    """EncoderParams with a 40 x 3 table and 32 floats in the flat group,
+    every value drawn from N(0, 1)."""
+    p = init_params(0, EncoderDims(vocab_size=40, d_emb=3, hidden=4, d_feat=2))
+    rng = np.random.default_rng(seed)
+    for _, t in p.named():
+        t.values[...] = rng.normal(size=t.shape)
+    return p
 
-    def __init__(self, values):
-        self.w = ad.param(np.asarray(values, dtype=np.float64))
 
-    def named(self):
-        return [("w", self.w)]
+def bits(a):
+    return a.view(np.uint64).copy()
 
 
-class _Params:
-    def __init__(self, **values):
-        self.tensors = {name: ad.param(v) for name, v in values.items()}
+def adam_reference(ref, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step as plain per-tensor numpy expressions, in place of the
+    dicts ``ref``, ``m`` and ``v``; a RowGrad is densified, None is zeros."""
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for k, g in grads.items():
+        if isinstance(g, ad.RowGrad):
+            g = g.dense(ref[k].shape)
+        elif g is None:
+            g = np.zeros(ref[k].shape)
+        m[k] = m[k] * b1 + (1.0 - b1) * g
+        v[k] = v[k] * b2 + (1.0 - b2) * g * g
+        ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
 
-    def named(self):
-        return list(self.tensors.items())
+
+def assert_adam_bits(p, state, ref, m, v):
+    for k, tensor in p.named():
+        for got, want in ((tensor.values, ref[k]), (state.m[k], m[k]), (state.v[k], v[k])):
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=k)
 
 
 class TestAdam:
     def test_first_step_hand_case(self):
         # g=1, t=1: m_hat = v_hat = 1 exactly, so the step is -lr / (1 + eps)
-        p = _OneParam([0.0])
+        p = small_params()
+        for _, t in p.named():
+            t.values[...] = 0.0
         state = init_adam(p)
-        adam_step(p, {"w": np.array([1.0])}, state, lr=1e-3)
+        adam_step(p, {n: np.ones(t.shape) for n, t in p.named()}, state, lr=1e-3)
         expected = -1e-3 * (1.0 / (1.0 + 1e-8))
-        np.testing.assert_allclose(p.w.values, [expected], atol=1e-18)
+        for _, t in p.named():
+            np.testing.assert_allclose(t.values, expected, atol=1e-18)
         assert state.t == 1
 
     def test_zero_gradient_is_identity(self):
-        p = _OneParam([0.7, -1.2])
-        before = p.w.values.copy()
+        p = small_params()
+        before = [t.values.copy() for _, t in p.named()]
         state = init_adam(p)
-        adam_step(p, {"w": np.zeros(2)}, state, lr=0.5)
-        np.testing.assert_array_equal(p.w.values, before)
+        adam_step(p, {n: np.zeros(t.shape) for n, t in p.named()}, state, lr=0.5)
+        for (_, t), want in zip(p.named(), before):
+            np.testing.assert_array_equal(t.values, want)
 
     def test_twenty_steps_match_scalar_reference(self):
-        # independent route: plain-python Adam over each coordinate
+        # independent route: plain-python Adam over each coordinate of every
+        # parameter
         rng = np.random.default_rng(0)
-        n, lr, b1, b2, eps = 5, 3e-3, 0.9, 0.999, 1e-8
-        theta = rng.normal(size=n)
-        p = _OneParam(theta.copy())
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        p = small_params(1)
         state = init_adam(p)
-        ref = theta.tolist()
+        ref = np.concatenate([t.values.ravel() for _, t in p.named()]).tolist()
+        n = len(ref)
         m = [0.0] * n
         v = [0.0] * n
         for t in range(1, 21):
-            g = rng.normal(size=n)
-            adam_step(p, {"w": g}, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            grads = {k: rng.normal(size=tensor.shape) for k, tensor in p.named()}
+            adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            g = np.concatenate([a.ravel() for a in grads.values()])
             for i in range(n):
                 m[i] = b1 * m[i] + (1 - b1) * g[i]
                 v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i]
                 mh = m[i] / (1 - b1**t)
                 vh = v[i] / (1 - b2**t)
                 ref[i] -= lr * mh / (math.sqrt(vh) + eps)
-        np.testing.assert_allclose(p.w.values, ref, atol=1e-12)
+        got = np.concatenate([t.values.ravel() for _, t in p.named()])
+        np.testing.assert_allclose(got, ref, atol=1e-12)
 
-    def test_fifty_steps_bitwise_equal_to_expression(self):
-        # the in-place update against the one-expression form it replaces:
-        # "w" spans several blocks, "r" has rows wider than a block, and "u"
-        # always gets a zero gradient
-        rng = np.random.default_rng(1)
+    def test_fifty_steps_bitwise_equal_to_expression(self, monkeypatch):
+        # the in-place update against the one-expression form it replaces,
+        # at blocks of 16 elements (emb spans 8 blocks of 5 rows, flat 2
+        # blocks) and of 2 (each of emb's 3-wide rows is a block of its
+        # own); "b2" always gets a zero gradient
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        shapes = {"w": (3000, 7), "r": (2, 20000), "u": (5,)}
-        p = _Params(**{k: rng.normal(size=s) for k, s in shapes.items()})
-        state = init_adam(p)
-        ref = {k: t.values.copy() for k, t in p.named()}
-        m = {k: np.zeros(s) for k, s in shapes.items()}
-        v = {k: np.zeros(s) for k, s in shapes.items()}
-        for t in range(1, 51):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            grads["u"] = np.zeros(5)
-            adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
-            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-            for k, g in grads.items():
-                m[k] *= b1
-                m[k] += (1.0 - b1) * g
-                v[k] *= b2
-                v[k] += (1.0 - b2) * g * g
-                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
-        for k, tensor in p.named():
-            np.testing.assert_array_equal(tensor.values, ref[k])
-            np.testing.assert_array_equal(state.m[k], m[k])
-            np.testing.assert_array_equal(state.v[k], v[k])
+        for block in (16, 2):
+            monkeypatch.setattr(blocks, "BLOCK", block)
+            rng = np.random.default_rng(1)
+            p = small_params(2)
+            state = init_adam(p)
+            ref = {k: t.values.copy() for k, t in p.named()}
+            m = {k: np.zeros(t.shape) for k, t in p.named()}
+            v = {k: np.zeros(t.shape) for k, t in p.named()}
+            for t in range(1, 51):
+                grads = {k: rng.normal(size=tensor.shape) for k, tensor in p.named()}
+                grads["b2"] = np.zeros(p.b2.shape)
+                adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+                adam_reference(ref, m, v, grads, t, lr, b1, b2, eps)
+            assert_adam_bits(p, state, ref, m, v)
 
     def test_nonfinite_gradient_names_parameter(self):
-        p = _OneParam([0.0])
-        with pytest.raises(ValueError, match="'w'"):
-            adam_step(p, {"w": np.array([np.nan])}, init_adam(p), lr=1e-3)
+        p = small_params()
+        grads = {n: np.ones(t.shape) for n, t in p.named()}
+        grads["emb"][5, 1] = np.nan
+        with pytest.raises(ValueError, match="'emb'"):
+            adam_step(p, grads, init_adam(p), lr=1e-3)
 
     @pytest.mark.parametrize("b1", [0.9, 0.3])
     def test_row_grad_fifty_steps_bitwise_equal_to_dense_expression(self, b1):
@@ -278,72 +296,63 @@ class TestAdam:
         # (which b1 = 0.3 rounds to -0.0) must turn +0.0 as the dense form does
         rng = np.random.default_rng(2)
         lr, b2, eps = 3e-3, 0.999, 1e-8
-        p = _Params(emb=rng.normal(size=(40, 3)), w=rng.normal(size=(4, 2)))
+        p = small_params(3)
         state = init_adam(p)
         state.m["emb"][:, 0] = -0.0
         state.m["emb"][:, 1] = -5e-324
         ref = {k: t.values.copy() for k, t in p.named()}
-        m = {k: a.copy() for k, a in state.m.items()}
-        v = {k: a.copy() for k, a in state.v.items()}
+        m = {k: state.m[k].copy() for k in ref}
+        v = {k: state.v[k].copy() for k in ref}
         for t in range(1, 51):
             rows = np.flatnonzero(rng.random(30) < 0.3)
-            grads = {
-                "emb": ad.RowGrad(rows, rng.normal(size=(rows.size, 3))),
-                "w": rng.normal(size=(4, 2)),
-            }
+            grads = {k: rng.normal(size=getattr(p, k).shape) for k in FLAT_NAMES}
+            grads["emb"] = ad.RowGrad(rows, rng.normal(size=(rows.size, 3)))
             adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
-            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-            for k, g in grads.items():
-                if isinstance(g, ad.RowGrad):
-                    g = g.dense(ref[k].shape)
-                m[k] = m[k] * b1 + (1.0 - b1) * g
-                v[k] = v[k] * b2 + (1.0 - b2) * g * g
-                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
-        for k, tensor in p.named():
-            for got, want in ((tensor.values, ref[k]), (state.m[k], m[k]), (state.v[k], v[k])):
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            adam_reference(ref, m, v, grads, t, lr, b1, b2, eps)
+        assert_adam_bits(p, state, ref, m, v)
 
     def test_none_gradient_equals_all_zero_gradient(self):
         rng = np.random.default_rng(3)
-        values, g1, g2 = (rng.normal(size=(6, 2)) for _ in range(3))
+        p0 = small_params(4)
+        g1, g2 = ({n: rng.normal(size=t.shape) for n, t in p0.named()} for _ in range(2))
         runs = []
-        for zero in (None, np.zeros((6, 2))):
-            p = _OneParam(values.copy())
+        for none in (True, False):
+            p = small_params(4)
             state = init_adam(p)
-            state.m["w"][0] = [-0.0, -5e-324]
-            for g in (zero, g1, zero, zero, g2, zero):
-                adam_step(p, {"w": g}, state, lr=1e-2, beta1=0.3)
-            runs.append([a.view(np.uint64) for a in (p.w.values, state.m["w"], state.v["w"])])
+            for name in ("emb", "w1"):
+                state.m[name][0, :2] = [-0.0, -5e-324]
+            zeros = {n: None if none else np.zeros(t.shape) for n, t in p.named()}
+            for g in (zeros, g1, zeros, zeros, g2, zeros):
+                adam_step(p, g, state, lr=1e-2, beta1=0.3)
+            runs.append([bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.v[n])])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
 
     def test_nonfinite_row_grad_names_parameter(self):
-        p = _Params(emb=np.zeros((4, 2)), w=np.zeros(2))
-        grads = {"emb": ad.RowGrad(np.array([1, 3]), np.array([[0.0, 1.0], [np.inf, 0.0]])), "w": None}
+        p = small_params()
+        grads = {n: None for n, _ in p.named()}
+        grads["emb"] = ad.RowGrad(np.array([1, 3]), np.array([[0.0, 1.0, 2.0], [np.inf, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="'emb'"):
             adam_step(p, grads, init_adam(p), lr=1e-3)
 
 
-def bits(a):
-    return a.view(np.uint64).copy()
-
-
 class TestGroupedUpdates:
-    """Adam and the EMA over EncoderParams' flat group against the same
-    values held as separate arrays, each a group of one."""
+    """Adam and the EMA over EncoderParams' two groups, ``emb`` and
+    ``flat``, against plain per-tensor numpy expressions."""
 
-    def test_sixty_steps_bitwise_equal_to_groups_of_one(self):
+    def test_sixty_steps_bitwise_equal_to_per_tensor_expressions(self):
         rng = np.random.default_rng(7)
         main = init_params(5, EncoderDims(vocab_size=9, d_emb=3, hidden=7, d_feat=5))
         mom = clone_params(init_params(6, main.dims))
         main.emb.values[...] = rng.normal(size=main.emb.shape)
-        sep, sep_mom = (_Params(**{n: t.values.copy() for n, t in p.named()}) for p in (main, mom))
-        state, sep_state = init_adam(main), init_adam(sep)
-        for st in (state, sep_state):
-            for name in ("emb", "w1", "b2"):
-                st.m[name].reshape(-1)[0::2] = -0.0
-                st.m[name].reshape(-1)[1::2] = -5e-324
-        names = [n for n, _ in main.named()]
+        state = init_adam(main)
+        for name in ("emb", "w1", "b2"):
+            state.m[name].reshape(-1)[0::2] = -0.0
+            state.m[name].reshape(-1)[1::2] = -5e-324
+        ref = {n: t.values.copy() for n, t in main.named()}
+        ref_mom = {n: t.values.copy() for n, t in mom.named()}
+        m = {n: state.m[n].copy() for n in ref}
+        v = {n: state.v[n].copy() for n in ref}
         for step in range(60):
             grads = {}
             for i, (name, t) in enumerate(main.named()):
@@ -359,19 +368,14 @@ class TestGroupedUpdates:
                     g = ad.RowGrad(rows, g[rows])
                 grads[name] = g
             adam_step(main, grads, state, lr=1e-2, beta1=0.3)
-            adam_step(sep, grads, sep_state, lr=1e-2, beta1=0.3)
             ema_update(main, mom, 0.9)
-            ema_update(sep, sep_mom, 0.9)
-        assert state.t == sep_state.t == 60
-        for name in names:
-            pairs = [
-                (getattr(main, name).values, sep.tensors[name].values),
-                (getattr(mom, name).values, sep_mom.tensors[name].values),
-                (state.m[name], sep_state.m[name]),
-                (state.v[name], sep_state.v[name]),
-            ]
-            for got, want in pairs:
-                np.testing.assert_array_equal(bits(got), bits(want), err_msg=name)
+            adam_reference(ref, m, v, grads, step + 1, 1e-2, b1=0.3)
+            for name in ref_mom:
+                ref_mom[name] = 0.9 * ref_mom[name] + (1.0 - 0.9) * ref[name]
+        assert state.t == 60
+        assert_adam_bits(main, state, ref, m, v)
+        for name, t in mom.named():
+            np.testing.assert_array_equal(bits(t.values), bits(ref_mom[name]), err_msg=name)
 
     def test_nonfinite_gradient_in_the_flat_group_names_its_parameter(self):
         p = init_params(5, EncoderDims(vocab_size=9, d_emb=3, hidden=7, d_feat=5))
@@ -517,14 +521,17 @@ class TestTrainState:
         # at the default widths the six small tensors hold 16 706 floats: 134 KB
         state = init_state(small_config(d_emb=64, hidden=128, d_feat=64), 10)
         assert state.params.flat.nbytes >= 1 << 17
-        m, v = state.opt.groups[FLAT_NAMES]
-        arrays = [state.params.flat, state.momentum.flat, m, v, state.params.work]
+        m, v = state.opt.m, state.opt.v
+        arrays = [state.params.flat, state.momentum.flat, m["flat"], v["flat"], state.params.work]
         maps = [mapping(a) for a in arrays]
         assert all(isinstance(x, mmap.mmap) for x in maps)
         assert len({id(x) for x in maps}) == len(maps)
         for name in FLAT_NAMES:
             assert mapping(getattr(state.params, name).values) is maps[0]
-            assert mapping(state.opt.m[name]) is maps[2] and mapping(state.opt.v[name]) is maps[3]
+            assert mapping(m[name]) is maps[2] and mapping(v[name]) is maps[3]
+            # each moment has one owner: a view of its own group's array only
+            assert np.shares_memory(m[name], m["flat"]) and not np.shares_memory(m[name], v["flat"])
+            assert np.shares_memory(v[name], v["flat"]) and not np.shares_memory(v[name], m["flat"])
 
 
 class TestTrainStep:
