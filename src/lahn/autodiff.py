@@ -144,10 +144,12 @@ def _record(out: Tensor, inputs: Sequence[Tensor], rule: Callable[[np.ndarray], 
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t``'s gradient. A first array is adopted, so a rule
+    hands each input an array no other tensor holds."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if type(g) is np.ndarray else np.array(g, dtype=np.float64)
     else:
         t.grad = _dense_grad(t.grad, t.shape)
         t.grad += g
@@ -228,7 +230,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.values.reshape(shape).copy())
 
     def rule(g: np.ndarray) -> None:
-        _accum(x, g.reshape(x.values.shape))
+        _accum(x, g.reshape(x.values.shape).copy())
 
     return _record(out, (x,), rule)
 
@@ -244,8 +246,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values + b.values)
 
     def rule(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, g)
+        _accum(a, g.copy())
+        _accum(b, g.copy())
 
     return _record(out, (a, b), rule)
 
@@ -267,7 +269,7 @@ def add_rows(x: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(x.values + bias.values)
 
     def rule(g: np.ndarray) -> None:
-        _accum(x, g)
+        _accum(x, g.copy())
         _accum(bias, g.sum(axis=0))
 
     return _record(out, (x, bias), rule)

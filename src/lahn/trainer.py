@@ -121,6 +121,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and in {interval}, got {value}")
         if self.k > self.q:
             raise ValueError(f"need q >= k >= 1, got q={self.q}, k={self.k}")
+        # Adam's eps_hat = eps * sqrt(1 - beta2^t) is least at t = 1
+        if not self.eps * math.sqrt(1.0 - self.beta2) > 0.0:
+            raise ValueError(f"eps must keep eps * sqrt(1 - beta2) above 0, got eps={self.eps}, beta2={self.beta2}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -165,7 +168,11 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    """Bias-corrected Adam in Kingma & Ba's folded order (arXiv:1412.6980,
+    Sec. 2): theta <- theta - alpha_t * m / (sqrt(v) + eps_hat), with
+    alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and eps_hat =
+    eps * sqrt(1 - beta2^t) computed once a step. An eps whose eps_hat
+    rounds to 0 is a ValueError: an untouched coordinate would compute 0 / 0.
 
     Every parameter takes the full update, whatever its gradient's form. A
     gradient of None is all zeros. A ``RowGrad`` gives its rows the full
@@ -185,13 +192,17 @@ def adam_step(
     if not (_finite(grads["emb"]) and _finite(flat_g)):
         bad = next(n for n, _ in params.named() if not _finite(grads[n]))
         raise ValueError(f"non-finite gradient for parameter {bad!r}")
-    state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    t = state.t + 1
+    root_bc2 = math.sqrt(1.0 - beta2**t)
+    alpha = lr * root_bc2 / (1.0 - beta1**t)
+    eps_hat = eps * root_bc2
+    if not eps_hat > 0.0:
+        raise ValueError(f"eps must keep eps * sqrt(1 - beta2^t) above 0, got eps={eps}, beta2={beta2}, t={t}")
+    state.t = t
 
     def update(tb, gb, mb, vb, s1, s2) -> None:
-        # the operations of lr * (m / bc1) / (np.sqrt(v / bc2) + eps) in
-        # their order, so the update is bitwise equal to that expression's
+        # the operations of m / (np.sqrt(v) + eps_hat) * alpha in their
+        # order, so the update is bitwise equal to that expression's
         mb *= beta1
         if gb is None:
             # m + (1 - beta1) * 0 turns a -0.0 into +0.0; v is never -0.0
@@ -204,12 +215,10 @@ def adam_step(
             np.multiply(gb, 1.0 - beta2, out=s1)
             s1 *= gb
             vb += s1
-        np.divide(mb, bc1, out=s1)
-        s1 *= lr
-        np.divide(vb, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += eps
-        s1 /= s2
+        np.sqrt(vb, out=s2)
+        s2 += eps_hat
+        np.divide(mb, s2, out=s1)
+        s1 *= alpha
         tb -= s1
 
     theta, g, m, v = params.emb.values, grads["emb"], state.m["emb"], state.v["emb"]

@@ -536,6 +536,17 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         assert len(t1) != 0 and len(t2) != 0
 
+    @pytest.mark.parametrize("twice", ["a", "b"])
+    def test_add_hands_each_input_its_own_gradient(self, twice):
+        # loss = sum((a + b) + twice): the input added twice takes a second
+        # accumulation, which must not move the other input's gradient
+        a, b = ad.param(np.ones(3)), ad.param(np.ones(3))
+        with ad.Tape() as tape:
+            loss = scalar_sum(ad.add(ad.add(a, b), a if twice == "a" else b))
+            tape.backward(loss)
+        np.testing.assert_array_equal(a.grad, [2.0] * 3 if twice == "a" else [1.0] * 3)
+        np.testing.assert_array_equal(b.grad, [2.0] * 3 if twice == "b" else [1.0] * 3)
+
     def test_backward_requires_scalar(self):
         x = ad.param(np.ones(2))
         with ad.Tape() as tape:

@@ -114,7 +114,8 @@ class TestExitCodes:
         assert "beta1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad", [{"q": 16.5}, {"k": 2.5}, {"epochs": True}, {"max_len": 0}, {"d_feat": 0}, {"min_freq": -3}]
+        "bad",
+        [{"q": 16.5}, {"k": 2.5}, {"epochs": True}, {"max_len": 0}, {"d_feat": 0}, {"min_freq": -3}, {"eps": 5e-324}],
     )
     def test_non_integer_or_out_of_range_field_is_usage_error(self, workdir, tmp_path, capsys, bad):
         config = tmp_path / "bad.json"

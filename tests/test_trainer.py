@@ -122,6 +122,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="eps"):
             small_config(eps=eps)
 
+    @pytest.mark.parametrize("beta2", [0.999, 0.999999])
+    def test_eps_must_not_underflow_in_adam(self, beta2):
+        # Adam's first step uses eps * sqrt(1 - beta2), which rounds to 0 here
+        with pytest.raises(ValueError, match="eps"):
+            small_config(eps=5e-324, beta2=beta2)
+        small_config(eps=1e-300, beta2=beta2)
+
     @pytest.mark.parametrize("q", [16.5, True, "16", 0])
     def test_q_must_be_a_positive_integer(self, q):
         with pytest.raises(ValueError, match="q"):
@@ -197,9 +204,12 @@ def bits(a):
 
 
 def adam_reference(ref, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """One Adam step as plain per-tensor numpy expressions, in place of the
-    dicts ``ref``, ``m`` and ``v``; a RowGrad is densified, None is zeros."""
-    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    """One Adam step in Kingma & Ba's folded order as plain per-tensor numpy
+    expressions, in place of the dicts ``ref``, ``m`` and ``v``; a RowGrad
+    is densified, None is zeros."""
+    root_bc2 = math.sqrt(1.0 - b2**t)
+    alpha = lr * root_bc2 / (1.0 - b1**t)
+    eps_hat = eps * root_bc2
     for k, g in grads.items():
         if isinstance(g, ad.RowGrad):
             g = g.dense(ref[k].shape)
@@ -207,7 +217,7 @@ def adam_reference(ref, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
             g = np.zeros(ref[k].shape)
         m[k] = m[k] * b1 + (1.0 - b1) * g
         v[k] = v[k] * b2 + (1.0 - b2) * g * g
-        ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+        ref[k] -= m[k] / (np.sqrt(v[k]) + eps_hat) * alpha
 
 
 def assert_adam_bits(p, state, ref, m, v):
@@ -260,6 +270,45 @@ class TestAdam:
                 ref[i] -= lr * mh / (math.sqrt(vh) + eps)
         got = np.concatenate([t.values.ravel() for _, t in p.named()])
         np.testing.assert_allclose(got, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_two_thousand_steps_match_textbook_adam(self, scale):
+        # plain-python textbook Adam, bias corrections applied to m and v,
+        # over a 34-coordinate model; at gradient scale 1e-8 sqrt(v_hat) is
+        # about eps, and over 2000 steps 1 - beta1^t and 1 - beta2^t both
+        # sweep from their first-step values to near 1
+        rng = np.random.default_rng(4)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        p = init_params(0, EncoderDims(vocab_size=8, d_emb=2, hidden=2, d_feat=2))
+        state = init_adam(p)
+        ref = np.concatenate([t.values.ravel() for _, t in p.named()]).tolist()
+        n = len(ref)
+        m = [0.0] * n
+        v = [0.0] * n
+        for t in range(1, 2001):
+            grads = {k: scale * rng.normal(size=tensor.shape) for k, tensor in p.named()}
+            adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            g = np.concatenate([a.ravel() for a in grads.values()]).tolist()
+            for i in range(n):
+                m[i] = b1 * m[i] + (1 - b1) * g[i]
+                v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i]
+                ref[i] -= lr * (m[i] / (1 - b1**t)) / (math.sqrt(v[i] / (1 - b2**t)) + eps)
+        got = np.concatenate([t.values.ravel() for _, t in p.named()])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("b2", [0.999, 0.999999])
+    def test_eps_that_underflows_is_rejected_before_any_write(self, b2):
+        # eps * sqrt(1 - b2) rounds to 0, so an untouched coordinate would
+        # compute 0 / 0
+        p = small_params()
+        state = init_adam(p)
+        before = [bits(t.values) for _, t in p.named()]
+        grads = {n: None for n, _ in p.named()}
+        with pytest.raises(ValueError, match="eps"):
+            adam_step(p, grads, state, lr=1e-3, beta2=b2, eps=5e-324)
+        assert state.t == 0
+        for (_, t), want in zip(p.named(), before):
+            np.testing.assert_array_equal(bits(t.values), want)
 
     def test_fifty_steps_bitwise_equal_to_expression(self, monkeypatch):
         # the in-place update against the one-expression form it replaces,
