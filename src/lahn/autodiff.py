@@ -4,9 +4,10 @@ A deliberately small engine: a ``Tensor`` wraps a numpy float64 array plus an
 optional gradient buffer, and a ``Tape`` records every differentiable
 operation executed while it is active. ``Tape.backward`` replays the recorded
 entries in reverse, accumulating gradients into every tensor that requires
-them. Everything is 64-bit and single-threaded; there is no broadcasting
-beyond scalar ``scale`` and the explicit row-wise bias add, which keeps every
-backward rule short enough to audit by hand.
+them. Everything is 64-bit, and a tape records only the ops of the thread
+or asyncio task that entered it. There is no broadcasting beyond scalar
+``scale`` and the explicit row-wise bias add, which keeps every backward rule
+short enough to audit by hand.
 
 The encoder and every loss run as whole-batch ops, one tape entry each:
 ``embed_mean_pool`` gathers and mean-pools every example's embedding rows at
@@ -30,12 +31,15 @@ values, so evaluation paths pay nothing for the machinery.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 _COS_EPS = 1e-8
+# the tape that ops record into, one per thread and asyncio task
+_active_tape: ContextVar[Tape | None] = ContextVar("lahn_active_tape", default=None)
 
 
 class ShapeError(ValueError):
@@ -104,23 +108,19 @@ class Tape:
     Use as a context manager around one training step's forward pass. The
     record order is the forward execution order, so the reverse is a valid
     topological order and each entry is visited exactly once. A fresh tape
-    per step is the "cleared between steps" contract.
+    per step is the "cleared between steps" contract. Tapes nest: on exit,
+    the one entered before it records again.
     """
-
-    _active: "Tape | None" = None
 
     def __init__(self):
         self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._outer: "Tape | None" = None
 
     def __enter__(self) -> "Tape":
-        self._outer = Tape._active
-        Tape._active = self
+        self._token = _active_tape.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        Tape._active = self._outer
-        self._outer = None
+        _active_tape.reset(self._token)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -136,22 +136,26 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
-    tape = Tape._active
+    tape = _active_tape.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._entries.append((out, rule))
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t``'s gradient. A first array is adopted, so a rule
-    hands each input an array no other tensor holds."""
+def _accum(t: Tensor, g: "np.ndarray | RowGrad") -> None:
+    """Add ``g`` into ``t``'s gradient; every backward rule writes through
+    here. A first array or ``RowGrad`` is adopted, so a rule hands each input
+    one no other tensor holds; a later one adds into the densified gradient."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if type(g) is np.ndarray else np.array(g, dtype=np.float64)
+        t.grad = g if type(g) in (np.ndarray, RowGrad) else np.array(g, dtype=np.float64)
+        return
+    t.grad = _dense_grad(t.grad, t.shape)
+    if type(g) is RowGrad:
+        t.grad[g.rows] += g.values
     else:
-        t.grad = _dense_grad(t.grad, t.shape)
         t.grad += g
 
 
@@ -182,9 +186,8 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     scatter-adds each example's ``g[b] / count[b]`` into the table rows it
     used, summing within an example first and then across examples in
     descending order, so a repeated id accumulates exactly as one
-    gather-and-pool per example would. Into a table with no gradient yet it
-    leaves a ``RowGrad`` over the rows the batch used; otherwise it densifies
-    the table's gradient and adds into it.
+    gather-and-pool per example would. The sums reach the table as a
+    ``RowGrad`` over the rows the batch used.
     """
     idx = np.asarray(ids, dtype=np.int64)
     keep = np.asarray(mask, dtype=bool)
@@ -206,19 +209,15 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
         example, _ = np.nonzero(keep)
         pairs, slot = np.unique(example * n_rows + idx[keep], return_inverse=True)
         per_example = _sum_rows(slot, (g / counts[:, None])[example], pairs.size)
-        if table.grad is None:
-            rows, row_slot = np.unique(pairs % n_rows, return_inverse=True)
-            table.grad = RowGrad(rows, _sum_rows(row_slot[::-1], per_example[::-1], rows.size))
-        else:
-            table.grad = _dense_grad(table.grad, table.shape)
-            np.add.at(table.grad, pairs[::-1] % n_rows, per_example[::-1])
+        rows, row_slot = np.unique(pairs % n_rows, return_inverse=True)
+        _accum(table, RowGrad(rows, _sum_rows(row_slot[::-1], per_example[::-1], rows.size)))
 
     return _record(out, (table,), rule)
 
 
 def _sum_rows(slot: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """[n x d] whose row i sums the rows ``values[j]`` with ``slot[j] == i``
-    from 0.0 in order of j: ``np.add.at`` into zeros, bit for bit, but one
+    from 0.0 in order of j: a scatter-add into zeros, bit for bit, but one
     ``np.bincount`` over the flattened elements instead of a row-wise loop."""
     d = values.shape[1]
     return np.bincount((slot[:, None] * d + np.arange(d)).reshape(-1), values.reshape(-1), n * d).reshape(n, d)

@@ -2,12 +2,13 @@
 rows at a time, split across the process's CPUs when an array is large.
 
 A pass hands a kernel one block of leading-axis rows of each array, plus
-scratch arrays of the block's shape, so it allocates no array-sized
-temporary. An array of at least ``2 * SPLIT_MIN`` elements is cut into
-disjoint row ranges, one per usable CPU and at most one per ``SPLIT_MIN``
-elements. The calling thread runs the first range and the process's one pool
-of worker threads, made on that process's first split, runs the rest; numpy
-releases the GIL inside each ufunc, so the ranges run at the same time.
+scratch of the block's shape (rows of the caller's, if it keeps some), so it
+allocates no array-sized temporary. An array of ``2 * SPLIT_MIN`` elements
+or more is cut into disjoint row ranges, one per usable CPU and at most one
+per ``SPLIT_MIN`` elements. The calling thread runs the first range and the
+process's one pool of worker threads, made on that process's first split,
+runs the rest; numpy releases the GIL inside each ufunc, so the ranges run
+at the same time.
 Every element goes through the kernel's operations in the kernel's order
 however the array is cut, so the result is bitwise that of one serial pass.
 A pass of one range runs inline and starts no thread.
@@ -61,22 +62,24 @@ def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None
     uninitialised arrays of the block's shape. The caller allocates every
     range's scratch in one array, so a worker thread allocates no block.
     ``scratch`` may instead be the arrays themselves, rows of one array of
-    the arrays' shape: a pass of one block then allocates none.
+    the arrays' shape: each range then takes its own rows of them, and each
+    block the leading rows of its range's, so a pass allocates none.
     An exception raised in any range reaches the caller once every range
     has stopped.
     """
     lead = arrays[0]
     given = not isinstance(scratch, int)
-    n_scratch = len(scratch) if given else scratch
     if lead.size <= BLOCK:  # one block: the arrays themselves
-        kernel(*arrays, *(scratch if given else [np.empty(lead.shape) for _ in range(n_scratch)]))
+        kernel(*arrays, *(scratch if given else [np.empty(lead.shape) for _ in range(scratch)]))
         return
     n = lead.shape[0]
     rows = max(BLOCK * n // lead.size, 1)
     parts = 1 if lead.size < 2 * SPLIT_MIN else min(usable_cpus(), lead.size // SPLIT_MIN, n)
     edges = [n * i // parts for i in range(parts + 1)]
-    # the last range is the longest: ceil(n / parts) rows
-    scratch = np.empty((parts, n_scratch, min(rows, n - edges[-2])) + lead.shape[1:])
+    if given:
+        scratch = [scratch[:, a : min(a + rows, b)] for a, b in zip(edges, edges[1:])]
+    else:  # the last range is the longest: ceil(n / parts) rows
+        scratch = np.empty((parts, scratch, min(rows, n - edges[-2])) + lead.shape[1:])
     if parts == 1:
         _run(kernel, arrays, scratch[0], rows, 0, n)
         return

@@ -1,6 +1,8 @@
+import asyncio
 import inspect
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +292,15 @@ def dense_scatter(grad, ids, mask, g):
     return grad
 
 
+def add_row_sums(grad, ids, mask, g):
+    """A pool's gradient reaching a table that already has one: its per-row
+    sums, each taken from 0.0 as ``dense_scatter`` into zeros takes them,
+    added into the rows the batch used."""
+    rows = np.unique(np.asarray(ids)[np.asarray(mask, dtype=bool)])
+    grad[rows] += dense_scatter(np.zeros(grad.shape), ids, mask, g)[rows]
+    return grad
+
+
 def assert_bitwise(a, b):
     # assert_array_equal alone takes -0.0 == 0.0
     np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
@@ -324,7 +335,7 @@ class TestRowGrad:
             assert grad.values.shape == (grad.rows.size, d)
             assert_bitwise(grad.dense(table.shape), dense_scatter(np.zeros((v, d)), ids, mask, g))
 
-    def test_table_pooled_twice_equals_dense_route(self):
+    def test_table_pooled_twice_adds_row_sums_into_dense_gradient(self):
         rng = np.random.default_rng(20)
         ids1, ids2 = rng.integers(0, 6, size=(4, 5)), rng.integers(0, 6, size=(3, 7))
         mask1, mask2 = rng.random((4, 5)) < 0.7, rng.random((3, 7)) < 0.7
@@ -335,12 +346,12 @@ class TestRowGrad:
             first = dot_with(ad.embed_mean_pool(table, ids1, mask1), g1)
             second = dot_with(ad.embed_mean_pool(table, ids2, mask2), g2)
             tape.backward(ad.add(first, second))
-        # backward visits the second pool first
-        want = dense_scatter(dense_scatter(np.zeros((6, 3)), ids2, mask2, g2), ids1, mask1, g1)
+        # backward visits the second pool first; its RowGrad is densified
+        want = add_row_sums(dense_scatter(np.zeros((6, 3)), ids2, mask2, g2), ids1, mask1, g1)
         assert_bitwise(table.grad, want)
 
     @pytest.mark.parametrize("pool_first", [True, False])
-    def test_pool_and_matmul_on_one_table_equal_dense_route(self, pool_first):
+    def test_pool_and_matmul_on_one_table_add_in_backward_order(self, pool_first):
         rng = np.random.default_rng(21)
         ids = rng.integers(0, 6, size=(4, 5))
         mask = np.ones((4, 5), dtype=bool)
@@ -356,7 +367,7 @@ class TestRowGrad:
             tape.backward(ad.add(pooled, product))
         from_matmul = c.T @ np.ones((2, 3))
         if pool_first:  # the matmul's rule runs first and leaves a dense gradient
-            want = dense_scatter(from_matmul.copy(), ids, mask, g)
+            want = add_row_sums(from_matmul.copy(), ids, mask, g)
         else:
             want = dense_scatter(np.zeros((6, 3)), ids, mask, g)
             want += from_matmul
@@ -535,6 +546,70 @@ class TestTapeMechanics:
             t2.backward(loss)
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         assert len(t1) != 0 and len(t2) != 0
+
+    def test_nested_tapes_record_into_the_outer_again_after_the_inner(self):
+        x = ad.param(np.ones(3))
+        with ad.Tape() as outer:
+            ad.scale(x, 2.0)
+            with ad.Tape() as inner:
+                ad.scale(x, 3.0)
+            ad.scale(x, 4.0)
+        assert (len(outer), len(inner)) == (2, 1)
+        assert ad.scale(x, 5.0).requires_grad is False
+
+    def test_threads_each_record_into_their_own_tape(self):
+        # both tapes are entered before either forward runs, and both
+        # forwards run before either backward
+        barrier = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def train(name, factor):
+            x = ad.param(np.ones(3))
+            with ad.Tape() as tape:
+                barrier.wait()
+                loss = dot_with(x, np.full(3, factor))
+                barrier.wait()
+                tape.backward(loss)
+            results[name] = (len(tape), x.grad)
+
+        threads = [threading.Thread(target=train, args=args) for args in (("a", 2.0), ("b", 4.0))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        for name, factor in (("a", 2.0), ("b", 4.0)):
+            n_entries, grad = results[name]
+            assert n_entries == 3, name
+            np.testing.assert_array_equal(grad, [factor] * 3, err_msg=name)
+
+    def test_a_thread_without_a_tape_records_nothing_into_anothers(self):
+        x = ad.param(np.ones(3))
+        outside = []
+        with ad.Tape() as tape:
+            ad.scale(x, 2.0)
+            t = threading.Thread(target=lambda: outside.append(ad.scale(x, 3.0)))
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive() and len(tape) == 1
+        assert outside[0].requires_grad is False
+
+    def test_asyncio_tasks_each_record_into_their_own_tape(self):
+        async def train(factor):
+            x = ad.param(np.ones(3))
+            with ad.Tape() as tape:
+                await asyncio.sleep(0)  # the other task enters its tape
+                loss = dot_with(x, np.full(3, factor))
+                await asyncio.sleep(0)  # and runs its forward
+                tape.backward(loss)
+            return len(tape), x.grad
+
+        async def both():
+            return await asyncio.gather(train(2.0), train(4.0))
+
+        for (n_entries, grad), factor in zip(asyncio.run(both()), (2.0, 4.0)):
+            assert n_entries == 3
+            np.testing.assert_array_equal(grad, [factor] * 3)
 
     @pytest.mark.parametrize("twice", ["a", "b"])
     def test_add_hands_each_input_its_own_gradient(self, twice):

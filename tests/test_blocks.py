@@ -268,6 +268,38 @@ class TestSplitPass:
         for i, a in enumerate(arrays):
             assert (a == i + 50.0).all()
 
+    def test_given_scratch_serves_every_range_of_a_split(self, monkeypatch, ranges, no_pool):
+        # 30000 x 8 at 4096 rows a block, split in three ranges of 10000 rows:
+        # each block uses the leading rows of its range's part of the given
+        # scratch, and the pass allocates no block
+        monkeypatch.setattr(blocks, "SPLIT_MIN", 1 << 14)
+        rng = np.random.default_rng(9)
+        start, b = rng.normal(size=(30_000, 8)), rng.normal(size=(30_000, 8))
+
+        def kernel(ab, bb, s1, s2):
+            np.multiply(bb, bb, out=s1)
+            np.multiply(ab, 0.5, out=s2)
+            np.add(s1, s2, out=ab)
+
+        cpus(monkeypatch, 1)
+        want = start.copy()
+        blocks.blocked_pass(kernel, (want, b), 2)
+        cpus(monkeypatch, 3)
+        blocks.blocked_pass(kernel, (start.copy(), b), 2)  # the pool exists before measuring
+        ranges.clear()
+        got, scratch = start.copy(), np.full((2, 30_000, 8), np.nan)
+        tracemalloc.start()
+        try:
+            blocks.blocked_pass(kernel, (got, b), scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted((lo, hi) for lo, hi, _ in ranges) == [(0, 10_000), (10_000, 20_000), (20_000, 30_000)]
+        np.testing.assert_array_equal(bits(got), bits(want))
+        written = np.flatnonzero(~np.isnan(scratch).all(axis=(0, 2)))
+        np.testing.assert_array_equal(written, np.concatenate([np.arange(a, a + 4096) for a in (0, 10_000, 20_000)]))
+        assert peak < blocks.BLOCK * 8 // 4
+
     def test_usable_cpus_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)

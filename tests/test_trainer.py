@@ -444,9 +444,11 @@ class TestGroupedUpdates:
         for got, want in zip(snapshot(), before):
             np.testing.assert_array_equal(got, want)
 
-    def test_a_step_allocates_no_flat_sized_array(self):
-        # the flat group's gradient copy and scratch are rows of params.work
-        main = init_params(5, EncoderDims(vocab_size=10))
+    @pytest.mark.parametrize("hidden", [128, 256])
+    def test_a_step_allocates_no_flat_sized_array(self, hidden):
+        # the flat group's gradient copy and scratch are rows of params.work,
+        # in a pass of one block (hidden 128) or of several (hidden 256)
+        main = init_params(5, EncoderDims(vocab_size=10, hidden=hidden))
         mom = clone_params(main)
         state = init_adam(main)
         grads = {n: np.ones(t.shape) for n, t in main.named()}
