@@ -24,9 +24,9 @@ import numpy as np
 
 # elements per block of rows (at least one row). Larger blocks make fewer
 # ufunc calls and so fewer GIL hand-offs between the ranges of a split pass,
-# but every range holds its scratch at once: Adam's two blocks take 512 KB
-# a range at this size
-BLOCK = 1 << 15
+# but every range holds its scratch at once: Adam's two blocks take 1 MB a
+# range at this size
+BLOCK = 1 << 16
 # elements per range of a split pass, at the least
 SPLIT_MIN = 1 << 17
 

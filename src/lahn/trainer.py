@@ -141,22 +141,40 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, each an ``encoder.layout`` of the
-    parameters' shapes (``m["w1"]`` is a view of ``m["flat"]``), and the
-    step count."""
+    """Adam's first moment ``m`` and the root ``r = sqrt(v)`` of its second,
+    each an ``encoder.layout`` of the parameters' shapes (``m["w1"]`` is a
+    view of ``m["flat"]``), and the step count. Keeping the root lets an
+    entry with no gradient decay it by ``sqrt(beta2)`` with no square root."""
 
     m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    r: dict[str, np.ndarray]
     t: int = 0
 
 
 def init_adam(params: EncoderParams) -> AdamState:
-    return AdamState(m=layout(params.dims), v=layout(params.dims))
+    return AdamState(m=layout(params.dims), r=layout(params.dims))
 
 
 def _finite(g: np.ndarray | ad.RowGrad | None) -> bool:
     values = g.values if isinstance(g, ad.RowGrad) else g
     return values is None or bool(np.isfinite(values).all())
+
+
+def _check_shapes(params: EncoderParams, grads: dict[str, np.ndarray | ad.RowGrad | None]) -> None:
+    """Raise ValueError naming the first parameter whose gradient does not
+    fit it. A ``RowGrad``'s rows are sorted, so its bounds are its ends."""
+    for name, tensor in params.named():
+        g, shape = grads[name], tensor.values.shape
+        if isinstance(g, ad.RowGrad):
+            if g.rows.size and not (
+                g.values.shape == g.rows.shape + shape[1:] and g.rows[0] >= 0 and g.rows[-1] < shape[0]
+            ):
+                raise ValueError(
+                    f"row gradient for parameter {name!r} does not fit its shape {shape}: values of "
+                    f"shape {g.values.shape} for {g.rows.size} rows in [{g.rows[0]}, {g.rows[-1]}]"
+                )
+        elif g is not None and getattr(g, "shape", None) != shape:
+            raise ValueError(f"gradient for parameter {name!r} has shape {np.shape(g)}, not {shape}")
 
 
 def adam_step(
@@ -169,16 +187,26 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """Bias-corrected Adam in Kingma & Ba's folded order (arXiv:1412.6980,
-    Sec. 2): theta <- theta - alpha_t * m / (sqrt(v) + eps_hat), with
+    Sec. 2): theta <- theta - alpha_t * m / (r + eps_hat), with r = sqrt(v),
     alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and eps_hat =
     eps * sqrt(1 - beta2^t) computed once a step. An eps whose eps_hat
     rounds to 0 is a ValueError: an untouched coordinate would compute 0 / 0.
 
+    The state keeps r, not v: an entry with no gradient takes r <-
+    sqrt(beta2) * r, and one with a gradient r <- sqrt(w * w + (1 - beta2)
+    * g * g) with w = sqrt(beta2) * r. For a zero g that gives back w bit
+    for bit whenever w is 0 or at least 2^-511, below which w * w loses
+    bits; so above that floor a zero gradient and a missing one agree.
+
     Every parameter takes the full update, whatever its gradient's form. A
     gradient of None is all zeros. A ``RowGrad`` gives its rows the full
     update and every other row the zero-gradient one, which still decays
-    m and v and moves theta, so the result is bitwise that of its dense
+    m and r and moves theta, so the result is bitwise that of its dense
     form; one that covers at least half its table is applied in that form.
+    A gradient that does not fit its parameter (a dense one of another
+    shape; a ``RowGrad`` whose values are not one row per row id, or with
+    a row id outside the table) or that is not finite is a ValueError
+    naming the parameter, raised before any state changes.
     A step makes one in-place ``blocks.blocked_pass`` over ``emb`` and one
     over ``flat``. Only ``emb``'s gradient may be a ``RowGrad``. The six
     small gradients are first copied into a row of ``EncoderParams.work``
@@ -186,6 +214,7 @@ def adam_step(
     So a step allocates no parameter-sized temporary, and a large table's
     rows are split across the usable CPUs.
     """
+    _check_shapes(params, grads)
     flat_g = params.work[0]
     for view, name in zip(views_of(flat_g, [state.m[n].shape for n in FLAT_NAMES]), FLAT_NAMES):
         view[...] = 0.0 if grads[name] is None else grads[name]
@@ -198,40 +227,42 @@ def adam_step(
     eps_hat = eps * root_bc2
     if not eps_hat > 0.0:
         raise ValueError(f"eps must keep eps * sqrt(1 - beta2^t) above 0, got eps={eps}, beta2={beta2}, t={t}")
+    root_b2 = math.sqrt(beta2)
     state.t = t
 
-    def update(tb, gb, mb, vb, s1, s2) -> None:
-        # the operations of m / (np.sqrt(v) + eps_hat) * alpha in their
-        # order, so the update is bitwise equal to that expression's
+    def update(tb, gb, mb, rb, s1, s2) -> None:
+        # m <- m * beta1 + (1 - beta1) * g; r <- sqrt((r * root_b2)^2 +
+        # (1 - beta2) * g * g); theta -= m / (r + eps_hat) * alpha, each in
+        # this order, so the update is bitwise equal to those expressions'
         mb *= beta1
+        rb *= root_b2
         if gb is None:
-            # m + (1 - beta1) * 0 turns a -0.0 into +0.0; v is never -0.0
+            # m + (1 - beta1) * 0 turns a -0.0 into +0.0; r is never -0.0
             mb += 0.0
-            vb *= beta2
         else:
             np.multiply(gb, 1.0 - beta1, out=s1)
             mb += s1
-            vb *= beta2
+            rb *= rb
             np.multiply(gb, 1.0 - beta2, out=s1)
             s1 *= gb
-            vb += s1
-        np.sqrt(vb, out=s2)
-        s2 += eps_hat
+            rb += s1
+            np.sqrt(rb, out=rb)
+        np.add(rb, eps_hat, out=s2)
         np.divide(mb, s2, out=s1)
         s1 *= alpha
         tb -= s1
 
-    theta, g, m, v = params.emb.values, grads["emb"], state.m["emb"], state.v["emb"]
+    theta, g, m, r = params.emb.values, grads["emb"], state.m["emb"], state.r["emb"]
     if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:
         g = g.dense(theta.shape)
     if isinstance(g, ad.RowGrad):
-        theta_rows, m_rows, v_rows = theta[g.rows], m[g.rows], v[g.rows]
-        blocked_pass(update, (theta_rows, g.values, m_rows, v_rows), 2)
-        blocked_pass(update, (theta, None, m, v), 2)
-        theta[g.rows], m[g.rows], v[g.rows] = theta_rows, m_rows, v_rows
+        theta_rows, m_rows, r_rows = theta[g.rows], m[g.rows], r[g.rows]
+        blocked_pass(update, (theta_rows, g.values, m_rows, r_rows), 2)
+        blocked_pass(update, (theta, None, m, r), 2)
+        theta[g.rows], m[g.rows], r[g.rows] = theta_rows, m_rows, r_rows
     else:
-        blocked_pass(update, (theta, g, m, v), 2)
-    blocked_pass(update, (params.flat, flat_g, state.m["flat"], state.v["flat"]), params.work[1:])
+        blocked_pass(update, (theta, g, m, r), 2)
+    blocked_pass(update, (params.flat, flat_g, state.m["flat"], state.r["flat"]), params.work[1:])
 
 
 @dataclass

@@ -83,7 +83,7 @@ def adam_run(n_cpus, monkeypatch, grad_kinds, steps=3):
         grads = {name: rng.normal(size=getattr(p, name).shape) for name in FLAT_NAMES}
         grads["emb"] = {"row": ad.RowGrad(rows, dense[rows]), "dense": dense, "none": None}[kind]
         adam_step(p, grads, state, lr=1e-2, beta1=0.3)
-    return [bits(a) for a in (p.emb.values, state.m["emb"], state.v["emb"], p.flat, state.m["flat"], state.v["flat"])]
+    return [bits(a) for a in (p.emb.values, state.m["emb"], state.r["emb"], p.flat, state.m["flat"], state.r["flat"])]
 
 
 class TestSplitPass:
@@ -269,9 +269,9 @@ class TestSplitPass:
             assert (a == i + 50.0).all()
 
     def test_given_scratch_serves_every_range_of_a_split(self, monkeypatch, ranges, no_pool):
-        # 30000 x 8 at 4096 rows a block, split in three ranges of 10000 rows:
-        # each block uses the leading rows of its range's part of the given
-        # scratch, and the pass allocates no block
+        # 30000 x 8 at BLOCK / 8 rows a block, split in three ranges of 10000
+        # rows: each block uses the leading rows of its range's part of the
+        # given scratch, and the pass allocates no block
         monkeypatch.setattr(blocks, "SPLIT_MIN", 1 << 14)
         rng = np.random.default_rng(9)
         start, b = rng.normal(size=(30_000, 8)), rng.normal(size=(30_000, 8))
@@ -297,7 +297,7 @@ class TestSplitPass:
         assert sorted((lo, hi) for lo, hi, _ in ranges) == [(0, 10_000), (10_000, 20_000), (20_000, 30_000)]
         np.testing.assert_array_equal(bits(got), bits(want))
         written = np.flatnonzero(~np.isnan(scratch).all(axis=(0, 2)))
-        np.testing.assert_array_equal(written, np.concatenate([np.arange(a, a + 4096) for a in (0, 10_000, 20_000)]))
+        np.testing.assert_array_equal(written, np.concatenate([np.arange(a, a + blocks.BLOCK // 8) for a in (0, 10_000, 20_000)]))
         assert peak < blocks.BLOCK * 8 // 4
 
     def test_usable_cpus_without_affinity_call(self, monkeypatch):
@@ -320,7 +320,7 @@ class TestEmaInPlace:
 
     def test_no_parameter_sized_temporary_at_wide_vocab(self, monkeypatch):
         # a 20000 x 64 table is 10.24 MB; the pass holds one block of
-        # scratch per range (256 KB), two ranges here
+        # scratch per range (512 KB), two ranges here
         cpus(monkeypatch, 2)
         dims = EncoderDims(vocab_size=20_000, d_emb=64, hidden=8, d_feat=4)
         main, mom = init_params(1, dims), clone_params(init_params(2, dims))
@@ -359,7 +359,7 @@ class TestRowGradDensified:
             state.m["emb"][:, 0] = -0.0
             for g in grads:
                 adam_step(p, {**dict.fromkeys(FLAT_NAMES), "emb": g.dense((40, 3)) if dense else g}, state, lr=1e-2)
-            runs.append([bits(a) for a in (p.emb.values, state.m["emb"], state.v["emb"])])
+            runs.append([bits(a) for a in (p.emb.values, state.m["emb"], state.r["emb"])])
             if not dense:
                 assert sum(passes) == dense_passes
         for got, want in zip(*runs):

@@ -203,10 +203,10 @@ def bits(a):
     return a.view(np.uint64).copy()
 
 
-def adam_reference(ref, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+def adam_reference(ref, m, r, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """One Adam step in Kingma & Ba's folded order as plain per-tensor numpy
-    expressions, in place of the dicts ``ref``, ``m`` and ``v``; a RowGrad
-    is densified, None is zeros."""
+    expressions, in place of the dicts ``ref``, ``m`` and ``r`` (the root of
+    the second moment); a RowGrad is densified, None is zeros."""
     root_bc2 = math.sqrt(1.0 - b2**t)
     alpha = lr * root_bc2 / (1.0 - b1**t)
     eps_hat = eps * root_bc2
@@ -216,13 +216,14 @@ def adam_reference(ref, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
         elif g is None:
             g = np.zeros(ref[k].shape)
         m[k] = m[k] * b1 + (1.0 - b1) * g
-        v[k] = v[k] * b2 + (1.0 - b2) * g * g
-        ref[k] -= m[k] / (np.sqrt(v[k]) + eps_hat) * alpha
+        w = r[k] * math.sqrt(b2)
+        r[k] = np.sqrt(w * w + (1.0 - b2) * g * g)
+        ref[k] -= m[k] / (r[k] + eps_hat) * alpha
 
 
-def assert_adam_bits(p, state, ref, m, v):
+def assert_adam_bits(p, state, ref, m, r):
     for k, tensor in p.named():
-        for got, want in ((tensor.values, ref[k]), (state.m[k], m[k]), (state.v[k], v[k])):
+        for got, want in ((tensor.values, ref[k]), (state.m[k], m[k]), (state.r[k], r[k])):
             np.testing.assert_array_equal(bits(got), bits(want), err_msg=k)
 
 
@@ -295,6 +296,8 @@ class TestAdam:
                 ref[i] -= lr * (m[i] / (1 - b1**t)) / (math.sqrt(v[i] / (1 - b2**t)) + eps)
         got = np.concatenate([t.values.ravel() for _, t in p.named()])
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        r = np.concatenate([state.r[k].ravel() for k, _ in p.named()])
+        np.testing.assert_allclose(r**2, v, rtol=1e-12)
 
     @pytest.mark.parametrize("b2", [0.999, 0.999999])
     def test_eps_that_underflows_is_rejected_before_any_write(self, b2):
@@ -323,13 +326,13 @@ class TestAdam:
             state = init_adam(p)
             ref = {k: t.values.copy() for k, t in p.named()}
             m = {k: np.zeros(t.shape) for k, t in p.named()}
-            v = {k: np.zeros(t.shape) for k, t in p.named()}
+            r = {k: np.zeros(t.shape) for k, t in p.named()}
             for t in range(1, 51):
                 grads = {k: rng.normal(size=tensor.shape) for k, tensor in p.named()}
                 grads["b2"] = np.zeros(p.b2.shape)
                 adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
-                adam_reference(ref, m, v, grads, t, lr, b1, b2, eps)
-            assert_adam_bits(p, state, ref, m, v)
+                adam_reference(ref, m, r, grads, t, lr, b1, b2, eps)
+            assert_adam_bits(p, state, ref, m, r)
 
     def test_nonfinite_gradient_names_parameter(self):
         p = small_params()
@@ -342,40 +345,46 @@ class TestAdam:
     def test_row_grad_fifty_steps_bitwise_equal_to_dense_expression(self, b1):
         # rows 0-29 are touched on some steps and not on others, rows 30-39
         # never; preset m entries of -0.0 and of the least negative subnormal
-        # (which b1 = 0.3 rounds to -0.0) must turn +0.0 as the dense form does
-        rng = np.random.default_rng(2)
+        # (which b1 = 0.3 rounds to -0.0) must turn +0.0 as the dense form
+        # does. At gradient scale 1e-150 r is near 1e-151, still above the
+        # 2^-511 floor where squaring it would lose bits
         lr, b2, eps = 3e-3, 0.999, 1e-8
-        p = small_params(3)
-        state = init_adam(p)
-        state.m["emb"][:, 0] = -0.0
-        state.m["emb"][:, 1] = -5e-324
-        ref = {k: t.values.copy() for k, t in p.named()}
-        m = {k: state.m[k].copy() for k in ref}
-        v = {k: state.v[k].copy() for k in ref}
-        for t in range(1, 51):
-            rows = np.flatnonzero(rng.random(30) < 0.3)
-            grads = {k: rng.normal(size=getattr(p, k).shape) for k in FLAT_NAMES}
-            grads["emb"] = ad.RowGrad(rows, rng.normal(size=(rows.size, 3)))
-            adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
-            adam_reference(ref, m, v, grads, t, lr, b1, b2, eps)
-        assert_adam_bits(p, state, ref, m, v)
+        for scale in (1.0, 1e-150):
+            rng = np.random.default_rng(2)
+            p = small_params(3)
+            state = init_adam(p)
+            state.m["emb"][:, 0] = -0.0
+            state.m["emb"][:, 1] = -5e-324
+            ref = {k: t.values.copy() for k, t in p.named()}
+            m = {k: state.m[k].copy() for k in ref}
+            r = {k: state.r[k].copy() for k in ref}
+            for t in range(1, 51):
+                rows = np.flatnonzero(rng.random(30) < 0.3)
+                grads = {k: scale * rng.normal(size=getattr(p, k).shape) for k in FLAT_NAMES}
+                grads["emb"] = ad.RowGrad(rows, scale * rng.normal(size=(rows.size, 3)))
+                adam_step(p, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+                adam_reference(ref, m, r, grads, t, lr, b1, b2, eps)
+            assert_adam_bits(p, state, ref, m, r)
 
     def test_none_gradient_equals_all_zero_gradient(self):
-        rng = np.random.default_rng(3)
-        p0 = small_params(4)
-        g1, g2 = ({n: rng.normal(size=t.shape) for n, t in p0.named()} for _ in range(2))
-        runs = []
-        for none in (True, False):
-            p = small_params(4)
-            state = init_adam(p)
-            for name in ("emb", "w1"):
-                state.m[name][0, :2] = [-0.0, -5e-324]
-            zeros = {n: None if none else np.zeros(t.shape) for n, t in p.named()}
-            for g in (zeros, g1, zeros, zeros, g2, zeros):
-                adam_step(p, g, state, lr=1e-2, beta1=0.3)
-            runs.append([bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.v[n])])
-        for got, want in zip(*runs):
-            np.testing.assert_array_equal(got, want)
+        # at gradient scale 1e-150 too, where r is near 1e-151: still above
+        # the 2^-511 floor, so a zero gradient's square root gives r back
+        for scale in (1.0, 1e-150):
+            rng = np.random.default_rng(3)
+            p0 = small_params(4)
+            g1, g2 = ({n: scale * rng.normal(size=t.shape) for n, t in p0.named()} for _ in range(2))
+            runs = []
+            for none in (True, False):
+                p = small_params(4)
+                state = init_adam(p)
+                for name in ("emb", "w1"):
+                    state.m[name][0, :2] = [-0.0, -5e-324]
+                zeros = {n: None if none else np.zeros(t.shape) for n, t in p.named()}
+                for g in (zeros, g1, zeros, zeros, g2, zeros):
+                    adam_step(p, g, state, lr=1e-2, beta1=0.3)
+                runs.append([bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.r[n])])
+            for got, want in zip(*runs):
+                np.testing.assert_array_equal(got, want)
 
     def test_nonfinite_row_grad_names_parameter(self):
         p = small_params()
@@ -383,6 +392,69 @@ class TestAdam:
         grads["emb"] = ad.RowGrad(np.array([1, 3]), np.array([[0.0, 1.0, 2.0], [np.inf, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="'emb'"):
             adam_step(p, grads, init_adam(p), lr=1e-3)
+
+    @staticmethod
+    def assert_rejected_before_any_write(p, grads, name):
+        state = init_adam(p)
+        adam_step(p, {n: np.ones(t.shape) for n, t in p.named()}, state, lr=1e-3)
+        before = [bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.r[n])]
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            adam_step(p, grads, state, lr=1e-3)
+        assert state.t == 1
+        after = [bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.r[n])]
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name, g", [("emb", np.ones((1, 3))), ("w1", np.float64(2.0)), ("b1", np.ones(1))], ids=["emb", "w1", "b1"]
+    )
+    def test_dense_gradient_of_another_shape_is_rejected(self, name, g):
+        # each of these would broadcast into every row of its parameter
+        p = small_params()
+        self.assert_rejected_before_any_write(p, {**dict.fromkeys(FLAT_NAMES), "emb": None, name: g}, name)
+
+    @pytest.mark.parametrize("rows", [[-1, 3], [-40, 3]], ids=["-1", "-40"])
+    def test_row_grad_with_a_negative_row_is_rejected(self, rows):
+        # a negative row id would wrap around to a row counted from the end
+        p = small_params()
+        g = ad.RowGrad(np.array(rows), np.ones((2, 3)))
+        self.assert_rejected_before_any_write(p, {**dict.fromkeys(FLAT_NAMES), "emb": g}, "emb")
+
+    def test_row_grad_past_the_table_is_rejected(self):
+        p = small_params()
+        g = ad.RowGrad(np.array([3, 40]), np.ones((2, 3)))
+        self.assert_rejected_before_any_write(p, {**dict.fromkeys(FLAT_NAMES), "emb": g}, "emb")
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3, 1)], ids=["2x2", "3x3", "2x3x1"])
+    def test_row_grad_values_not_one_row_per_row_id_are_rejected(self, shape):
+        p = small_params()
+        g = ad.RowGrad(np.array([1, 3]), np.ones(shape))
+        self.assert_rejected_before_any_write(p, {**dict.fromkeys(FLAT_NAMES), "emb": g}, "emb")
+
+    def test_square_roots_only_over_rows_with_a_gradient(self, monkeypatch):
+        # the kept root r means an untouched table row takes no square root:
+        # a step with 5 of 1000 rows touched takes them over those 5 rows and
+        # the flat group, not over the whole table
+        taken = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sqrt(x, *args, **kwargs):
+                taken.append(np.size(x))
+                return np.sqrt(x, *args, **kwargs)
+
+        p = init_params(0, EncoderDims(vocab_size=1000, d_emb=16, hidden=8, d_feat=4))
+        state = init_adam(p)
+        rows = np.array([0, 7, 100, 500, 999])
+        grads = {n: np.ones(t.shape) for n, t in p.named()}
+        grads["emb"] = ad.RowGrad(rows, np.ones((5, 16)))
+        monkeypatch.setattr(trainer, "np", CountingNumpy())
+        adam_step(p, grads, state, lr=1e-3)
+        assert state.t == 1
+        assert sum(taken) == 5 * 16 + p.flat.size
 
 
 class TestGroupedUpdates:
@@ -401,7 +473,7 @@ class TestGroupedUpdates:
         ref = {n: t.values.copy() for n, t in main.named()}
         ref_mom = {n: t.values.copy() for n, t in mom.named()}
         m = {n: state.m[n].copy() for n in ref}
-        v = {n: state.v[n].copy() for n in ref}
+        r = {n: state.r[n].copy() for n in ref}
         for step in range(60):
             grads = {}
             for i, (name, t) in enumerate(main.named()):
@@ -418,11 +490,11 @@ class TestGroupedUpdates:
                 grads[name] = g
             adam_step(main, grads, state, lr=1e-2, beta1=0.3)
             ema_update(main, mom, 0.9)
-            adam_reference(ref, m, v, grads, step + 1, 1e-2, b1=0.3)
+            adam_reference(ref, m, r, grads, step + 1, 1e-2, b1=0.3)
             for name in ref_mom:
                 ref_mom[name] = 0.9 * ref_mom[name] + (1.0 - 0.9) * ref[name]
         assert state.t == 60
-        assert_adam_bits(main, state, ref, m, v)
+        assert_adam_bits(main, state, ref, m, r)
         for name, t in mom.named():
             np.testing.assert_array_equal(bits(t.values), bits(ref_mom[name]), err_msg=name)
 
@@ -432,7 +504,7 @@ class TestGroupedUpdates:
         adam_step(p, {n: np.ones(t.shape) for n, t in p.named()}, state, lr=1e-2)
 
         def snapshot():
-            return [bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.v[n])]
+            return [bits(a) for n, t in p.named() for a in (t.values, state.m[n], state.r[n])]
 
         before = snapshot()
         grads = {n: np.ones(t.shape) for n, t in p.named()}
@@ -562,7 +634,7 @@ class TestTrainState:
         # so that freeing one unmaps it instead of leaving it in the C heap
         state = init_state(small_config(), 20_000)  # a 20000 x 8 table: 1.28 MB
         copies = (state.params, state.momentum, clone_params(state.params))
-        tables = [p.emb.values for p in copies] + [state.opt.m["emb"], state.opt.v["emb"]]
+        tables = [p.emb.values for p in copies] + [state.opt.m["emb"], state.opt.r["emb"]]
         maps = [mapping(a) for a in tables]
         assert all(isinstance(m, mmap.mmap) for m in maps)
         assert len({id(m) for m in maps}) == len(maps)
@@ -572,17 +644,17 @@ class TestTrainState:
         # at the default widths the six small tensors hold 16 706 floats: 134 KB
         state = init_state(small_config(d_emb=64, hidden=128, d_feat=64), 10)
         assert state.params.flat.nbytes >= 1 << 17
-        m, v = state.opt.m, state.opt.v
-        arrays = [state.params.flat, state.momentum.flat, m["flat"], v["flat"], state.params.work]
+        m, r = state.opt.m, state.opt.r
+        arrays = [state.params.flat, state.momentum.flat, m["flat"], r["flat"], state.params.work]
         maps = [mapping(a) for a in arrays]
         assert all(isinstance(x, mmap.mmap) for x in maps)
         assert len({id(x) for x in maps}) == len(maps)
         for name in FLAT_NAMES:
             assert mapping(getattr(state.params, name).values) is maps[0]
-            assert mapping(m[name]) is maps[2] and mapping(v[name]) is maps[3]
+            assert mapping(m[name]) is maps[2] and mapping(r[name]) is maps[3]
             # each moment has one owner: a view of its own group's array only
-            assert np.shares_memory(m[name], m["flat"]) and not np.shares_memory(m[name], v["flat"])
-            assert np.shares_memory(v[name], v["flat"]) and not np.shares_memory(v[name], m["flat"])
+            assert np.shares_memory(m[name], m["flat"]) and not np.shares_memory(m[name], r["flat"])
+            assert np.shares_memory(r[name], r["flat"]) and not np.shares_memory(r[name], m["flat"])
 
 
 class TestTrainStep:
