@@ -82,10 +82,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def item(self) -> float:
-        """The value of a scalar tensor as a Python float."""
-        return float(self.values)
-
     def zero_grad(self) -> None:
         self.grad = None
 

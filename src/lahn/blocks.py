@@ -2,13 +2,14 @@
 rows at a time, split across the process's CPUs when an array is large.
 
 A pass hands a kernel one block of leading-axis rows of each array, plus
-scratch of the block's shape (rows of the caller's, if it keeps some), so it
-allocates no array-sized temporary. An array of ``2 * SPLIT_MIN`` elements
-or more is cut into disjoint row ranges, one per usable CPU and at most one
-per ``SPLIT_MIN`` elements. The calling thread runs the first range and the
-process's one pool of worker threads, made on that process's first split,
-runs the rest; numpy releases the GIL inside each ufunc, so the ranges run
-at the same time.
+scratch of the block's shape, so it allocates no array. The scratch comes
+from ``scratch``, made once by the arrays' owner and kept: one slot per
+usable CPU, each slot holding the kernel's scratch arrays of one block.
+An array of ``2 * SPLIT_MIN`` elements or more is cut into disjoint row
+ranges, at most one per slot and per ``SPLIT_MIN`` elements. The calling
+thread runs the first range and the process's one pool of worker threads,
+made on that process's first split, runs the rest; numpy releases the GIL
+inside each ufunc, so the ranges run at the same time.
 Every element goes through the kernel's operations in the kernel's order
 however the array is cut, so the result is bitwise that of one serial pass.
 A pass of one range runs inline and starts no thread.
@@ -17,6 +18,8 @@ A pass of one range runs inline and starts no thread.
 from __future__ import annotations
 
 import functools
+import math
+import mmap
 import os
 from collections.abc import Callable, Sequence
 
@@ -24,11 +27,16 @@ import numpy as np
 
 # elements per block of rows (at least one row). Larger blocks make fewer
 # ufunc calls and so fewer GIL hand-offs between the ranges of a split pass,
-# but every range holds its scratch at once: Adam's two blocks take 1 MB a
-# range at this size
+# but every slot holds its scratch for good: Adam's two blocks take 1 MB a
+# slot at this size
 BLOCK = 1 << 16
 # elements per range of a split pass, at the least
 SPLIT_MIN = 1 << 17
+# arrays below this size come from the C heap, which reuses small blocks
+# well; a mapping each would cost a system call and a page apiece. It is
+# glibc's default mmap threshold: a block this large seldom fits a hole the
+# heap has, so it grows the heap and, once freed, leaves a hole of its own
+_MAPPED_MIN_BYTES = 1 << 17
 
 
 def usable_cpus() -> int:
@@ -37,6 +45,32 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 zero array; from ``_MAPPED_MIN_BYTES`` up, in a private
+    anonymous memory mapping of its own.
+
+    A training run keeps its parameters, Adam moments, parameter copies
+    and pass scratch in these, so freeing a large one unmaps it. A table
+    freed into the C heap stays resident, and small blocks allocated after
+    it can keep the next run from reusing its space, so a process that
+    trains more than once would peak higher by whole tables, depending on
+    its allocation history. The mapping is private, as heap memory is: a
+    forked child's writes stay in the child.
+    """
+    n = math.prod(shape)
+    if n * 8 < _MAPPED_MIN_BYTES:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.float64, count=n).reshape(shape)
+
+
+def scratch(n: int, width: int = 1) -> np.ndarray:
+    """Scratch for ``blocked_pass`` with ``n`` scratch arrays a block, over
+    arrays whose rows hold up to ``width`` elements: one slot per usable
+    CPU, each ``n`` arrays of one block. Its owner makes it once and keeps
+    it; ``s[:, :k]`` serves a kernel of ``k`` scratch arrays."""
+    return mapped_zeros((usable_cpus(), n, max(BLOCK, width)))
 
 
 @functools.cache
@@ -54,37 +88,27 @@ def _workers(pid: int):
     return ThreadPoolExecutor(max(usable_cpus() - 1, 1), thread_name_prefix="lahn-pass")
 
 
-def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None], scratch: int | np.ndarray) -> None:
-    """Call ``kernel(*blocks, *scratch)`` over consecutive row blocks.
+def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None], scratch: np.ndarray) -> None:
+    """Call ``kernel(*blocks, *scratch_blocks)`` over consecutive row blocks.
 
     ``arrays`` share one shape; ``blocks`` holds each one's rows of the
-    block (an entry of None stays None) and ``scratch`` that many
-    uninitialised arrays of the block's shape. The caller allocates every
-    range's scratch in one array, so a worker thread allocates no block.
-    ``scratch`` may instead be the arrays themselves, rows of one array of
-    the arrays' shape: each range then takes its own rows of them, and each
-    block the leading rows of its range's, so a pass allocates none.
-    An exception raised in any range reaches the caller once every range
-    has stopped.
+    block (an entry of None stays None). ``scratch`` is made by
+    ``blocks.scratch(k, width)``, ``width`` at least the arrays' row size:
+    range ``i`` of the pass uses slot ``i``, and each block takes the
+    leading elements of the slot's ``k`` arrays, shaped as the block, so a
+    pass allocates none. An exception raised in any range reaches the
+    caller once every range has stopped.
     """
     lead = arrays[0]
-    given = not isinstance(scratch, int)
-    if lead.size <= BLOCK:  # one block: the arrays themselves
-        kernel(*arrays, *(scratch if given else [np.empty(lead.shape) for _ in range(scratch)]))
-        return
     n = lead.shape[0]
-    rows = max(BLOCK * n // lead.size, 1)
-    parts = 1 if lead.size < 2 * SPLIT_MIN else min(usable_cpus(), lead.size // SPLIT_MIN, n)
-    edges = [n * i // parts for i in range(parts + 1)]
-    if given:
-        scratch = [scratch[:, a : min(a + rows, b)] for a, b in zip(edges, edges[1:])]
-    else:  # the last range is the longest: ceil(n / parts) rows
-        scratch = np.empty((parts, scratch, min(rows, n - edges[-2])) + lead.shape[1:])
+    rows = max(BLOCK // math.prod(lead.shape[1:]), 1)
+    parts = 1 if lead.size < 2 * SPLIT_MIN else min(len(scratch), lead.size // SPLIT_MIN, n)
     if parts == 1:
         _run(kernel, arrays, scratch[0], rows, 0, n)
         return
     from concurrent.futures import wait
 
+    edges = [n * i // parts for i in range(parts + 1)]
     pool = _workers(os.getpid())
     futures = [
         pool.submit(_run, kernel, arrays, scratch[i], rows, edges[i], edges[i + 1])
@@ -98,11 +122,10 @@ def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None
         f.result()
 
 
-def _run(kernel, arrays, scratch: np.ndarray, rows: int, lo: int, hi: int) -> None:
+def _run(kernel, arrays, slot: np.ndarray, rows: int, lo: int, hi: int) -> None:
     """The kernel over rows ``lo`` to ``hi``, ``rows`` at a time."""
-    scratch = list(scratch)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
-        if stop - start < len(scratch[0]):  # a range's last, shorter block
-            scratch = [s[: stop - start] for s in scratch]
-        kernel(*[None if a is None else a[start:stop] for a in arrays], *scratch)
+        blocks = [None if a is None else a[start:stop] for a in arrays]
+        size, shape = blocks[0].size, blocks[0].shape
+        kernel(*blocks, *[s[:size].reshape(shape) for s in slot])

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, metrics
-from . import autodiff as ad
 from .data import (
     Example,
     encode_examples,
@@ -237,7 +236,7 @@ def _cmd_inspect_negatives(args) -> int:
     queue = MomentumQueue(cfg.q, feats.shape[1])
     entry_ids = queue.enqueue_batch(feats, labels)
     snap = queue.snapshot()
-    negset = sample_for_batch(
+    negs = sample_for_batch(
         feats[args.anchor : args.anchor + 1],
         labels[args.anchor : args.anchor + 1],
         snap,
@@ -245,10 +244,8 @@ def _cmd_inspect_negatives(args) -> int:
         strategy,
         k,
         exclude_ids=entry_ids[args.anchor : args.anchor + 1],
-    )[0]
-
-    anchor = ad.constant(feats[args.anchor : args.anchor + 1])
-    sims = ad.cosine(anchor, ad.constant(negset.features)).values[0]
+    )
+    negset, sims = negs[0], negs.similarity[0]
     probs = anchor_class_prob(apply_head(params, negset.features), int(labels[args.anchor]))
     lines = []
     for rank in range(negset.size):

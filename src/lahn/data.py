@@ -69,12 +69,6 @@ class Vocabulary:
         # one token per line, line number = id
         fileio.atomic_write_text(path, "".join(t + "\n" for t in self.id_to_token))
 
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
-        return cls(tokens)
-
 
 def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
     """Frequency-then-lexicographic vocabulary over tokenized texts.

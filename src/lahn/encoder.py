@@ -12,14 +12,13 @@ import functools
 import itertools
 import json
 import math
-import mmap
 import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from . import fileio
+from . import blocks, fileio
 from .data import Batch, Vocabulary
 from .seeding import STREAM_INIT, substream
 
@@ -77,10 +76,15 @@ class EncoderParams:
 
     @functools.cached_property
     def work(self) -> np.ndarray:
-        """Three rows the size of ``flat``, made on first use and kept: an
-        optimizer step's gradient copy and its passes' scratch, so a step
-        allocates none of them."""
-        return mapped_zeros((3, self.flat.size))
+        """An array the size of ``flat``, made on first use and kept: an
+        optimizer step copies the six small gradients into it."""
+        return blocks.mapped_zeros((self.flat.size,))
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """``blocks.scratch(2, d_emb)``, made on first use and kept: the
+        scratch of Adam's and the EMA's passes over these parameters."""
+        return blocks.scratch(2, self.dims.d_emb)
 
 
 # the parameter tensors' names, in declaration order
@@ -101,30 +105,6 @@ class EncoderOutput:
     logits: ad.Tensor  # [B x 2]
 
 
-# arrays below this size come from the C heap, which reuses small blocks
-# well; a mapping each would cost a system call and a page apiece. It is
-# glibc's default mmap threshold: a block this large seldom fits a hole the
-# heap has, so it grows the heap and, once freed, leaves a hole of its own
-_MAPPED_MIN_BYTES = 1 << 17
-
-
-def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 zero array; from ``_MAPPED_MIN_BYTES`` up, in an anonymous
-    memory mapping of its own.
-
-    A training run keeps its parameters, Adam moments, parameter copies
-    and optimizer scratch in these, so freeing a large one unmaps it. A
-    table freed into the C heap stays resident, and small blocks allocated
-    after it can keep the next run from reusing its space, so a process
-    that trains more than once would peak higher by whole tables,
-    depending on its allocation history.
-    """
-    n = math.prod(shape)
-    if n * 8 < _MAPPED_MIN_BYTES:
-        return np.zeros(shape)
-    return np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.float64, count=n).reshape(shape)
-
-
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
@@ -140,10 +120,11 @@ def layout(dims: EncoderDims, emb: np.ndarray | None = None) -> dict[str, np.nda
     """Parameter-shaped plain arrays for ``dims``: ``emb`` (zeros if not
     given), then ``w1`` to ``bh`` as zeroed views of a new flat array,
     ``"flat"``. The parameters, their momentum copy and Adam's moments each
-    take one; the first two are filled and wrapped as ``EncoderParams``."""
+    take one; the first two are filled and wrapped as ``EncoderParams``. So
+    Adam and the EMA each make two passes a step, one over either array."""
     shapes = _shapes(dims)
-    emb = mapped_zeros(shapes["emb"]) if emb is None else emb
-    flat = mapped_zeros((sum(math.prod(shapes[n]) for n in FLAT_NAMES),))
+    emb = blocks.mapped_zeros(shapes["emb"]) if emb is None else emb
+    flat = blocks.mapped_zeros((sum(math.prod(shapes[n]) for n in FLAT_NAMES),))
     return {"emb": emb, **dict(zip(FLAT_NAMES, views_of(flat, [shapes[n] for n in FLAT_NAMES]))), "flat": flat}
 
 

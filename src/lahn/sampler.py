@@ -67,6 +67,11 @@ class HardNegativeBatch:
     scores: np.ndarray  # [B x w]
     valid: np.ndarray  # [B x w] bool
     snapshot_features: np.ndarray  # [S x d_feat], the rows the indices point into
+    cosine: np.ndarray  # [B x S], each anchor's cosine with each row, before weighting
+
+    @property
+    def similarity(self) -> np.ndarray:  # [B x w], each selection's cosine; 0 in padding
+        return np.where(self.valid, np.take_along_axis(self.cosine, self.queue_indices, axis=1), 0.0)
 
     def __len__(self) -> int:
         return self.valid.shape[0]
@@ -149,9 +154,10 @@ def sample_for_batch(
         raise ValueError(f"labels shape {labels.shape} does not match batch {anchor_feats.shape[0]}")
     if strategy is Strategy.LABEL_SIM_WEIGHT and momentum_params is None:
         raise ValueError("LabelSimWeight needs the momentum parameters for its probabilities")
-    scores = ad.cosine(ad.constant(anchor_feats), ad.constant(snapshot.features)).values
+    scores = cosine = ad.cosine(ad.constant(anchor_feats), ad.constant(snapshot.features)).values
     if strategy is Strategy.LABEL_SIM_WEIGHT:
-        scores *= anchor_class_prob(apply_head(momentum_params, snapshot.features), labels)
+        scores = anchor_class_prob(apply_head(momentum_params, snapshot.features), labels)
+        scores *= cosine
     if strategy is Strategy.ALL_QUEUE:
         keep = np.ones(scores.shape, dtype=bool)
     else:
@@ -165,4 +171,5 @@ def sample_for_batch(
         scores=np.where(valid, np.take_along_axis(scores, order, axis=1), 0.0),
         valid=valid,
         snapshot_features=snapshot.features,
+        cosine=cosine,
     )

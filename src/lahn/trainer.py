@@ -155,16 +155,14 @@ def init_adam(params: EncoderParams) -> AdamState:
     return AdamState(m=layout(params.dims), r=layout(params.dims))
 
 
-def _finite(g: np.ndarray | ad.RowGrad | None) -> bool:
-    values = g.values if isinstance(g, ad.RowGrad) else g
-    return values is None or bool(np.isfinite(values).all())
-
-
-def _check_shapes(params: EncoderParams, grads: dict[str, np.ndarray | ad.RowGrad | None]) -> None:
-    """Raise ValueError naming the first parameter whose gradient does not
-    fit it. A ``RowGrad``'s rows are sorted, so its bounds are its ends."""
+def _flat_grad(params: EncoderParams, grads: dict[str, np.ndarray | ad.RowGrad | None]) -> np.ndarray:
+    """``params.work`` holding the six small gradients (a missing one as
+    zeros), in one walk over the parameters. Raise ValueError naming the
+    first parameter whose gradient does not fit it or, after that, is not
+    finite; a ``RowGrad``'s rows are sorted, so its bounds are its ends."""
+    views = dict(zip(FLAT_NAMES, views_of(params.work, [getattr(params, n).shape for n in FLAT_NAMES])))
     for name, tensor in params.named():
-        g, shape = grads[name], tensor.values.shape
+        g, shape = grads[name], tensor.shape
         if isinstance(g, ad.RowGrad):
             if g.rows.size and not (
                 g.values.shape == g.rows.shape + shape[1:] and g.rows[0] >= 0 and g.rows[-1] < shape[0]
@@ -175,6 +173,13 @@ def _check_shapes(params: EncoderParams, grads: dict[str, np.ndarray | ad.RowGra
                 )
         elif g is not None and getattr(g, "shape", None) != shape:
             raise ValueError(f"gradient for parameter {name!r} has shape {np.shape(g)}, not {shape}")
+        if name in views:
+            views[name][...] = 0.0 if g is None else g
+    emb_g = grads["emb"].values if isinstance(grads["emb"], ad.RowGrad) else grads["emb"]
+    if not (emb_g is None or np.isfinite(emb_g).all()) or not np.isfinite(params.work).all():
+        bad = next(n for n, v in [("emb", emb_g), *views.items()] if v is not None and not np.isfinite(v).all())
+        raise ValueError(f"non-finite gradient for parameter {bad!r}")
+    return params.work
 
 
 def adam_step(
@@ -208,19 +213,13 @@ def adam_step(
     a row id outside the table) or that is not finite is a ValueError
     naming the parameter, raised before any state changes.
     A step makes one in-place ``blocks.blocked_pass`` over ``emb`` and one
-    over ``flat``. Only ``emb``'s gradient may be a ``RowGrad``. The six
-    small gradients are first copied into a row of ``EncoderParams.work``
-    (a missing one as zeros), and that pass's scratch is the other rows.
-    So a step allocates no parameter-sized temporary, and a large table's
-    rows are split across the usable CPUs.
+    over ``flat``, both on ``params.scratch``: an entry with no gradient
+    takes 7 ufunc calls, one with a gradient 13. Only ``emb``'s gradient may
+    be a ``RowGrad``. The six small gradients are first copied into
+    ``params.work``, so a step allocates no parameter-sized temporary, and
+    a large table's rows are split across the usable CPUs.
     """
-    _check_shapes(params, grads)
-    flat_g = params.work[0]
-    for view, name in zip(views_of(flat_g, [state.m[n].shape for n in FLAT_NAMES]), FLAT_NAMES):
-        view[...] = 0.0 if grads[name] is None else grads[name]
-    if not (_finite(grads["emb"]) and _finite(flat_g)):
-        bad = next(n for n, _ in params.named() if not _finite(grads[n]))
-        raise ValueError(f"non-finite gradient for parameter {bad!r}")
+    flat_g = _flat_grad(params, grads)
     t = state.t + 1
     root_bc2 = math.sqrt(1.0 - beta2**t)
     alpha = lr * root_bc2 / (1.0 - beta1**t)
@@ -257,12 +256,12 @@ def adam_step(
         g = g.dense(theta.shape)
     if isinstance(g, ad.RowGrad):
         theta_rows, m_rows, r_rows = theta[g.rows], m[g.rows], r[g.rows]
-        blocked_pass(update, (theta_rows, g.values, m_rows, r_rows), 2)
-        blocked_pass(update, (theta, None, m, r), 2)
+        blocked_pass(update, (theta_rows, g.values, m_rows, r_rows), params.scratch)
+        blocked_pass(update, (theta, None, m, r), params.scratch)
         theta[g.rows], m[g.rows], r[g.rows] = theta_rows, m_rows, r_rows
     else:
-        blocked_pass(update, (theta, g, m, r), 2)
-    blocked_pass(update, (params.flat, flat_g, state.m["flat"], state.r["flat"]), params.work[1:])
+        blocked_pass(update, (theta, g, m, r), params.scratch)
+    blocked_pass(update, (params.flat, flat_g, state.m["flat"], state.r["flat"]), params.scratch)
 
 
 @dataclass

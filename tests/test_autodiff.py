@@ -131,16 +131,16 @@ class TestValueSemantics:
 
     def test_softmax_ce_hand_cases(self):
         ln2 = one_hot_ce(ad.constant([[0.0, 0.0]]), [0])
-        np.testing.assert_allclose(ln2.item(), 0.693147, atol=1e-6)
+        np.testing.assert_allclose(float(ln2.values), 0.693147, atol=1e-6)
         saturated = one_hot_ce(ad.constant([[100.0, 0.0]]), [0])
-        assert saturated.item() < 1e-8
+        assert float(saturated.values) < 1e-8
         three = one_hot_ce(ad.constant([[1.0, 2.0, 3.0]]), [2])
-        np.testing.assert_allclose(three.item(), 0.407606, atol=1e-6)
+        np.testing.assert_allclose(float(three.values), 0.407606, atol=1e-6)
 
     def test_softmax_ce_uniform_equals_ln_c(self):
         for c in (2, 3, 7):
             out = one_hot_ce(ad.constant(np.zeros((4, c))), [0] * 4)
-            np.testing.assert_allclose(out.item(), math.log(c), rtol=1e-12)
+            np.testing.assert_allclose(float(out.values), math.log(c), rtol=1e-12)
 
     def test_cosine_self_and_orthogonal(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -453,21 +453,21 @@ class TestMaskedSoftmaxCrossEntropy:
             got = one_hot_ce(logits, targets)
             tape.backward(got)
         want, want_grad = reference_softmax_ce(logits.values, targets)
-        np.testing.assert_allclose(got.item(), want, rtol=1e-14)
+        np.testing.assert_allclose(float(got.values), want, rtol=1e-14)
         np.testing.assert_allclose(logits.grad, want_grad, rtol=1e-13, atol=1e-16)
 
     def test_invalid_entries_are_left_out(self):
         logits = ad.constant([[0.0, 50.0, 0.0]])
         valid = [[True, False, True]]
         out = ad.masked_softmax_cross_entropy(logits, valid, [[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(out.item(), math.log(2.0), rtol=1e-14)
+        np.testing.assert_allclose(float(out.values), math.log(2.0), rtol=1e-14)
 
     def test_single_valid_entry_is_exactly_zero(self):
         logits = ad.param([[3.0, -7.0]])
         with ad.Tape() as tape:
             out = ad.masked_softmax_cross_entropy(logits, [[True, False]], [[1.0, 0.0]])
             tape.backward(out)
-        assert out.item() == 0.0
+        assert float(out.values) == 0.0
         np.testing.assert_array_equal(logits.grad, [[0.0, 0.0]])
 
     def test_contract_errors(self):

@@ -101,12 +101,11 @@ class TestSplitPass:
     @pytest.mark.parametrize("n_cpus", [2, 3])
     def test_ema_split_equals_one_part(self, monkeypatch, ranges, n_cpus):
         dims = EncoderDims(vocab_size=n_cpus * blocks.SPLIT_MIN // 64 + 10, d_emb=64, hidden=8, d_feat=4)
-        main = init_params(1, dims)
         runs = []
         for n in (1, n_cpus):
             cpus(monkeypatch, n)
             ranges.clear()
-            mom = clone_params(init_params(2, dims))
+            main, mom = init_params(1, dims), clone_params(init_params(2, dims))
             ema_update(main, mom, 0.9)
             runs.append([bits(t.values) for _, t in mom.named()])
             assert len([lo for lo, hi, _ in ranges if hi - lo > 1000]) == n
@@ -134,19 +133,25 @@ class TestSplitPass:
             np.multiply(bb, 0.25, out=s)
             ab += s
 
-        blocks.blocked_pass(kernel, (a, b), 1)
+        blocks.blocked_pass(kernel, (a, b), blocks.scratch(1, shape[1]))
         np.testing.assert_array_equal(a, expected)
         assert sorted((lo, hi) for lo, hi, _ in ranges) == want
 
     def test_parts_follow_size_and_cpus(self, monkeypatch, ranges):
+        cpus(monkeypatch, 2)
+        two = blocks.scratch(1)
         cpus(monkeypatch, 8)
+        eight = blocks.scratch(1, 5 * blocks.SPLIT_MIN)
         for size in (2 * blocks.SPLIT_MIN - 1, 2 * blocks.SPLIT_MIN, 3 * blocks.SPLIT_MIN):
             ranges.clear()
-            blocks.blocked_pass(lambda ab, s: None, (np.zeros(size),), 1)
+            blocks.blocked_pass(lambda ab, s: None, (np.zeros(size),), eight)
             assert len(ranges) == max(size // blocks.SPLIT_MIN, 1)
         ranges.clear()
-        blocks.blocked_pass(lambda ab, s: None, (np.zeros((2, 5 * blocks.SPLIT_MIN)),), 1)
+        blocks.blocked_pass(lambda ab, s: None, (np.zeros((2, 5 * blocks.SPLIT_MIN)),), eight)
         assert len(ranges) == 2  # never more ranges than rows
+        ranges.clear()
+        blocks.blocked_pass(lambda ab, s: None, (np.zeros(3 * blocks.SPLIT_MIN),), two)
+        assert len(ranges) == 2  # nor than the scratch has slots
 
     @pytest.mark.parametrize("failing", ["worker", "caller", "both"])
     def test_error_in_a_range_reaches_the_caller(self, monkeypatch, failing):
@@ -161,9 +166,11 @@ class TestSplitPass:
             time.sleep(0.05)
             finished.append(ib.size)
 
+        scratch = blocks.scratch(1)
+
         def call():
             try:
-                blocks.blocked_pass(kernel, (np.zeros(n), np.arange(n)), 1)
+                blocks.blocked_pass(kernel, (np.zeros(n), np.arange(n)), scratch)
             except ArithmeticError as e:
                 raised.append(e)
 
@@ -175,7 +182,7 @@ class TestSplitPass:
         # the range that did not fail ran to its end before the call returned
         assert sum(finished) == (0 if failing == "both" else n // 2)
         a = np.ones(n)
-        blocks.blocked_pass(lambda ab, s: ab.__imul__(2.0), (a,), 1)
+        blocks.blocked_pass(lambda ab, s: ab.__imul__(2.0), (a,), scratch)
         assert (a == 2.0).all()  # and the pool still runs passes
 
     def test_many_ranges_under_fast_thread_switching(self, monkeypatch, no_pool):
@@ -184,12 +191,12 @@ class TestSplitPass:
         monkeypatch.setattr(blocks, "BLOCK", 64)
         monkeypatch.setattr(blocks, "SPLIT_MIN", 256)
         cpus(monkeypatch, 6)
-        a = np.zeros((300, 7))
+        a, scratch = np.zeros((300, 7)), blocks.scratch(1, 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(50):
-                blocks.blocked_pass(lambda ab, s: ab.__iadd__(1.0), (a,), 1)
+                blocks.blocked_pass(lambda ab, s: ab.__iadd__(1.0), (a,), scratch)
         finally:
             sys.setswitchinterval(interval)
         assert (a == 50.0).all()
@@ -207,7 +214,7 @@ class TestSplitPass:
 
         cpus(monkeypatch, 1)
         want = start.copy()
-        blocks.blocked_pass(kernel, (want,), 1)
+        blocks.blocked_pass(kernel, (want,), blocks.scratch(1))
         assert pools() == 0
 
         built = []
@@ -223,11 +230,11 @@ class TestSplitPass:
         arrays = [start.copy(), start.copy()]
         barrier = threading.Barrier(2)
 
-        def split(a):
+        def split(a, scratch):
             barrier.wait()
-            blocks.blocked_pass(kernel, (a,), 1)
+            blocks.blocked_pass(kernel, (a,), scratch)
 
-        threads = [threading.Thread(target=split, args=(a,)) for a in arrays]
+        threads = [threading.Thread(target=split, args=(a, blocks.scratch(1))) for a in arrays]
         for t in threads:
             t.start()
         for t in threads:
@@ -240,9 +247,10 @@ class TestSplitPass:
             np.testing.assert_array_equal(bits(a), bits(want))
 
     def test_threads_passing_at_once_keep_their_own_scratch(self):
-        # each kernel parks its block in scratch, hands the interpreter to
-        # another thread and reads the block back: scratch shared between
-        # calling threads would hand one thread's values to another
+        # each kernel parks its block in its caller's scratch, hands the
+        # interpreter to another thread and reads the block back: scratch
+        # the pass shared between calling threads would hand one thread's
+        # values to another
         def kernel(ab, s):
             np.copyto(s, ab)
             time.sleep(0)
@@ -251,8 +259,9 @@ class TestSplitPass:
         arrays = [np.full(500 + i, float(i)) for i in range(8)]
 
         def passes(a):
+            scratch = blocks.scratch(1)
             for _ in range(50):
-                blocks.blocked_pass(kernel, (a,), 1)
+                blocks.blocked_pass(kernel, (a,), scratch)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -270,8 +279,8 @@ class TestSplitPass:
 
     def test_given_scratch_serves_every_range_of_a_split(self, monkeypatch, ranges, no_pool):
         # 30000 x 8 at BLOCK / 8 rows a block, split in three ranges of 10000
-        # rows: each block uses the leading rows of its range's part of the
-        # given scratch, and the pass allocates no block
+        # rows: range i runs on slot i of the given scratch, each block on
+        # the leading elements of its slot, and the pass allocates no block
         monkeypatch.setattr(blocks, "SPLIT_MIN", 1 << 14)
         rng = np.random.default_rng(9)
         start, b = rng.normal(size=(30_000, 8)), rng.normal(size=(30_000, 8))
@@ -283,11 +292,14 @@ class TestSplitPass:
 
         cpus(monkeypatch, 1)
         want = start.copy()
-        blocks.blocked_pass(kernel, (want, b), 2)
+        blocks.blocked_pass(kernel, (want, b), blocks.scratch(2, 8))
         cpus(monkeypatch, 3)
-        blocks.blocked_pass(kernel, (start.copy(), b), 2)  # the pool exists before measuring
+        scratch = blocks.scratch(2, 8)
+        assert scratch.shape == (3, 2, blocks.BLOCK)
+        blocks.blocked_pass(kernel, (start.copy(), b), scratch)  # the pool exists before measuring
         ranges.clear()
-        got, scratch = start.copy(), np.full((2, 30_000, 8), np.nan)
+        got = start.copy()
+        scratch[...] = np.nan
         tracemalloc.start()
         try:
             blocks.blocked_pass(kernel, (got, b), scratch)
@@ -296,8 +308,12 @@ class TestSplitPass:
             tracemalloc.stop()
         assert sorted((lo, hi) for lo, hi, _ in ranges) == [(0, 10_000), (10_000, 20_000), (20_000, 30_000)]
         np.testing.assert_array_equal(bits(got), bits(want))
-        written = np.flatnonzero(~np.isnan(scratch).all(axis=(0, 2)))
-        np.testing.assert_array_equal(written, np.concatenate([np.arange(a, a + blocks.BLOCK // 8) for a in (0, 10_000, 20_000)]))
+        # a range's first block fills its slot; its last, shorter one
+        # overwrites the slot's leading elements
+        rows = blocks.BLOCK // 8
+        for i, lo in enumerate((0, 10_000, 20_000)):
+            first, last = (b * b)[lo : lo + rows].ravel(), (b * b)[lo + rows : lo + 10_000].ravel()
+            np.testing.assert_array_equal(scratch[i, 0], np.concatenate([last, first[last.size :]]))
         assert peak < blocks.BLOCK * 8 // 4
 
     def test_usable_cpus_without_affinity_call(self, monkeypatch):
@@ -319,19 +335,40 @@ class TestEmaInPlace:
             np.testing.assert_array_equal(bits(t.values), bits(want[n]))
 
     def test_no_parameter_sized_temporary_at_wide_vocab(self, monkeypatch):
-        # a 20000 x 64 table is 10.24 MB; the pass holds one block of
-        # scratch per range (512 KB), two ranges here
+        # a 20000 x 64 table is 10.24 MB; once the pool and main's scratch
+        # exist, the two ranges' passes allocate no block at all
         cpus(monkeypatch, 2)
         dims = EncoderDims(vocab_size=20_000, d_emb=64, hidden=8, d_feat=4)
         main, mom = init_params(1, dims), clone_params(init_params(2, dims))
-        ema_update(main, mom, 0.99)  # the pool exists before measuring
+        ema_update(main, mom, 0.99)
         tracemalloc.start()
         try:
             ema_update(main, mom, 0.99)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1e6
+        assert peak < 1 << 16
+
+
+class TestAdamInPlace:
+    def test_row_grad_step_allocates_only_its_gathers_at_wide_vocab(self, monkeypatch):
+        # the row-sparse path gathers theta, m and r at the gradient's rows,
+        # three arrays of g.values' size; its passes allocate no block
+        cpus(monkeypatch, 2)
+        p = init_params(0, EncoderDims(vocab_size=20_000, d_emb=64, hidden=8, d_feat=4))
+        state = init_adam(p)
+        rng = np.random.default_rng(3)
+        grads = {name: rng.normal(size=getattr(p, name).shape) for name in FLAT_NAMES}
+        rows = np.unique(rng.integers(0, 20_000, size=1000))
+        grads["emb"] = g = ad.RowGrad(rows, rng.normal(size=(rows.size, 64)))
+        adam_step(p, grads, state, lr=1e-2)
+        tracemalloc.start()
+        try:
+            adam_step(p, grads, state, lr=1e-2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.values.nbytes
 
 
 class TestRowGradDensified:
@@ -342,9 +379,9 @@ class TestRowGradDensified:
         passes = []
         real = blocks.blocked_pass
 
-        def spy(kernel, arrays, n_scratch):
+        def spy(kernel, arrays, scratch):
             passes.append(arrays[1] is not None and arrays[1].shape == (40, 3))
-            real(kernel, arrays, n_scratch)
+            real(kernel, arrays, scratch)
 
         monkeypatch.setattr(trainer, "blocked_pass", spy)
         rng = np.random.default_rng(6)
@@ -440,15 +477,32 @@ class TestTrainingAtSplitSize:
 def _split_pass_in_child(n):
     blocks.usable_cpus = lambda: 2
     a = np.ones(n)
-    blocks.blocked_pass(lambda ab, s: ab.__imul__(3.0), (a,), 1)
+    blocks.blocked_pass(lambda ab, s: ab.__imul__(3.0), (a,), blocks.scratch(1))
     sys.exit(0 if (a == 3.0).all() else 1)
+
+
+def _write_in_child(a):
+    a[5, 3] = 123.0
+    sys.exit(0)
+
+
+def test_forked_child_writes_stay_in_the_child():
+    # a 20000 x 64 table lives in a mapping of its own; a child's write to
+    # it must not reach the parent, as with memory from the C heap
+    p = init_params(0, EncoderDims(vocab_size=20_000, d_emb=64, hidden=8, d_feat=4))
+    before = p.emb.values[5, 3]
+    child = multiprocessing.get_context("fork").Process(target=_write_in_child, args=(p.emb.values,))
+    child.start()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert p.emb.values[5, 3] == before
 
 
 def test_forked_child_splits_without_the_parents_threads(monkeypatch):
     # a child forked after the parent's pool has threads gets none of them
     cpus(monkeypatch, 2)
     n = 2 * blocks.SPLIT_MIN
-    blocks.blocked_pass(lambda ab, s: None, (np.zeros(n),), 1)
+    blocks.blocked_pass(lambda ab, s: None, (np.zeros(n),), blocks.scratch(1))
     assert pools() == 1
     child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child, args=(n,))
     child.start()

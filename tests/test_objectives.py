@@ -182,7 +182,7 @@ class TestClassificationLoss:
         log_softmax = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         onehot = np.eye(2)[labels]
         want = -log_softmax[np.arange(b), labels].mean()
-        np.testing.assert_allclose(loss.item(), want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(float(loss.values), want, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(logits.grad, (np.exp(log_softmax) - onehot) / b, rtol=0.0, atol=1e-12)
 
     def test_label_count_must_match_batch(self):

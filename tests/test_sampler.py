@@ -161,11 +161,14 @@ class TestScoreCandidates:
         anchors[2] = 0.0
         params = head_params()
         got = sample_for_batch(anchors, labels, snap, params, strategy, k=99)
-        want = ad.cosine(ad.constant(anchors), ad.constant(snap.features)).values
+        cosine = want = ad.cosine(ad.constant(anchors), ad.constant(snap.features)).values
         if strategy is Strategy.LABEL_SIM_WEIGHT:
             want = want * anchor_class_prob(snap.features @ params.wh.values + params.bh.values, labels)
         for i, view in enumerate(got):
             np.testing.assert_array_equal(view.scores, want[i, view.queue_indices])
+            # the selection keeps its cosine before weighting
+            np.testing.assert_array_equal(got.similarity[i, : view.size], cosine[i, view.queue_indices])
+        assert not got.similarity[~got.valid].any()
 
     def test_dim_mismatch_rejected(self):
         snap = filled_queue(np.random.default_rng(3), 2)
