@@ -324,21 +324,21 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # ---------------------------------------------------------------------------
 
 
-def cosine(x: Tensor, rows: Tensor, eps: float = _COS_EPS) -> Tensor:
+def cosine(x: Tensor, rows: Tensor) -> Tensor:
     """Cosine of every row of ``x`` against every row of ``rows``:
     [B x d] and [R x d] -> [B x R].
 
     Each dot product is divided by the product of its two row norms, each
-    clamped below at eps: on integer-valued rows every step is exact or
-    correctly rounded, so any route that takes those steps gets the same
-    floats and the same ties. A clamped norm is a constant in backward, so a
-    zero row stays differentiable. Backward feeds whichever input requires
-    gradient; ``cosine(x, x)`` feeds ``x`` through both sides.
+    clamped below at ``_COS_EPS``: on integer-valued rows every step is
+    exact or correctly rounded, so any route that takes those steps gets the
+    same floats and the same ties. A clamped norm is a constant in backward,
+    so a zero row stays differentiable. Backward feeds whichever input
+    requires gradient; ``cosine(x, x)`` feeds ``x`` through both sides.
     """
     if x.values.ndim != 2 or rows.values.ndim != 2 or x.shape[1] != rows.shape[1]:
         raise ShapeError(f"cosine needs [B x d] and [R x d], got {x.shape} and {rows.shape}")
     raw_x, raw_r = np.linalg.norm(x.values, axis=1), np.linalg.norm(rows.values, axis=1)
-    norm_x, norm_r = np.maximum(raw_x, eps), np.maximum(raw_r, eps)
+    norm_x, norm_r = np.maximum(raw_x, _COS_EPS), np.maximum(raw_r, _COS_EPS)
     out = Tensor((x.values @ rows.values.T) / (norm_x[:, None] * norm_r))
 
     def rule(g: np.ndarray) -> None:
@@ -347,10 +347,10 @@ def cosine(x: Tensor, rows: Tensor, eps: float = _COS_EPS) -> Tensor:
         g_scaled = g / (norm_x[:, None] * norm_r)
         g_cos = g * out.values
         if x.requires_grad:
-            radial = np.where(raw_x > eps, g_cos.sum(axis=1) / norm_x**2, 0.0)
+            radial = np.where(raw_x > _COS_EPS, g_cos.sum(axis=1) / norm_x**2, 0.0)
             _accum(x, g_scaled @ rows.values - radial[:, None] * x.values)
         if rows.requires_grad:
-            radial = np.where(raw_r > eps, g_cos.sum(axis=0) / norm_r**2, 0.0)
+            radial = np.where(raw_r > _COS_EPS, g_cos.sum(axis=0) / norm_r**2, 0.0)
             _accum(rows, g_scaled.T @ x.values - radial[:, None] * rows.values)
 
     return _record(out, (x, rows), rule)

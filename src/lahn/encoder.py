@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -30,6 +31,15 @@ _CHECKPOINT_VERSION = 2
 ACTIVATIONS = {"gelu": lambda x: ad.gelu(x), "relu": lambda x: ad.relu(x)}
 
 
+def check_int(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class EncoderDims:
     vocab_size: int
@@ -40,10 +50,9 @@ class EncoderDims:
     activation: str = "gelu"  # a key of ACTIVATIONS
 
     def validate(self) -> None:
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if min(self.d_emb, self.hidden, self.d_feat) < 1:
-            raise ValueError("all layer widths must be >= 1")
+        check_int("vocab_size", self.vocab_size, 2)
+        for name in ("d_emb", "hidden", "d_feat"):
+            check_int(name, getattr(self, name), 1)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.activation not in ACTIVATIONS:

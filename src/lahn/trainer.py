@@ -25,8 +25,8 @@ from . import fileio, metrics, objectives, sampler
 from .blocks import blocked_pass
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
-    ACTIVATIONS, FLAT_NAMES, EncoderDims, EncoderParams, clone_params, forward, init_params, layout, save_checkpoint,
-    views_of,
+    ACTIVATIONS, FLAT_NAMES, EncoderDims, EncoderParams, check_int, clone_params, forward, init_params, layout,
+    save_checkpoint, views_of,
 )
 from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
@@ -105,11 +105,7 @@ class TrainConfig:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}")
         for name, low in _INT_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            check_int(name, getattr(self, name), low)
         for name, (low, low_in, high, high_in) in _REAL_FIELDS.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -44,6 +44,8 @@ BAD_CHECKPOINT_REASONS = {
     "version-1": "unsupported checkpoint version 1",
     "vocab-not-strings": "vocab must be a list of strings",
     "header-not-object": "unsupported checkpoint version None",
+    "float-vocab-size": "vocab_size must be an integer, got 5.0",
+    "bool-d-emb": "d_emb must be an integer, got True",
 }
 
 
@@ -263,6 +265,10 @@ class TestExitCodes:
                 meta["vocab"][-1] = 7
             elif kind == "header-not-object":
                 meta = [meta]
+            elif kind == "float-vocab-size":
+                meta["dims"]["vocab_size"] = 5.0
+            elif kind == "bool-d-emb":
+                meta["dims"]["d_emb"] = True
             else:
                 meta["vocab"] = meta["vocab"][:-1]
             text = json.dumps(meta, sort_keys=True)

@@ -1,13 +1,40 @@
 """numpy is lahn's only runtime dependency: every module of the package
-imports only the standard library, numpy and lahn itself. And ``blocks``
-keeps no state of its own beyond its worker pool."""
+imports only the standard library, numpy and lahn itself. Each module
+imports on its own, and the package itself loads none of them. And
+``blocks`` keeps no state of its own beyond its worker pool."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "lahn"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "lahn"}
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+def run_fresh(script: str) -> str:
+    """The standard output of ``script`` run in a new interpreter that
+    imports lahn from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_loads_no_module():
+    script = "import sys, lahn\nprint(sorted(name for name in sys.modules if name.startswith('lahn.')))"
+    assert run_fresh(script).strip() == "[]"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    assert run_fresh(f"import lahn.{module}\nprint(lahn.{module}.__name__)").strip() == f"lahn.{module}"
 
 
 def imported_roots(path: Path) -> set[str]:

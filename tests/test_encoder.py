@@ -96,6 +96,10 @@ class TestInit:
             EncoderDims(vocab_size=5, dropout=1.0).validate()
         with pytest.raises(ValueError):
             EncoderDims(vocab_size=5, activation="tanh").validate()
+        with pytest.raises(ValueError, match="vocab_size must be an integer"):
+            EncoderDims(vocab_size=5.0).validate()
+        with pytest.raises(ValueError, match="hidden must be an integer"):
+            EncoderDims(vocab_size=5, hidden=True).validate()
 
 
 class TestClone:
