@@ -27,16 +27,25 @@ PAD_ID = 0
 UNK_ID = 1
 
 # a run of word characters (neither whitespace nor punctuation), or one
-# punctuation character; regex \s and str.split() treat the same code points
-# as whitespace
+# punctuation character. Regex \s and str.split() split on the same code
+# points (tests/test_data.py checks every one), so on a text without ASCII
+# punctuation _TOKEN.findall returns exactly str.split()'s chunks
 _PUNCT = re.escape(string.punctuation)
 _WORD_CHAR = rf"[^\s{_PUNCT}]"
 _TOKEN = re.compile(rf"{_WORD_CHAR}+|[{_PUNCT}]")
+_PUNCT_CHAR = re.compile(rf"[{_PUNCT}]")
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, split punctuation into 1-char tokens."""
-    return _TOKEN.findall(text.lower())
+def tokenize(text: str, limit: int | None = None) -> list[str]:
+    """Lowercase, split on whitespace, split punctuation into 1-char tokens.
+
+    With ``limit``, only the first ``limit`` tokens; a text without
+    punctuation is then split no further than its ``limit``-th token.
+    """
+    low = text.lower()
+    if _PUNCT_CHAR.search(low) is None:
+        return low.split() if limit is None else low.split(None, limit)[:limit]
+    return _TOKEN.findall(low)[:limit]
 
 
 @dataclass
@@ -61,8 +70,8 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def encode(self, text: str, max_len: int) -> list[int]:
-        """Token ids, truncated to max_len and right-padded with PAD."""
-        ids = [self.token_to_id.get(t, UNK_ID) for t in tokenize(text)[:max_len]]
+        """Ids of the first max_len tokens, right-padded with PAD to max_len."""
+        ids = [self.token_to_id.get(t, UNK_ID) for t in tokenize(text, max_len)]
         return ids + [PAD_ID] * (max_len - len(ids))
 
     def save(self, path) -> None:
@@ -78,11 +87,10 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(tokenize(text))
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
-        key=lambda t: (-counts[t], t),
-    )[: max_size - 2]
-    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
+    # lexicographic, then a stable sort by falling count
+    kept = sorted(t for t, c in counts.items() if c >= min_freq)
+    kept.sort(key=counts.__getitem__, reverse=True)
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept[: max_size - 2])
 
 
 def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> list[Example]:
@@ -111,7 +119,7 @@ def load_jsonl(path) -> list[Example]:
                 rec["text"].encode("utf-8")
             except UnicodeEncodeError as e:
                 raise ValueError(f"{path}: line {lineno}: record text is not valid Unicode: {e.reason}") from e
-            if not tokenize(rec["text"]):
+            if not tokenize(rec["text"], 1):
                 raise ValueError(f"{path}: line {lineno}: record text holds no token")
             label = rec.get("label")
             if isinstance(label, bool) or label not in (0, 1):

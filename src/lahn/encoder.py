@@ -40,6 +40,25 @@ def check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def check_real(name: str, value, low: float, low_in: bool, high: float, high_in: bool) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
+    number, not a bool, in the interval from ``low`` to ``high`` (each end
+    included when its flag is set)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    above = value >= low if low_in else value > low
+    below = value <= high if high_in else value < high
+    if not (math.isfinite(value) and above and below):
+        interval = f"{'[' if low_in else '('}{low:g}, {high:g}{']' if high_in else ')'}"
+        raise ValueError(f"{name} must be in {interval}, got {value}")
+
+
+def check_activation(value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a key of ``ACTIVATIONS``."""
+    if not isinstance(value, str) or value not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {value!r}, expected one of {tuple(ACTIVATIONS)}")
+
+
 @dataclass
 class EncoderDims:
     vocab_size: int
@@ -53,10 +72,8 @@ class EncoderDims:
         check_int("vocab_size", self.vocab_size, 2)
         for name in ("d_emb", "hidden", "d_feat"):
             check_int(name, getattr(self, name), 1)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_real("dropout", self.dropout, 0.0, True, 1.0, False)
+        check_activation(self.activation)
 
 
 @dataclass

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from statistics import median
@@ -25,8 +24,8 @@ from . import fileio, metrics, objectives, sampler
 from .blocks import blocked_pass
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
-    ACTIVATIONS, FLAT_NAMES, EncoderDims, EncoderParams, check_int, clone_params, forward, init_params, layout,
-    save_checkpoint, views_of,
+    FLAT_NAMES, EncoderDims, EncoderParams, check_activation, check_int, check_real, clone_params, forward, init_params,
+    layout, save_checkpoint, views_of,
 )
 from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
@@ -102,19 +101,11 @@ class TrainConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         Strategy.parse(self.strategy)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}")
+        check_activation(self.activation)
         for name, low in _INT_FIELDS.items():
             check_int(name, getattr(self, name), low)
-        for name, (low, low_in, high, high_in) in _REAL_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            above = value >= low if low_in else value > low
-            below = value <= high if high_in else value < high
-            if not (math.isfinite(value) and above and below):
-                interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
-                raise ValueError(f"{name} must be finite and in {interval}, got {value}")
+        for name, bounds in _REAL_FIELDS.items():
+            check_real(name, getattr(self, name), *bounds)
         if self.k > self.q:
             raise ValueError(f"need q >= k >= 1, got q={self.q}, k={self.k}")
         # Adam's eps_hat = eps * sqrt(1 - beta2^t) is least at t = 1

@@ -35,6 +35,8 @@ BAD_CHECKPOINT_REASONS = {
     "bad-config": "tau",
     "bad-activation": "unknown activation 'tanh'",
     "bad-dropout": "dropout must be in [0, 1)",
+    "string-dropout": "dropout must be a number, got 'x'",
+    "list-activation": "unknown activation ['gelu']",
     "narrow-w2": "w2 has shape (12, 5)",
     "short-emb": "emb has shape (5, 8)",
     "dims-disagree": "but the model dims give (12, 7)",
@@ -247,6 +249,10 @@ class TestExitCodes:
                 meta["dims"]["activation"] = "tanh"
             elif kind == "bad-dropout":
                 meta["dims"]["dropout"] = 1.5
+            elif kind == "string-dropout":
+                meta["dims"]["dropout"] = "x"
+            elif kind == "list-activation":
+                meta["dims"]["activation"] = ["gelu"]
             elif kind == "narrow-w2":
                 members["w2"] = members["w2"][:, :5]
             elif kind == "short-emb":

@@ -1,5 +1,8 @@
 import json
+import re
 import string
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,6 +52,29 @@ _FUZZ_ALPHABET = (
     "\x1c\x1d\x1e\x1f\x85\xa0\u3000\u2028\u2029\t\n\r\x0b\x0c "
     "\u0130\u00c9\u00df" + string.punctuation + "aZ9_"
 )
+# every code point that str.split() and regex \s split on; with letters (one
+# a capital whose lowercase is two code points) it makes punctuation-free text
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_SPLIT_ALPHABET = _WHITESPACE + "\u0130\u00df\u00c9aZ9_"
+
+
+def _fuzz(alphabet: str, seed: int, n: int, max_chars: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    chars = list(alphabet)
+    return ["".join(rng.choice(chars, size=int(rng.integers(0, max_chars)))) for _ in range(n)]
+
+
+def test_regex_whitespace_is_str_split_whitespace():
+    r"""tokenize's split route is exact only while regex \s matches the code
+    points str.split() splits on and the punctuation it looks for is ASCII."""
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    split_ws = {c for c in chars if not c.split()}
+    assert set(re.findall(r"\s", "".join(chars))) == split_ws
+    assert split_ws == set(_WHITESPACE)
+    assert string.punctuation.isascii()
 
 
 class TestTokenize:
@@ -66,11 +92,24 @@ class TestTokenize:
         assert tokenize(text) == reference_tokenize(text)
 
     def test_fuzzed_strings_match_reference(self):
-        rng = np.random.default_rng(0)
-        alphabet = list(_FUZZ_ALPHABET)
-        for _ in range(3000):
-            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+        for text in _fuzz(_FUZZ_ALPHABET, 0, 3000, 30):
             assert tokenize(text) == reference_tokenize(text), repr(text)
+
+    def test_fuzzed_punctuation_free_strings_match_reference(self):
+        for text in _fuzz(_SPLIT_ALPHABET, 1, 3000, 40):
+            assert tokenize(text) == reference_tokenize(text), repr(text)
+
+    @pytest.mark.parametrize("limit", [1, 3, 64])
+    @pytest.mark.parametrize("sep", [" ", "\u3000", ", "], ids=["space", "ideographic-space", "comma"])
+    def test_limit_is_a_prefix_of_the_reference(self, limit, sep):
+        words = [f"W{i}\u0130" for i in range(limit + 2)]
+        texts = _fuzz(_SPLIT_ALPHABET, limit, 500, 3 * limit + 10) + _fuzz(_FUZZ_ALPHABET, limit, 500, 3 * limit + 10)
+        for n in (limit - 1, limit, limit + 1):
+            for tail in ("", " ", "\n\u2029 "):
+                texts.append(sep.join(words[:n]) + tail)
+                texts.append(tail + sep.join(words[:n]) + tail)
+        for text in texts:
+            assert tokenize(text, limit) == reference_tokenize(text)[:limit], repr(text)
 
     @given(st.text(max_size=60))
     @settings(max_examples=300)
@@ -106,6 +145,19 @@ class TestVocabulary:
     def test_frequency_then_lexicographic_order(self):
         v = build_vocab(["b b c c a a a"], min_freq=1)
         assert v.id_to_token[2:] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_order_matches_one_key_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct counts over many types, so ties straddle the cut
+        texts = [" ".join(f"t{int(i)}" for i in rng.integers(0, 300, size=40)) for _ in range(30)]
+        counts = Counter(t for text in texts for t in reference_tokenize(text))
+        for min_freq in (1, 3):
+            ranked = sorted((t for t, c in counts.items() if c >= min_freq), key=lambda t: (-counts[t], t))
+            for max_size in (12, 52, 152):
+                assert counts[ranked[max_size - 3]] == counts[ranked[max_size - 2]]
+                v = build_vocab(texts, min_freq=min_freq, max_size=max_size)
+                assert v.id_to_token[2:] == ranked[: max_size - 2]
 
     def test_min_freq_filters(self):
         v = build_vocab(["common common rare"], min_freq=2)

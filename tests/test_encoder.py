@@ -96,6 +96,10 @@ class TestInit:
             EncoderDims(vocab_size=5, dropout=1.0).validate()
         with pytest.raises(ValueError):
             EncoderDims(vocab_size=5, activation="tanh").validate()
+        with pytest.raises(ValueError, match="dropout must be a number"):
+            EncoderDims(vocab_size=5, dropout="x").validate()
+        with pytest.raises(ValueError, match="unknown activation"):
+            EncoderDims(vocab_size=5, activation=["gelu"]).validate()
         with pytest.raises(ValueError, match="vocab_size must be an integer"):
             EncoderDims(vocab_size=5.0).validate()
         with pytest.raises(ValueError, match="hidden must be an integer"):

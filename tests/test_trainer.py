@@ -91,10 +91,12 @@ class TestTrainConfig:
             {"epochs": 0},
             {"lr": 0.0},
             {"dropout": 1.0},
+            {"dropout": "x"},
+            {"activation": ["gelu"]},
         ],
     )
     def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             small_config(**bad)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
