@@ -179,11 +179,10 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     Row b is the mean of ``table[ids[b, t]]`` over the positions t where
     ``mask[b, t]`` is true; masked positions contribute nothing. Only the
     leading columns up to the last unmasked one are gathered. Backward
-    scatter-adds each example's ``g[b] / count[b]`` into the table rows it
-    used, summing within an example first and then across examples in
-    descending order, so a repeated id accumulates exactly as one
-    gather-and-pool per example would. The sums reach the table as a
-    ``RowGrad`` over the rows the batch used.
+    gives each unmasked token of example b the share ``g[b] / count[b]`` and
+    sums the shares of each table row in row-major token order from 0.0,
+    bit for bit a ``np.add.at`` of them into zeros. The sums reach the table
+    as a ``RowGrad`` over the rows the batch used.
     """
     idx = np.asarray(ids, dtype=np.int64)
     keep = np.asarray(mask, dtype=bool)
@@ -202,11 +201,8 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     out = Tensor(gathered.sum(axis=1) / counts[:, None])
 
     def rule(g: np.ndarray) -> None:
-        example, _ = np.nonzero(keep)
-        pairs, slot = np.unique(example * n_rows + idx[keep], return_inverse=True)
-        per_example = _sum_rows(slot, (g / counts[:, None])[example], pairs.size)
-        rows, row_slot = np.unique(pairs % n_rows, return_inverse=True)
-        _accum(table, RowGrad(rows, _sum_rows(row_slot[::-1], per_example[::-1], rows.size)))
+        rows, slot = np.unique(idx[keep], return_inverse=True)
+        _accum(table, RowGrad(rows, _sum_rows(slot, np.repeat(g / counts[:, None], counts, axis=0), rows.size)))
 
     return _record(out, (table,), rule)
 

@@ -53,12 +53,6 @@ def check_real(name: str, value, low: float, low_in: bool, high: float, high_in:
         raise ValueError(f"{name} must be in {interval}, got {value}")
 
 
-def check_activation(value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a key of ``ACTIVATIONS``."""
-    if not isinstance(value, str) or value not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {value!r}, expected one of {tuple(ACTIVATIONS)}")
-
-
 @dataclass
 class EncoderDims:
     vocab_size: int
@@ -73,7 +67,8 @@ class EncoderDims:
         for name in ("d_emb", "hidden", "d_feat"):
             check_int(name, getattr(self, name), 1)
         check_real("dropout", self.dropout, 0.0, True, 1.0, False)
-        check_activation(self.activation)
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
 
 
 @dataclass
@@ -245,9 +240,12 @@ def save_checkpoint(path, params: EncoderParams, config: dict, vocab: Vocabulary
 
 
 def _check_arrays(dims: EncoderDims, arrays: dict[str, np.ndarray]) -> None:
-    """Raise ``ValueError`` naming the first parameter array whose shape
-    disagrees with ``dims`` or that holds a value that is not finite."""
+    """Raise ``ValueError`` naming the first parameter array that is not
+    float64, whose shape disagrees with ``dims`` or that holds a value that
+    is not finite."""
     for name, shape in _shapes(dims).items():
+        if arrays[name].dtype != np.float64:
+            raise ValueError(f"{name} has dtype {arrays[name].dtype}, but parameters are float64")
         if arrays[name].shape != shape:
             raise ValueError(f"{name} has shape {arrays[name].shape}, but the model dims give {shape}")
         if not np.isfinite(arrays[name]).all():
@@ -258,7 +256,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
     """The parameters, config echo and vocabulary of a checkpoint. Another
     format version, a vocabulary that is not a list of strings, model dims
     that are invalid or disagree with the stored arrays or vocabulary, and
-    a parameter that is not finite raise ``ValueError``."""
+    a parameter that is not float64 or not finite raise ``ValueError``."""
     # the file is opened here, so it is closed also when np.load rejects it
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
         meta = json.loads(z["__meta__"].tobytes())
@@ -275,7 +273,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict, Vocabulary]:
     _check_arrays(dims, arrays)
     if len(vocab) != dims.vocab_size:
         raise ValueError(f"the vocabulary holds {len(vocab)} tokens, but vocab_size is {dims.vocab_size}")
-    values = layout(dims, np.asarray(arrays["emb"], dtype=np.float64))
+    values = layout(dims, arrays["emb"])
     for name in FLAT_NAMES:
         values[name][...] = arrays[name]
     return _wrap(dims, values), meta["config"], vocab

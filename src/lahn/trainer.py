@@ -24,8 +24,8 @@ from . import fileio, metrics, objectives, sampler
 from .blocks import blocked_pass
 from .data import Example, Vocabulary, build_vocab, encode_examples, make_batches
 from .encoder import (
-    FLAT_NAMES, EncoderDims, EncoderParams, check_activation, check_int, check_real, clone_params, forward, init_params,
-    layout, save_checkpoint, views_of,
+    FLAT_NAMES, EncoderDims, EncoderParams, check_int, check_real, clone_params, forward, init_params, layout,
+    save_checkpoint, views_of,
 )
 from .momentum import MomentumQueue, ema_update
 from .sampler import Strategy
@@ -37,7 +37,8 @@ WARMUP_FILL = 0.25
 
 OBJECTIVES = ("ce", "scl", "lahn")
 
-# integer config fields and the least value each may take
+# integer config fields and the least value each may take; the model's
+# fields are checked by EncoderDims.validate
 _INT_FIELDS = {
     "q": 1,
     "k": 1,
@@ -45,9 +46,6 @@ _INT_FIELDS = {
     "epochs": 1,
     "seed": 0,
     "max_len": 1,
-    "d_emb": 1,
-    "hidden": 1,
-    "d_feat": 1,
     "min_freq": 1,
     "max_vocab": 2,
 }
@@ -60,7 +58,6 @@ _REAL_FIELDS = {
     "beta1": (0.0, True, 1.0, False),
     "beta2": (0.0, True, 1.0, False),
     "eps": (0.0, False, math.inf, False),
-    "dropout": (0.0, True, 1.0, False),
 }
 
 
@@ -101,7 +98,7 @@ class TrainConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         Strategy.parse(self.strategy)
-        check_activation(self.activation)
+        self.dims(2).validate()
         for name, low in _INT_FIELDS.items():
             check_int(name, getattr(self, name), low)
         for name, bounds in _REAL_FIELDS.items():
@@ -111,6 +108,12 @@ class TrainConfig:
         # Adam's eps_hat = eps * sqrt(1 - beta2^t) is least at t = 1
         if not self.eps * math.sqrt(1.0 - self.beta2) > 0.0:
             raise ValueError(f"eps must keep eps * sqrt(1 - beta2) above 0, got eps={self.eps}, beta2={self.beta2}")
+
+    def dims(self, vocab_size: int) -> EncoderDims:
+        """The model spec: ``vocab_size`` and the fields ``EncoderDims``
+        shares with this config."""
+        shared = {f.name: getattr(self, f.name) for f in dc_fields(EncoderDims) if f.name != "vocab_size"}
+        return EncoderDims(vocab_size, **shared)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -267,15 +270,7 @@ class TrainState:
 
 
 def init_state(config: TrainConfig, vocab_size: int) -> TrainState:
-    dims = EncoderDims(
-        vocab_size=vocab_size,
-        d_emb=config.d_emb,
-        hidden=config.hidden,
-        d_feat=config.d_feat,
-        dropout=config.dropout,
-        activation=config.activation,
-    )
-    params = init_params(config.seed, dims)
+    params = init_params(config.seed, config.dims(vocab_size))
     state = TrainState(
         params=params,
         opt=init_adam(params),

@@ -184,20 +184,10 @@ class TestValueSemantics:
 
 
 def reference_pool(table, ids, mask, g):
-    """One gather-and-mean per example, then one scatter-add per example in
-    descending order: the per-example route embed_mean_pool must equal."""
+    """One gather-and-mean per example, then one row-major scatter-add of
+    every token's share into zeros: the route embed_mean_pool must equal."""
     out = np.stack([table[ids[b]][mask[b]].mean(axis=0) for b in range(len(ids))])
-    grad = None
-    for b in reversed(range(len(ids))):
-        rows = np.zeros((len(ids[b]), table.shape[1]))
-        rows[mask[b]] = g[b] / mask[b].sum()
-        part = np.zeros_like(table)
-        np.add.at(part, ids[b], rows)
-        if grad is None:
-            grad = part
-        else:
-            grad += part
-    return out, grad
+    return out, dense_scatter(np.zeros_like(table), ids, mask, g)
 
 
 def pooled_with_grad(table_values, ids, mask, g):
@@ -279,9 +269,20 @@ class TestSumRows:
 
 
 def dense_scatter(grad, ids, mask, g):
-    """embed_mean_pool's backward as it was before its gradient became
-    row-sparse: per-example sums, then one scatter-add into a full table
-    gradient, examples in descending order. The reference for RowGrad."""
+    """embed_mean_pool's backward into a full table gradient: every unmasked
+    token's share ``g[b] / count[b]``, scatter-added in row-major token
+    order. The reference for RowGrad."""
+    ids, mask = np.asarray(ids), np.asarray(mask, dtype=bool)
+    example, _ = np.nonzero(mask)
+    np.add.at(grad, ids[mask], (g / mask.sum(axis=1)[:, None])[example])
+    return grad
+
+
+def two_stage_scatter(grad, ids, mask, g):
+    """The older summation order: each row's shares summed within an example
+    first, then those sums scatter-added across examples in descending
+    order, as one gather-and-pool per example would. The same sums as
+    ``dense_scatter`` up to rounding."""
     ids, mask = np.asarray(ids), np.asarray(mask, dtype=bool)
     n_rows = grad.shape[0]
     example, _ = np.nonzero(mask)
@@ -317,8 +318,11 @@ class TestRowGrad:
         grad = ad.RowGrad(np.array([0, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(grad.dense((3, 2)), [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 64])
-    def test_pool_gradient_bitwise_equal_to_dense_scatter(self, d):
+    @staticmethod
+    def pool_cases(d):
+        """Thirty pooled batches over a small vocabulary, so ids repeat within
+        and across examples, with some -0.0 upstream entries: the table
+        after backward, ids, mask and upstream gradient of each."""
         rng = np.random.default_rng(10 + d)
         for _ in range(30):
             v, b, t = int(rng.integers(2, 12)), int(rng.integers(1, 17)), int(rng.integers(1, 30))
@@ -329,11 +333,27 @@ class TestRowGrad:
             table = ad.param(rng.normal(size=(v, d)))
             with ad.Tape() as tape:
                 tape.backward(dot_with(ad.embed_mean_pool(table, ids, mask), g))
+            yield table, ids, mask, g
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64])
+    def test_pool_gradient_bitwise_equal_to_dense_scatter(self, d):
+        for table, ids, mask, g in self.pool_cases(d):
             grad = table.grad
             assert isinstance(grad, ad.RowGrad)
             np.testing.assert_array_equal(grad.rows, np.unique(ids[mask]))
             assert grad.values.shape == (grad.rows.size, d)
-            assert_bitwise(grad.dense(table.shape), dense_scatter(np.zeros((v, d)), ids, mask, g))
+            assert_bitwise(grad.dense(table.shape), dense_scatter(np.zeros(table.shape), ids, mask, g))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64])
+    def test_pool_gradient_within_rounding_of_two_stage_route(self, d):
+        # any order sums n terms to within about (n - 1) * eps times the sum
+        # of their magnitudes, so two orders differ by at most twice that;
+        # here n <= 16 * 29, so 1e-12 bounds it
+        for table, ids, mask, g in self.pool_cases(d):
+            got = table.grad.dense(table.shape)
+            want = two_stage_scatter(np.zeros(table.shape), ids, mask, g)
+            magnitude = dense_scatter(np.zeros(table.shape), ids, mask, np.abs(g))
+            assert (np.abs(got - want) <= 1e-12 * magnitude).all()
 
     def test_table_pooled_twice_adds_row_sums_into_dense_gradient(self):
         rng = np.random.default_rng(20)

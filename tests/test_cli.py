@@ -48,6 +48,8 @@ BAD_CHECKPOINT_REASONS = {
     "header-not-object": "unsupported checkpoint version None",
     "float-vocab-size": "vocab_size must be an integer, got 5.0",
     "bool-d-emb": "d_emb must be an integer, got True",
+    "complex-w1": "w1 has dtype complex128",
+    "int-emb": "emb has dtype int64",
 }
 
 
@@ -275,6 +277,10 @@ class TestExitCodes:
                 meta["dims"]["vocab_size"] = 5.0
             elif kind == "bool-d-emb":
                 meta["dims"]["d_emb"] = True
+            elif kind == "complex-w1":
+                members["w1"] = members["w1"] + 1j
+            elif kind == "int-emb":
+                members["emb"] = members["emb"].astype(np.int64)
             else:
                 meta["vocab"] = meta["vocab"][:-1]
             text = json.dumps(meta, sort_keys=True)

@@ -190,6 +190,15 @@ class TestTrainConfig:
     def test_numpy_integers_and_int_valued_reals_accepted(self):
         small_config(q=np.int64(16), k=np.int32(4), lr=1, tau=np.float64(0.2))
 
+    def test_dims_carries_every_model_field(self):
+        config = TrainConfig(d_emb=5, hidden=7, d_feat=3, dropout=0.25, activation="relu")
+        assert config.dims(11) == EncoderDims(11, d_emb=5, hidden=7, d_feat=3, dropout=0.25, activation="relu")
+        # every field differs from its default, so none is left at it
+        defaults = EncoderDims(11)
+        for f in dataclasses.fields(EncoderDims):
+            if f.name != "vocab_size":
+                assert getattr(config.dims(11), f.name) != getattr(defaults, f.name)
+
 
 def small_params(seed=0):
     """EncoderParams with a 40 x 3 table and 32 floats in the flat group,
