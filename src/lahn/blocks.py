@@ -2,9 +2,9 @@
 rows at a time, split across the process's CPUs when an array is large.
 
 A pass hands a kernel one block of leading-axis rows of each array, plus
-scratch of the block's shape, so it allocates no array. The scratch comes
-from ``scratch``, made once by the arrays' owner and kept: one slot per
-usable CPU, each slot holding the kernel's scratch arrays of one block.
+one scratch block of the block's shape, so it allocates no array. The
+scratch comes from ``scratch``, made once by the arrays' owner and kept:
+one slot per usable CPU, each slot one scratch block.
 An array of ``2 * SPLIT_MIN`` elements or more is cut into disjoint row
 ranges, at most one per slot and per ``SPLIT_MIN`` elements. The calling
 thread runs the first range and the process's one pool of worker threads,
@@ -27,8 +27,8 @@ import numpy as np
 
 # elements per block of rows (at least one row). Larger blocks make fewer
 # ufunc calls and so fewer GIL hand-offs between the ranges of a split pass,
-# but every slot holds its scratch for good: Adam's two blocks take 1 MB a
-# slot at this size
+# but every slot holds its scratch for good: one block takes 512 KB a slot
+# at this size
 BLOCK = 1 << 16
 # elements per range of a split pass, at the least
 SPLIT_MIN = 1 << 17
@@ -65,12 +65,11 @@ def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.float64, count=n).reshape(shape)
 
 
-def scratch(n: int, width: int = 1) -> np.ndarray:
-    """Scratch for ``blocked_pass`` with ``n`` scratch arrays a block, over
-    arrays whose rows hold up to ``width`` elements: one slot per usable
-    CPU, each ``n`` arrays of one block. Its owner makes it once and keeps
-    it; ``s[:, :k]`` serves a kernel of ``k`` scratch arrays."""
-    return mapped_zeros((usable_cpus(), n, max(BLOCK, width)))
+def scratch(width: int = 1) -> np.ndarray:
+    """Scratch for ``blocked_pass`` over arrays whose rows hold up to
+    ``width`` elements: one slot per usable CPU, each one scratch block.
+    Its owner makes it once and keeps it."""
+    return mapped_zeros((usable_cpus(), max(BLOCK, width)))
 
 
 @functools.cache
@@ -89,15 +88,15 @@ def _workers(pid: int):
 
 
 def blocked_pass(kernel: Callable[..., None], arrays: Sequence[np.ndarray | None], scratch: np.ndarray) -> None:
-    """Call ``kernel(*blocks, *scratch_blocks)`` over consecutive row blocks.
+    """Call ``kernel(*blocks, s)`` over consecutive row blocks.
 
     ``arrays`` share one shape; ``blocks`` holds each one's rows of the
     block (an entry of None stays None). ``scratch`` is made by
-    ``blocks.scratch(k, width)``, ``width`` at least the arrays' row size:
-    range ``i`` of the pass uses slot ``i``, and each block takes the
-    leading elements of the slot's ``k`` arrays, shaped as the block, so a
-    pass allocates none. An exception raised in any range reaches the
-    caller once every range has stopped.
+    ``blocks.scratch(width)``, ``width`` at least the arrays' row size:
+    range ``i`` of the pass uses slot ``i``, and ``s`` is the slot's
+    leading elements, shaped as the block, so a pass allocates none. An
+    exception raised in any range reaches the caller once every range has
+    stopped.
     """
     lead = arrays[0]
     n = lead.shape[0]
@@ -127,5 +126,4 @@ def _run(kernel, arrays, slot: np.ndarray, rows: int, lo: int, hi: int) -> None:
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
         blocks = [None if a is None else a[start:stop] for a in arrays]
-        size, shape = blocks[0].size, blocks[0].shape
-        kernel(*blocks, *[s[:size].reshape(shape) for s in slot])
+        kernel(*blocks, slot[: blocks[0].size].reshape(blocks[0].shape))

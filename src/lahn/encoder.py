@@ -103,9 +103,9 @@ class EncoderParams:
 
     @functools.cached_property
     def scratch(self) -> np.ndarray:
-        """``blocks.scratch(2, d_emb)``, made on first use and kept: the
-        scratch of Adam's and the EMA's passes over these parameters."""
-        return blocks.scratch(2, self.dims.d_emb)
+        """``blocks.scratch(d_emb)``, made on first use and kept: one scratch
+        block per usable CPU, shared by Adam's and the EMA's passes."""
+        return blocks.scratch(self.dims.d_emb)
 
 
 # the parameter tensors' names, in declaration order

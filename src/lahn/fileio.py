@@ -8,7 +8,6 @@ crash mid-write never leaves a truncated file at the final path.
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -19,10 +18,13 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def atomic_write(path: str | os.PathLike, write: Callable) -> None:
-    """Call ``write(fh)`` on a temp file, fsync, then rename onto ``path``."""
+    """Call ``write(fh)`` on a temp file, fsync, then rename onto ``path``.
+    The temp file gets mode 0o666 less the umask, as ``open()`` gives a new
+    file, and the rename keeps it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)

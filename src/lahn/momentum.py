@@ -91,10 +91,9 @@ class MomentumQueue:
 
 def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
     """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place: one
-    ``blocks.blocked_pass`` over ``emb`` and one over ``flat``, both on the
-    first scratch array of ``main.scratch``'s slots. So it allocates no
-    parameter-sized temporary, and a large table's rows split across the
-    usable CPUs."""
+    ``blocks.blocked_pass`` over ``emb`` and one over ``flat``, both on
+    ``main.scratch``. So it allocates no parameter-sized temporary, and a
+    large table's rows split across the usable CPUs."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
     emb, flat = (momentum.emb.values, main.emb.values), (momentum.flat, main.flat)
@@ -109,5 +108,5 @@ def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
         np.multiply(cb, rest, s)
         mb += s
 
-    blocked_pass(update, emb, main.scratch[:, :1])
-    blocked_pass(update, flat, main.scratch[:, :1])
+    blocked_pass(update, emb, main.scratch)
+    blocked_pass(update, flat, main.scratch)

@@ -219,7 +219,7 @@ def adam_step(
     root_b2 = math.sqrt(beta2)
     state.t = t
 
-    def update(tb, gb, mb, rb, s1, s2) -> None:
+    def update(tb, gb, mb, rb, s) -> None:
         # m <- m * beta1 + (1 - beta1) * g; r <- sqrt((r * root_b2)^2 +
         # (1 - beta2) * g * g); theta -= m / (r + eps_hat) * alpha, each in
         # this order, so the update is bitwise equal to those expressions'
@@ -229,17 +229,17 @@ def adam_step(
             # m + (1 - beta1) * 0 turns a -0.0 into +0.0; r is never -0.0
             mb += 0.0
         else:
-            np.multiply(gb, 1.0 - beta1, out=s1)
-            mb += s1
+            np.multiply(gb, 1.0 - beta1, out=s)
+            mb += s
             rb *= rb
-            np.multiply(gb, 1.0 - beta2, out=s1)
-            s1 *= gb
-            rb += s1
+            np.multiply(gb, 1.0 - beta2, out=s)
+            s *= gb
+            rb += s
             np.sqrt(rb, out=rb)
-        np.add(rb, eps_hat, out=s2)
-        np.divide(mb, s2, out=s1)
-        s1 *= alpha
-        tb -= s1
+        np.add(rb, eps_hat, out=s)
+        np.divide(mb, s, out=s)
+        s *= alpha
+        tb -= s
 
     theta, g, m, r = params.emb.values, grads["emb"], state.m["emb"], state.r["emb"]
     if isinstance(g, ad.RowGrad) and 2 * g.rows.size >= theta.shape[0]:

@@ -133,15 +133,15 @@ class TestSplitPass:
             np.multiply(bb, 0.25, out=s)
             ab += s
 
-        blocks.blocked_pass(kernel, (a, b), blocks.scratch(1, shape[1]))
+        blocks.blocked_pass(kernel, (a, b), blocks.scratch(shape[1]))
         np.testing.assert_array_equal(a, expected)
         assert sorted((lo, hi) for lo, hi, _ in ranges) == want
 
     def test_parts_follow_size_and_cpus(self, monkeypatch, ranges):
         cpus(monkeypatch, 2)
-        two = blocks.scratch(1)
+        two = blocks.scratch()
         cpus(monkeypatch, 8)
-        eight = blocks.scratch(1, 5 * blocks.SPLIT_MIN)
+        eight = blocks.scratch(5 * blocks.SPLIT_MIN)
         for size in (2 * blocks.SPLIT_MIN - 1, 2 * blocks.SPLIT_MIN, 3 * blocks.SPLIT_MIN):
             ranges.clear()
             blocks.blocked_pass(lambda ab, s: None, (np.zeros(size),), eight)
@@ -166,7 +166,7 @@ class TestSplitPass:
             time.sleep(0.05)
             finished.append(ib.size)
 
-        scratch = blocks.scratch(1)
+        scratch = blocks.scratch()
 
         def call():
             try:
@@ -191,7 +191,7 @@ class TestSplitPass:
         monkeypatch.setattr(blocks, "BLOCK", 64)
         monkeypatch.setattr(blocks, "SPLIT_MIN", 256)
         cpus(monkeypatch, 6)
-        a, scratch = np.zeros((300, 7)), blocks.scratch(1, 7)
+        a, scratch = np.zeros((300, 7)), blocks.scratch(7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -214,7 +214,7 @@ class TestSplitPass:
 
         cpus(monkeypatch, 1)
         want = start.copy()
-        blocks.blocked_pass(kernel, (want,), blocks.scratch(1))
+        blocks.blocked_pass(kernel, (want,), blocks.scratch())
         assert pools() == 0
 
         built = []
@@ -234,7 +234,7 @@ class TestSplitPass:
             barrier.wait()
             blocks.blocked_pass(kernel, (a,), scratch)
 
-        threads = [threading.Thread(target=split, args=(a, blocks.scratch(1))) for a in arrays]
+        threads = [threading.Thread(target=split, args=(a, blocks.scratch())) for a in arrays]
         for t in threads:
             t.start()
         for t in threads:
@@ -259,7 +259,7 @@ class TestSplitPass:
         arrays = [np.full(500 + i, float(i)) for i in range(8)]
 
         def passes(a):
-            scratch = blocks.scratch(1)
+            scratch = blocks.scratch()
             for _ in range(50):
                 blocks.blocked_pass(kernel, (a,), scratch)
 
@@ -285,17 +285,17 @@ class TestSplitPass:
         rng = np.random.default_rng(9)
         start, b = rng.normal(size=(30_000, 8)), rng.normal(size=(30_000, 8))
 
-        def kernel(ab, bb, s1, s2):
-            np.multiply(bb, bb, out=s1)
-            np.multiply(ab, 0.5, out=s2)
-            np.add(s1, s2, out=ab)
+        def kernel(ab, bb, s):
+            np.multiply(bb, bb, out=s)
+            ab *= 0.5
+            ab += s
 
         cpus(monkeypatch, 1)
         want = start.copy()
-        blocks.blocked_pass(kernel, (want, b), blocks.scratch(2, 8))
+        blocks.blocked_pass(kernel, (want, b), blocks.scratch(8))
         cpus(monkeypatch, 3)
-        scratch = blocks.scratch(2, 8)
-        assert scratch.shape == (3, 2, blocks.BLOCK)
+        scratch = blocks.scratch(8)
+        assert scratch.shape == (3, blocks.BLOCK)
         blocks.blocked_pass(kernel, (start.copy(), b), scratch)  # the pool exists before measuring
         ranges.clear()
         got = start.copy()
@@ -313,7 +313,7 @@ class TestSplitPass:
         rows = blocks.BLOCK // 8
         for i, lo in enumerate((0, 10_000, 20_000)):
             first, last = (b * b)[lo : lo + rows].ravel(), (b * b)[lo + rows : lo + 10_000].ravel()
-            np.testing.assert_array_equal(scratch[i, 0], np.concatenate([last, first[last.size :]]))
+            np.testing.assert_array_equal(scratch[i], np.concatenate([last, first[last.size :]]))
         assert peak < blocks.BLOCK * 8 // 4
 
     def test_usable_cpus_without_affinity_call(self, monkeypatch):
@@ -369,6 +369,39 @@ class TestAdamInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 4 * g.values.nbytes
+
+
+class TestOneScratchBlock:
+    @pytest.mark.parametrize("d_emb, vocab_size", [(64, SPLIT_ROWS), (blocks.BLOCK + 1, 5)])
+    def test_every_range_gets_one_slot_of_the_owners_scratch(self, monkeypatch, d_emb, vocab_size):
+        # Adam's row-sparse, dense and flat passes and the EMA's two passes
+        # each run a range on one 1-D slot of params.scratch, rows wider
+        # than a block included; the table's passes split in two ranges
+        cpus(monkeypatch, 2)
+        slots = []
+        real = blocks._run
+
+        def spy(kernel, arrays, slot, rows, lo, hi):
+            slots.append(slot)
+            real(kernel, arrays, slot, rows, lo, hi)
+
+        monkeypatch.setattr(blocks, "_run", spy)
+        dims = EncoderDims(vocab_size=vocab_size, d_emb=d_emb, hidden=3, d_feat=2)
+        p, mom = init_params(0, dims), clone_params(init_params(1, dims))
+        assert p.scratch.shape == (blocks.usable_cpus(), max(blocks.BLOCK, d_emb))
+        state = init_adam(p)
+        rng = np.random.default_rng(8)
+        grads = {name: rng.normal(size=getattr(p, name).shape) for name in FLAT_NAMES}
+        rows = np.arange(0, vocab_size, 3)
+        for g in (ad.RowGrad(rows, rng.normal(size=(rows.size, d_emb))), rng.normal(size=p.emb.shape)):
+            adam_step(p, {**grads, "emb": g}, state, lr=1e-2)
+        ema_update(p, mom, 0.99)
+        # Adam: rows, table (2 ranges), flat; then table (2), flat; EMA: table (2), flat
+        assert len(slots) == 10
+        for slot in slots:
+            assert slot.ndim == 1 and slot.size == p.scratch.shape[1]
+            assert np.shares_memory(slot, p.scratch)
+        assert sum(np.shares_memory(slot, p.scratch[1]) for slot in slots) == 3
 
 
 class TestRowGradDensified:
@@ -477,7 +510,7 @@ class TestTrainingAtSplitSize:
 def _split_pass_in_child(n):
     blocks.usable_cpus = lambda: 2
     a = np.ones(n)
-    blocks.blocked_pass(lambda ab, s: ab.__imul__(3.0), (a,), blocks.scratch(1))
+    blocks.blocked_pass(lambda ab, s: ab.__imul__(3.0), (a,), blocks.scratch())
     sys.exit(0 if (a == 3.0).all() else 1)
 
 
@@ -502,7 +535,7 @@ def test_forked_child_splits_without_the_parents_threads(monkeypatch):
     # a child forked after the parent's pool has threads gets none of them
     cpus(monkeypatch, 2)
     n = 2 * blocks.SPLIT_MIN
-    blocks.blocked_pass(lambda ab, s: None, (np.zeros(n),), blocks.scratch(1))
+    blocks.blocked_pass(lambda ab, s: None, (np.zeros(n),), blocks.scratch())
     assert pools() == 1
     child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child, args=(n,))
     child.start()

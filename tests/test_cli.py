@@ -1,9 +1,11 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from lahn import cli
+from lahn import cli, fileio
 from lahn.encoder import load_checkpoint, save_checkpoint
 
 TRAIN_CONFIG = {
@@ -440,6 +442,50 @@ class TestGenData:
         assert cli.main(["gen-data", "--n", "8", "--seed", "1", "--out", str(a)]) == 0
         assert cli.main(["gen-data", "--n", "8", "--seed", "2", "--out", str(b)]) == 0
         assert (a / "train.jsonl").read_bytes() != (b / "train.jsonl").read_bytes()
+
+
+@pytest.fixture
+def umask():
+    """Sets the process umask for one test and restores it afterwards."""
+    old = os.umask(0o022)
+    try:
+        yield os.umask
+    finally:
+        os.umask(old)
+
+
+class TestFileModes:
+    def test_artifacts_take_the_umask_mode(self, umask, workdir, tmp_path, capsys):
+        # as a plain open() would: 0o666 less the umask, and no temp file left
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert cli.main(["gen-data", "--n", "8", "--seed", "1", "--out", str(data)]) == 0
+        rc = cli.main(
+            ["train", "--config", str(workdir["config"]), "--epochs", "1",
+             "--train", str(data / "train.jsonl"), "--val", str(data / "val.jsonl"), "--out", str(run)]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        files = sorted(data.iterdir()) + sorted(run.iterdir())
+        assert {f.name for f in run.iterdir()} >= {"metrics.jsonl", "vocab.txt", "checkpoint_best.npz"}
+        assert not [f.name for f in files if f.suffix == ".tmp"]
+        assert {f.name: stat.S_IMODE(f.stat().st_mode) for f in files} == {f.name: 0o644 for f in files}
+
+    @pytest.mark.parametrize("mask, mode", [(0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_the_umask(self, umask, tmp_path, mask, mode):
+        umask(mask)
+        fileio.atomic_write_text(tmp_path / "a.txt", "x")
+        assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        def write(fh):
+            fh.write(b"new")
+            raise RuntimeError("disk full")
+
+        fileio.atomic_write_text(tmp_path / "a.txt", "old")
+        with pytest.raises(RuntimeError, match="disk full"):
+            fileio.atomic_write(tmp_path / "a.txt", write)
+        assert [f.name for f in tmp_path.iterdir()] == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old"
 
 
 class TestTrain:

@@ -529,8 +529,9 @@ class TestGroupedUpdates:
 
     @pytest.mark.parametrize("hidden", [128, 256])
     def test_a_step_allocates_no_flat_sized_array(self, hidden):
-        # the flat group's gradient copy and scratch are rows of params.work,
-        # in a pass of one block (hidden 128) or of several (hidden 256)
+        # the flat group's gradient copy is params.work and its scratch is
+        # params.scratch, in a pass of one block (hidden 128) or of several
+        # (hidden 256)
         main = init_params(5, EncoderDims(vocab_size=10, hidden=hidden))
         mom = clone_params(main)
         state = init_adam(main)
