@@ -47,22 +47,24 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 zero array; from ``_MAPPED_MIN_BYTES`` up, in a private
-    anonymous memory mapping of its own.
+def mapped_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zero array; from ``_MAPPED_MIN_BYTES`` up, in a private anonymous
+    memory mapping of its own.
 
     A training run keeps its parameters, Adam moments, parameter copies
-    and pass scratch in these, so freeing a large one unmaps it. A table
-    freed into the C heap stays resident, and small blocks allocated after
-    it can keep the next run from reusing its space, so a process that
-    trains more than once would peak higher by whole tables, depending on
-    its allocation history. The mapping is private, as heap memory is: a
-    forked child's writes stay in the child.
+    and pass scratch in these, and ``data.encode_examples`` an encoded
+    split's id table, so freeing a large one unmaps it. A table freed into
+    the C heap stays resident, and small blocks allocated after it can keep
+    the next run from reusing its space, so a process that trains more than
+    once would peak higher by whole tables, depending on its allocation
+    history. The mapping is private, as heap memory is: a forked child's
+    writes stay in the child.
     """
+    dtype = np.dtype(dtype)
     n = math.prod(shape)
-    if n * 8 < _MAPPED_MIN_BYTES:
-        return np.zeros(shape)
-    return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.float64, count=n).reshape(shape)
+    if n * dtype.itemsize < _MAPPED_MIN_BYTES:
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, flags=mmap.MAP_PRIVATE), dtype, n).reshape(shape)
 
 
 def scratch(width: int = 1) -> np.ndarray:

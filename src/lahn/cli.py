@@ -19,8 +19,6 @@ import zipfile
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, fileio, metrics
 from .data import (
     Example,
@@ -186,7 +184,7 @@ def _cmd_train(args) -> int:
 
 def _load_checkpoint_bundle(args):
     """The checkpoint's parameters and ``TrainConfig``, and the ``--data``
-    examples raw and encoded with its vocabulary. A checkpoint that cannot
+    examples encoded with its vocabulary. A checkpoint that cannot
     be read, has no vocabulary, or holds an invalid config or model shape is
     a usage error that names the flag and the file."""
     path = _require_file(args.checkpoint, "--checkpoint")
@@ -195,15 +193,14 @@ def _load_checkpoint_bundle(args):
         cfg = TrainConfig.from_dict(config)
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise UsageError(f"--checkpoint: {path}: not a usable checkpoint: {type(e).__name__}: {e}")
-    examples = _load_examples(args.data, "--data")
-    return params, cfg, examples, encode_examples(examples, vocab, cfg.max_len)
+    return params, cfg, encode_examples(_load_examples(args.data, "--data"), vocab, cfg.max_len)
 
 
 def _cmd_eval(args) -> int:
     _check_out(args.out)
-    params, cfg, examples, encoded = _load_checkpoint_bundle(args)
+    params, cfg, encoded = _load_checkpoint_bundle(args)
     if args.probe:
-        if not any(has_identity_token(e.text) for e in examples):
+        if not any(map(has_identity_token, encoded.texts)):
             raise UsageError(f"--data: {args.data}: no record holds an identity token for --probe")
         report = metrics.confound_probe(params, encoded, cfg.batch_size)
     else:
@@ -214,7 +211,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_embeddings(args) -> int:
     _check_out(args.out)
-    params, cfg, _, encoded = _load_checkpoint_bundle(args)
+    params, cfg, encoded = _load_checkpoint_bundle(args)
     metrics.export_embeddings(params, encoded, args.out, cfg.batch_size)
     _emit({"rows": len(encoded), "out": str(args.out)})
     return 0
@@ -224,13 +221,13 @@ def _cmd_inspect_negatives(args) -> int:
     _check_out(args.out)
     if args.k is not None and args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    params, cfg, corpus, encoded = _load_checkpoint_bundle(args)
-    if not 0 <= args.anchor < len(corpus):
-        raise UsageError(f"--anchor: index {args.anchor} out of range for corpus of {len(corpus)}")
+    params, cfg, encoded = _load_checkpoint_bundle(args)
+    if not 0 <= args.anchor < len(encoded):
+        raise UsageError(f"--anchor: index {args.anchor} out of range for corpus of {len(encoded)}")
     strategy = Strategy.parse(args.strategy or cfg.strategy)
     k = args.k if args.k is not None else cfg.k
     feats = metrics.features_of(params, encoded, cfg.batch_size)
-    labels = np.array([e.label for e in corpus], dtype=np.int64)
+    labels = encoded.labels
 
     # warm pass: the whole corpus through the queue, oldest-first, eval features
     queue = MomentumQueue(cfg.q, feats.shape[1])
@@ -256,7 +253,7 @@ def _cmd_inspect_negatives(args) -> int:
                 {
                     "rank": rank,
                     "queue_index": qi,
-                    "text": corpus[src].text,
+                    "text": encoded.texts[src],
                     "label": int(snap.labels[qi]),
                     "similarity": float(sims[rank]),
                     "probability": float(probs[rank]),

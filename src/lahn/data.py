@@ -14,11 +14,11 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
+from . import blocks, fileio
 from .seeding import STREAM_DATA, substream
 
 PAD_TOKEN = "<pad>"
@@ -52,7 +52,26 @@ def tokenize(text: str, limit: int | None = None) -> list[str]:
 class Example:
     text: str
     label: int
-    token_ids: list[int] = field(default_factory=list)
+
+
+@dataclass
+class EncodedSplit:
+    """A split encoded once: ``ids`` [N x max_len] int64 (row i is text i's
+    ids, then PAD), ``labels`` [N] int64 and ``texts``. A slice is an
+    ``EncodedSplit`` of views; iterating yields each ``Example``."""
+
+    ids: np.ndarray
+    labels: np.ndarray
+    texts: list[str]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, rows: slice) -> EncodedSplit:
+        return EncodedSplit(self.ids[rows], self.labels[rows], self.texts[rows])
+
+    def __iter__(self):
+        return map(Example, self.texts, self.labels.tolist())
 
 
 class Vocabulary:
@@ -70,9 +89,8 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def encode(self, text: str, max_len: int) -> list[int]:
-        """Ids of the first max_len tokens, right-padded with PAD to max_len."""
-        ids = [self.token_to_id.get(t, UNK_ID) for t in tokenize(text, max_len)]
-        return ids + [PAD_ID] * (max_len - len(ids))
+        """Ids of the first max_len tokens, unknown ones UNK; not padded."""
+        return [self.token_to_id.get(t, UNK_ID) for t in tokenize(text, max_len)]
 
     def save(self, path) -> None:
         # one token per line, line number = id
@@ -93,8 +111,16 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept[: max_size - 2])
 
 
-def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> list[Example]:
-    return [Example(e.text, e.label, vocab.encode(e.text, max_len)) for e in examples]
+def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> EncodedSplit:
+    """The examples' id table, labels and texts, in order. The table comes
+    from ``blocks.mapped_zeros``, so a large one has a mapping of its own;
+    PAD_ID is 0, so each zero row gets only its text's ids."""
+    texts = [e.text for e in examples]
+    ids = blocks.mapped_zeros((len(texts), max_len), np.int64)
+    for row, text in zip(ids, texts):
+        tokens = vocab.encode(text, max_len)
+        row[: len(tokens)] = tokens
+    return EncodedSplit(ids, np.array([e.label for e in examples], dtype=np.int64), texts)
 
 
 def load_jsonl(path) -> list[Example]:
@@ -146,44 +172,32 @@ class Batch:
         return self.token_ids.shape[0]
 
 
-def _to_batch(examples) -> Batch:
-    lens = {len(e.token_ids) for e in examples}
-    if len(lens) != 1 or 0 in lens:
-        raise ValueError("examples must be encoded to a common max_len before batching")
-    ids = np.array([e.token_ids for e in examples], dtype=np.int64)
-    return Batch(
-        token_ids=ids,
-        mask=ids != PAD_ID,
-        labels=np.array([e.label for e in examples], dtype=np.int64),
-    )
+def _to_batch(split: EncodedSplit, rows) -> Batch:
+    ids = split.ids[rows]
+    return Batch(token_ids=ids, mask=ids != PAD_ID, labels=split.labels[rows])
 
 
-def make_batches(examples, batch_size: int, shuffle_seed: int) -> list[Batch]:
+def make_batches(split: EncodedSplit, batch_size: int, shuffle_seed: int) -> list[Batch]:
     """Deterministic shuffle, fixed-size batches; a final size-1 batch is dropped.
 
     A one-anchor batch degenerates the contrastive term, so the final batch is
     kept only when it has at least 2 examples.
     """
-    if not examples:
+    if not split:
         raise ValueError("make_batches over an empty corpus")
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    order = np.random.default_rng(int(shuffle_seed)).permutation(len(examples))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        idx = order[start : start + batch_size]
-        if idx.size < 2:
-            continue
-        batches.append(_to_batch([examples[i] for i in idx]))
-    return batches
+    order = np.random.default_rng(int(shuffle_seed)).permutation(len(split))
+    parts = (order[start : start + batch_size] for start in range(0, len(order), batch_size))
+    return [_to_batch(split, rows) for rows in parts if rows.size >= 2]
 
 
-def iter_eval_batches(examples, batch_size: int):
+def iter_eval_batches(split: EncodedSplit, batch_size: int):
     """Order-preserving batches covering every example (size-1 tail kept)."""
-    if not examples:
+    if not split:
         raise ValueError("empty split")
-    for start in range(0, len(examples), batch_size):
-        yield _to_batch(examples[start : start + batch_size])
+    for start in range(0, len(split), batch_size):
+        yield _to_batch(split, slice(start, start + batch_size))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .data import Example, has_identity_token, iter_eval_batches
+from .data import EncodedSplit, has_identity_token, iter_eval_batches
 from .encoder import EncoderParams, forward
 
 
@@ -64,7 +64,7 @@ def report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsRe
     )
 
 
-def _eval_outputs(params: EncoderParams, split: list[Example], batch_size: int):
+def _eval_outputs(params: EncoderParams, split: EncodedSplit, batch_size: int):
     """Each batch's eval-mode features [b x d_feat] and logits [b x 2], in
     split order. Callers keep only what they need of each batch, so scoring
     a split never holds all of its features."""
@@ -73,24 +73,23 @@ def _eval_outputs(params: EncoderParams, split: list[Example], batch_size: int):
         yield out.feature.values, out.logits.values
 
 
-def predict(params: EncoderParams, split: list[Example], batch_size: int = 16) -> np.ndarray:
+def predict(params: EncoderParams, split: EncodedSplit, batch_size: int = 16) -> np.ndarray:
     """Argmax predictions over eval-mode forwards; equal logits predict 0."""
     wins = [lg[:, 1] > lg[:, 0] for _, lg in _eval_outputs(params, split, batch_size)]
     return np.concatenate(wins).astype(np.int64)
 
 
-def features_of(params: EncoderParams, split: list[Example], batch_size: int = 16) -> np.ndarray:
+def features_of(params: EncoderParams, split: EncodedSplit, batch_size: int = 16) -> np.ndarray:
     return np.concatenate([f for f, _ in _eval_outputs(params, split, batch_size)])
 
 
-def _scored(params: EncoderParams, split: list[Example], batch_size: int):
+def _scored(params: EncoderParams, split: EncodedSplit, batch_size: int):
     """A split's true labels, predictions and report."""
-    y_true = np.array([e.label for e in split], dtype=np.int64)
     y_pred = predict(params, split, batch_size)
-    return y_true, y_pred, report_from_predictions(y_true, y_pred)
+    return split.labels, y_pred, report_from_predictions(split.labels, y_pred)
 
 
-def evaluate(params: EncoderParams, split: list[Example], batch_size: int = 16) -> MetricsReport:
+def evaluate(params: EncoderParams, split: EncodedSplit, batch_size: int = 16) -> MetricsReport:
     return _scored(params, split, batch_size)[2]
 
 
@@ -103,18 +102,18 @@ def _escape(text: str) -> str:
     return text
 
 
-def export_embeddings(params: EncoderParams, split: list[Example], path, batch_size: int = 16) -> None:
+def export_embeddings(params: EncoderParams, split: EncodedSplit, path, batch_size: int = 16) -> None:
     """TSV rows: d_feat floats at 9 significant digits, label, escaped text."""
     feats = features_of(params, split, batch_size)
     row = "\t".join(["%.9g"] * feats.shape[1] + ["%s", "%s"]) + "\n"
-    lines = [row % (*f, e.label, _escape(e.text)) for e, f in zip(split, feats.tolist())]
+    lines = [row % (*f, y, _escape(t)) for t, y, f in zip(split.texts, split.labels.tolist(), feats.tolist())]
     fileio.atomic_write_text(path, "".join(lines))
 
 
-def confound_probe(params: EncoderParams, test_split: list[Example], batch_size: int = 16) -> dict:
+def confound_probe(params: EncoderParams, test_split: EncodedSplit, batch_size: int = 16) -> dict:
     """Overall metrics plus the false-positive rate on identity-bearing
     non-hate examples, the signature of the identity-term shortcut."""
-    id_flags = np.array([has_identity_token(e.text) for e in test_split], dtype=bool)
+    id_flags = np.array([has_identity_token(t) for t in test_split.texts], dtype=bool)
     if not id_flags.any():
         raise ValueError("split carries no identity tokens; not a confound test split")
     y_true, y_pred, overall = _scored(params, test_split, batch_size)

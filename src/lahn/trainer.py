@@ -375,8 +375,8 @@ def run_training(
 
     The vocabulary is built from the training split only. When out_dir is
     given, metrics.jsonl, vocab.txt, and the best/last checkpoints are
-    (re)written atomically after every epoch, so an interrupted run keeps
-    its latest complete epoch.
+    (re)written after every epoch, each atomically but not as a set: an
+    interrupted run can leave them from two consecutive epochs.
     """
     config.validate()
     if len(train_split) < 2 or not val_split:

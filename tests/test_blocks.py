@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import mmap
 import multiprocessing
 import os
 import subprocess
@@ -514,21 +515,37 @@ def _split_pass_in_child(n):
     sys.exit(0 if (a == 3.0).all() else 1)
 
 
-def _write_in_child(a):
-    a[5, 3] = 123.0
+def _write_in_child(*tables):
+    for a in tables:
+        a[5, 3] = 123
     sys.exit(0)
 
 
 def test_forked_child_writes_stay_in_the_child():
-    # a 20000 x 64 table lives in a mapping of its own; a child's write to
-    # it must not reach the parent, as with memory from the C heap
+    # a 20000 x 64 table, float64 or int64, lives in a mapping of its own; a
+    # child's write to it must not reach the parent, as with memory from the
+    # C heap
     p = init_params(0, EncoderDims(vocab_size=20_000, d_emb=64, hidden=8, d_feat=4))
+    ids = blocks.mapped_zeros((20_000, 64), np.int64)
     before = p.emb.values[5, 3]
-    child = multiprocessing.get_context("fork").Process(target=_write_in_child, args=(p.emb.values,))
+    child = multiprocessing.get_context("fork").Process(target=_write_in_child, args=(p.emb.values, ids))
     child.start()
     child.join(timeout=60)
     assert child.exitcode == 0
     assert p.emb.values[5, 3] == before
+    assert ids[5, 3] == 0
+
+
+@pytest.mark.parametrize("shape", [(4, 64), (20_000, 64)])
+def test_mapped_zeros_of_a_dtype(shape):
+    # the smaller array comes from the heap, the larger from a mapping
+    a = blocks.mapped_zeros(shape, np.int64)
+    assert a.dtype == np.int64 and a.shape == shape and not a.any()
+    assert blocks.mapped_zeros(shape).dtype == np.float64
+    owner = a
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(getattr(owner, "obj", owner), mmap.mmap) == (a.nbytes >= blocks._MAPPED_MIN_BYTES)
 
 
 def test_forked_child_splits_without_the_parents_threads(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import mmap
 import re
 import string
 import sys
@@ -169,9 +170,11 @@ class TestVocabulary:
         assert len(v) == 10
 
     def test_encode_pads_and_truncates(self):
+        # encode gives a text's ids alone; its row of the encoded table pads them
         v = build_vocab(["x y z"], min_freq=1)
-        enc = v.encode("x y", max_len=5)
-        assert len(enc) == 5 and enc[2:] == [PAD_ID] * 3
+        ids = [v.token_to_id["x"], v.token_to_id["y"]]
+        assert v.encode("x y", max_len=5) == ids
+        assert encode_examples([Example("x y", 0)], v, max_len=5).ids.tolist() == [ids + [PAD_ID] * 3]
         assert len(v.encode("x y z x y z", max_len=4)) == 4
 
     def test_unknown_token_maps_to_unk(self):
@@ -281,7 +284,7 @@ class TestBatching:
         enc = self._encoded(35)
         batches = make_batches(enc, 16, shuffle_seed=9)
         seen = np.concatenate([b.token_ids for b in batches])
-        original = np.array([e.token_ids for e in enc])
+        original = enc.ids
         assert seen.shape == original.shape
         assert sorted(map(tuple, seen)) == sorted(map(tuple, original))
 
@@ -297,12 +300,67 @@ class TestBatching:
         with pytest.raises(ValueError):
             make_batches([], 4, shuffle_seed=0)
 
+    def test_batches_are_the_rows_of_the_seeds_permutation(self):
+        enc = self._encoded(33)
+        perm = np.random.default_rng(9).permutation(33)[:32]  # the final singleton is dropped
+        batches = make_batches(enc, 16, shuffle_seed=9)
+        np.testing.assert_array_equal(np.concatenate([b.token_ids for b in batches]), enc.ids[perm])
+        np.testing.assert_array_equal(np.concatenate([b.labels for b in batches]), enc.labels[perm])
+
     def test_encoded_token_ids_trailing_pads_only(self):
-        for e in self._encoded(10):
-            ids = np.array(e.token_ids)
+        for ids in self._encoded(10).ids:
             nz = np.flatnonzero(ids != PAD_ID)
             if nz.size:
                 assert (ids[: nz[-1] + 1] != PAD_ID).all()
+
+
+class TestEncodedSplit:
+    TEXTS = ("a b a", "b, c! a a a a a a a a", "novel words only", "c")
+
+    def _split(self, max_len=6):
+        examples = [Example(t, i % 2) for i, t in enumerate(self.TEXTS)]
+        vocab = build_vocab(self.TEXTS[:2], min_freq=1)
+        return examples, vocab, encode_examples(examples, vocab, max_len)
+
+    def test_rows_hold_the_texts_ids_then_pad(self):
+        _, vocab, enc = self._split()
+        assert enc.ids.dtype == np.int64 and enc.ids.shape == (len(self.TEXTS), 6)
+        for text, row in zip(self.TEXTS, enc.ids.tolist()):
+            ids = vocab.encode(text, 6)
+            assert row == ids + [PAD_ID] * (6 - len(ids))
+        assert enc.labels.dtype == np.int64 and enc.labels.tolist() == [0, 1, 0, 1]
+        assert enc.texts == list(self.TEXTS)
+
+    def test_slice_is_views_of_the_split(self):
+        _, _, enc = self._split()
+        part = enc[1:3]
+        assert len(part) == 2 and part.texts == list(self.TEXTS[1:3])
+        assert np.shares_memory(part.ids, enc.ids) and np.shares_memory(part.labels, enc.labels)
+        np.testing.assert_array_equal(part.ids, enc.ids[1:3])
+        batch = next(data.iter_eval_batches(enc, 2))
+        assert np.shares_memory(batch.token_ids, enc.ids)
+
+    def test_a_large_table_has_a_mapping_of_its_own(self):
+        # 300 rows of 64 ids take 150 KiB: freeing the table unmaps it
+        vocab = build_vocab(["a b"], min_freq=1)
+        owner = encode_examples([Example("a b", 0)] * 300, vocab, 64).ids
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(getattr(owner, "obj", owner), mmap.mmap)
+
+    def test_iteration_yields_text_label_pairs(self):
+        examples, _, enc = self._split()
+        assert list(enc) == examples
+        assert all(type(e.label) is int for e in enc)
+
+    def test_empty_split(self):
+        _, vocab, _ = self._split()
+        enc = encode_examples([], vocab, 6)
+        assert len(enc) == 0 and enc.ids.shape == (0, 6) and list(enc) == []
+        with pytest.raises(ValueError):
+            make_batches(enc, 4, shuffle_seed=0)
+        with pytest.raises(ValueError):
+            next(data.iter_eval_batches(enc, 4))
 
 
 def identity_rate(split, label):

@@ -154,9 +154,9 @@ class TestPredictAndEvaluate:
 
     def test_evaluate_empty_split_rejected(self):
         train, _, _ = generate_confound_corpus(4, 0.5, seed=3)
-        _, _, params = fitted(train)
+        _, enc, params = fitted(train)
         with pytest.raises(ValueError):
-            evaluate(params, [], batch_size=4)
+            evaluate(params, enc[:0], batch_size=4)
 
 
 def reference_export(feats, split) -> bytes:
@@ -180,12 +180,13 @@ class TestExportEmbeddings:
         feats = np.random.default_rng(9).normal(0.0, 1.0, (4, 6))
         feats[0, :4] = [-0.0, 5e-324, 1e-300, 1e20]
         feats[1, :4] = [-5e-324, -1e-300, -1e20, 0.0]
-        split = [
+        examples = [
             Example("a\ttab", 0),
             Example("a\nnewline", 1),
             Example("a\rreturn, 100% sure", 0),
             Example("a\\backslash\\t", 1),
         ]
+        split = encode_examples(examples, build_vocab(["a"], min_freq=1), 4)
         monkeypatch.setattr(metrics, "features_of", lambda params, split, batch_size: feats)
         path = tmp_path / "emb.tsv"
         export_embeddings(None, split, path)
@@ -210,13 +211,13 @@ class TestExportEmbeddings:
 
     def test_tabs_and_newlines_escaped(self, tmp_path):
         examples = [
-            Example("tricky\ttext", 0, [2, 0, 0, 0]),
-            Example("line\nbreak\rback\\slash", 1, [2, 2, 0, 0]),
+            Example("tricky\ttext", 0),
+            Example("line\nbreak\rback\\slash", 1),
         ]
         vocab = build_vocab(["tok tok"], min_freq=1)
         params = init_params(0, EncoderDims(vocab_size=len(vocab), d_emb=2, hidden=2, d_feat=2))
         path = tmp_path / "emb.tsv"
-        export_embeddings(params, examples, path)
+        export_embeddings(params, encode_examples(examples, vocab, 4), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].split("\t")[-1] == "tricky\\ttext"
@@ -282,11 +283,11 @@ class TestConfoundProbe:
         assert probe["accuracy"] == 1.0 and probe["macro_f1"] == 1.0
 
     def test_split_without_identity_tokens_rejected(self):
-        examples = [Example("plain words only", 0, [1, 1, 1]), Example("more words", 1, [1, 1, 0])]
+        examples = [Example("plain words only", 0), Example("more words", 1)]
         vocab = build_vocab(["plain words only more words"], min_freq=1)
         params = init_params(0, EncoderDims(len(vocab), d_emb=2, hidden=2, d_feat=2))
         with pytest.raises(ValueError, match="identity"):
-            confound_probe(params, examples)
+            confound_probe(params, encode_examples(examples, vocab, 3))
 
     @pytest.mark.parametrize("kind", ["identity", "context", "random"])
     def test_overall_scores_equal_evaluate(self, kind):

@@ -9,7 +9,7 @@ import pytest
 
 from lahn import autodiff as ad
 from lahn import blocks, sampler, trainer
-from lahn.data import encode_examples, generate_confound_corpus, iter_eval_batches, make_batches
+from lahn.data import PAD_ID, Batch, encode_examples, generate_confound_corpus, make_batches
 from lahn.encoder import FLAT_NAMES, EncoderDims, clone_params, init_params, load_checkpoint
 from lahn.momentum import ema_update
 from lahn.seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
@@ -609,8 +609,8 @@ class TestLahnContrastiveTerm:
         cfg = small_config(strategy="sim", q=4, k=4, batch_size=6)
         train, _, _ = tiny_corpus()
         vocab, enc, _ = first_batch(cfg, train)
-        picks = [next(e for e in enc if e.label == 0)] + [e for e in enc if e.label == 1][:5]
-        batch = next(iter_eval_batches(picks, len(picks)))
+        picks = np.concatenate([np.flatnonzero(enc.labels == 0)[:1], np.flatnonzero(enc.labels == 1)[:5]])
+        batch = Batch(token_ids=enc.ids[picks], mask=enc.ids[picks] != PAD_ID, labels=enc.labels[picks])
         state = init_state(cfg, len(vocab))
         lb, feats, x_aug, negs = spied_step(monkeypatch, state, batch, cfg)
         assert sorted(negs[0].queue_indices.tolist()) == [0, 1, 2, 3]
