@@ -56,9 +56,10 @@ class Example:
 
 @dataclass
 class EncodedSplit:
-    """A split encoded once: ``ids`` [N x max_len] int64 (row i is text i's
-    ids, then PAD), ``labels`` [N] int64 and ``texts``. A slice is an
-    ``EncodedSplit`` of views; iterating yields each ``Example``."""
+    """A split encoded once: ``ids`` [N x W] int64, W the longest text's id
+    count (row i is text i's ids, then PAD), ``labels`` [N] int64 and
+    ``texts``. A slice is an ``EncodedSplit`` of views; an int index gives
+    that row's ``Example``, as iterating does."""
 
     ids: np.ndarray
     labels: np.ndarray
@@ -67,8 +68,10 @@ class EncodedSplit:
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, rows: slice) -> EncodedSplit:
-        return EncodedSplit(self.ids[rows], self.labels[rows], self.texts[rows])
+    def __getitem__(self, rows: slice | int) -> EncodedSplit | Example:
+        if isinstance(rows, slice):
+            return EncodedSplit(self.ids[rows], self.labels[rows], self.texts[rows])
+        return Example(self.texts[rows], int(self.labels[rows]))
 
     def __iter__(self):
         return map(Example, self.texts, self.labels.tolist())
@@ -112,13 +115,14 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
 
 
 def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> EncodedSplit:
-    """The examples' id table, labels and texts, in order. The table comes
-    from ``blocks.mapped_zeros``, so a large one has a mapping of its own;
+    """The examples' id table, labels and texts, in order. The table is as
+    wide as the longest text's ids (at most ``max_len``) and comes from
+    ``blocks.mapped_zeros``, so a large one has a mapping of its own;
     PAD_ID is 0, so each zero row gets only its text's ids."""
     texts = [e.text for e in examples]
-    ids = blocks.mapped_zeros((len(texts), max_len), np.int64)
-    for row, text in zip(ids, texts):
-        tokens = vocab.encode(text, max_len)
+    rows = [vocab.encode(text, max_len) for text in texts]
+    ids = blocks.mapped_zeros((len(rows), max(map(len, rows), default=0)), np.int64)
+    for row, tokens in zip(ids, rows):
         row[: len(tokens)] = tokens
     return EncodedSplit(ids, np.array([e.label for e in examples], dtype=np.int64), texts)
 
@@ -163,8 +167,8 @@ def write_jsonl(path, examples) -> None:
 
 @dataclass
 class Batch:
-    token_ids: np.ndarray  # [B x max_len] int64
-    mask: np.ndarray  # [B x max_len] bool, true where token != PAD
+    token_ids: np.ndarray  # [B x W] int64, W the split's table width
+    mask: np.ndarray  # [B x W] bool, true where token != PAD
     labels: np.ndarray  # [B] int64
 
     @property

@@ -170,11 +170,14 @@ class TestVocabulary:
         assert len(v) == 10
 
     def test_encode_pads_and_truncates(self):
-        # encode gives a text's ids alone; its row of the encoded table pads them
+        # encode gives a text's ids alone; the encoded table is as wide as
+        # its longest row and pads the shorter ones
         v = build_vocab(["x y z"], min_freq=1)
         ids = [v.token_to_id["x"], v.token_to_id["y"]]
         assert v.encode("x y", max_len=5) == ids
-        assert encode_examples([Example("x y", 0)], v, max_len=5).ids.tolist() == [ids + [PAD_ID] * 3]
+        assert encode_examples([Example("x y", 0)], v, max_len=5).ids.tolist() == [ids]
+        two = encode_examples([Example("x y", 0), Example("x y z", 1)], v, max_len=5)
+        assert two.ids.tolist() == [ids + [PAD_ID], ids + [v.token_to_id["z"]]]
         assert len(v.encode("x y z x y z", max_len=4)) == 4
 
     def test_unknown_token_maps_to_unk(self):
@@ -323,11 +326,14 @@ class TestEncodedSplit:
         return examples, vocab, encode_examples(examples, vocab, max_len)
 
     def test_rows_hold_the_texts_ids_then_pad(self):
-        _, vocab, enc = self._split()
-        assert enc.ids.dtype == np.int64 and enc.ids.shape == (len(self.TEXTS), 6)
-        for text, row in zip(self.TEXTS, enc.ids.tolist()):
-            ids = vocab.encode(text, 6)
-            assert row == ids + [PAD_ID] * (6 - len(ids))
+        # the table is as wide as its longest row, at most max_len
+        for max_len, width in ((1, 1), (3, 3), (6, 6), (64, 12)):
+            _, vocab, enc = self._split(max_len)
+            assert width == max(len(vocab.encode(t, max_len)) for t in self.TEXTS)
+            assert enc.ids.dtype == np.int64 and enc.ids.shape == (len(self.TEXTS), width)
+            for text, row in zip(self.TEXTS, enc.ids.tolist()):
+                ids = vocab.encode(text, max_len)
+                assert row == ids + [PAD_ID] * (width - len(ids))
         assert enc.labels.dtype == np.int64 and enc.labels.tolist() == [0, 1, 0, 1]
         assert enc.texts == list(self.TEXTS)
 
@@ -340,13 +346,36 @@ class TestEncodedSplit:
         batch = next(data.iter_eval_batches(enc, 2))
         assert np.shares_memory(batch.token_ids, enc.ids)
 
+    @staticmethod
+    def _owner(table):
+        while isinstance(table, np.ndarray):
+            table = table.base
+        return getattr(table, "obj", table)
+
     def test_a_large_table_has_a_mapping_of_its_own(self):
         # 300 rows of 64 ids take 150 KiB: freeing the table unmaps it
         vocab = build_vocab(["a b"], min_freq=1)
-        owner = encode_examples([Example("a b", 0)] * 300, vocab, 64).ids
-        while isinstance(owner, np.ndarray):
-            owner = owner.base
-        assert isinstance(getattr(owner, "obj", owner), mmap.mmap)
+        ids = encode_examples([Example("a b " * 40, 0)] * 300, vocab, 64).ids
+        assert ids.shape == (300, 64)
+        assert isinstance(self._owner(ids), mmap.mmap)
+
+    def test_a_short_text_table_is_a_heap_array(self):
+        # 300 rows of 2 ids take 4.7 KiB, not 300 rows of max_len
+        vocab = build_vocab(["a b"], min_freq=1)
+        ids = encode_examples([Example("a b", 0)] * 300, vocab, 64).ids
+        assert ids.shape == (300, 2)
+        assert not isinstance(self._owner(ids), mmap.mmap)
+
+    def test_int_index_gives_the_rows_example(self):
+        examples, _, enc = self._split()
+        assert [enc[i] for i in range(len(enc))] == examples
+        assert enc[-1] == examples[-1] and enc[np.int64(1)] == examples[1]
+        assert type(enc[0].label) is int
+        with pytest.raises(IndexError):
+            enc[len(enc)]
+        part = enc[1:]
+        assert isinstance(part, data.EncodedSplit) and np.shares_memory(part.ids, enc.ids)
+        assert part[0] == examples[1]
 
     def test_iteration_yields_text_label_pairs(self):
         examples, _, enc = self._split()
@@ -356,7 +385,7 @@ class TestEncodedSplit:
     def test_empty_split(self):
         _, vocab, _ = self._split()
         enc = encode_examples([], vocab, 6)
-        assert len(enc) == 0 and enc.ids.shape == (0, 6) and list(enc) == []
+        assert len(enc) == 0 and enc.ids.shape == (0, 0) and list(enc) == []
         with pytest.raises(ValueError):
             make_batches(enc, 4, shuffle_seed=0)
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import pytest
 
 from lahn.data import (
     IDENTITY_TOKENS,
+    PAD_ID,
+    EncodedSplit,
     Example,
     build_vocab,
     encode_examples,
@@ -260,6 +262,26 @@ def handcrafted_classifier(vocab, kind):
         params.wh.values[0, 1] = 1.0
         params.wh.values[1, 1] = -10.0  # any negation token outweighs the adjectives
     return params
+
+
+def padded(enc, max_len):
+    """The split with its id table padded with PAD columns out to max_len."""
+    ids = np.pad(enc.ids, ((0, 0), (0, max_len - enc.ids.shape[1])), constant_values=PAD_ID)
+    return EncodedSplit(ids, enc.labels, enc.texts)
+
+
+class TestTableWidth:
+    @pytest.mark.parametrize("batch_size", [1, 5, 16])
+    def test_pad_columns_change_no_result(self, tmp_path, batch_size):
+        train, _, _ = generate_confound_corpus(10, 0.5, seed=4)
+        _, enc, params = fitted(train, dropout=0.5)
+        wide = padded(enc, 16)
+        assert enc.ids.shape[1] < 16 == wide.ids.shape[1]
+        assert predict(params, enc, batch_size).tobytes() == predict(params, wide, batch_size).tobytes()
+        assert features_of(params, enc, batch_size).tobytes() == features_of(params, wide, batch_size).tobytes()
+        export_embeddings(params, enc, tmp_path / "narrow.tsv", batch_size)
+        export_embeddings(params, wide, tmp_path / "wide.tsv", batch_size)
+        assert (tmp_path / "narrow.tsv").read_bytes() == (tmp_path / "wide.tsv").read_bytes()
 
 
 class TestConfoundProbe:

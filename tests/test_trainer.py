@@ -9,7 +9,7 @@ import pytest
 
 from lahn import autodiff as ad
 from lahn import blocks, sampler, trainer
-from lahn.data import PAD_ID, Batch, encode_examples, generate_confound_corpus, make_batches
+from lahn.data import PAD_ID, Batch, EncodedSplit, encode_examples, generate_confound_corpus, make_batches
 from lahn.encoder import FLAT_NAMES, EncoderDims, clone_params, init_params, load_checkpoint
 from lahn.momentum import ema_update
 from lahn.seeding import STREAM_DROPOUT_MAIN, STREAM_DROPOUT_MOMENTUM, STREAM_SHUFFLE, substream
@@ -772,6 +772,24 @@ class TestTrainStep:
         assert set(diag) == {"step", "lr", "l_cl", "l_ce", "total"}
         assert diag["step"] == 0 and diag["lr"] == cfg.lr
         assert not math.isfinite(diag["total"])
+
+    @pytest.mark.parametrize("objective", ["ce", "scl", "lahn"])
+    def test_pad_columns_change_no_step(self, objective):
+        # the same rows from the encoded table and from that table padded
+        # with PAD columns out to max_len
+        cfg = small_config(objective=objective, q=8)
+        train, _, _ = tiny_corpus()
+        vocab, enc, batches = first_batch(cfg, train)
+        ids = np.pad(enc.ids, ((0, 0), (0, cfg.max_len - enc.ids.shape[1])), constant_values=PAD_ID)
+        wide = make_batches(EncodedSplit(ids, enc.labels, enc.texts), cfg.batch_size, shuffle_seed=0)
+        assert batches[0].token_ids.shape[1] < cfg.max_len == wide[0].token_ids.shape[1]
+        states = [init_state(cfg, len(vocab)) for _ in range(2)]
+        records = [train_step(state, batch, cfg) for state, batch in zip(states, (batches[0], wide[0]))]
+        assert records[0] == records[1]
+        if objective == "lahn":
+            assert records[0]["l_cl"] != 0.0
+        for (name, a), (_, b) in zip(states[0].params.named(), states[1].params.named()):
+            assert a.values.tobytes() == b.values.tobytes(), name
 
 
 class TestRunTraining:
