@@ -104,7 +104,7 @@ class EncoderParams:
     @functools.cached_property
     def scratch(self) -> np.ndarray:
         """``blocks.scratch(d_emb)``, made on first use and kept: one scratch
-        block per usable CPU, shared by Adam's and the EMA's passes."""
+        block, shared by Adam's and the EMA's passes."""
         return blocks.scratch(self.dims.d_emb)
 
 

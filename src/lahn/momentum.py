@@ -92,8 +92,7 @@ class MomentumQueue:
 def ema_update(main: EncoderParams, momentum: EncoderParams, m: float) -> None:
     """theta_m <- m * theta_m + (1 - m) * theta, elementwise, in place: one
     ``blocks.blocked_pass`` over ``emb`` and one over ``flat``, both on
-    ``main.scratch``. So it allocates no parameter-sized temporary, and a
-    large table's rows split across the usable CPUs."""
+    ``main.scratch``, so it allocates no parameter-sized temporary."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum coefficient must be in [0, 1], got {m}")
     emb, flat = (momentum.emb.values, main.emb.values), (momentum.flat, main.flat)

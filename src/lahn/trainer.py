@@ -202,12 +202,12 @@ def adam_step(
     shape; a ``RowGrad`` whose values are not one row per row id, or with
     a row id outside the table) or that is not finite is a ValueError
     naming the parameter, raised before any state changes.
-    A step makes one in-place ``blocks.blocked_pass`` over ``emb`` and one
-    over ``flat``, both on ``params.scratch``: an entry with no gradient
-    takes 7 ufunc calls, one with a gradient 13. Only ``emb``'s gradient may
-    be a ``RowGrad``. The six small gradients are first copied into
-    ``params.work``, so a step allocates no parameter-sized temporary, and
-    a large table's rows are split across the usable CPUs.
+    A step makes one in-place ``blocks.blocked_pass`` over ``emb`` (a
+    ``RowGrad`` adds one over its rows) and one over ``flat``, all on
+    ``params.scratch``: an entry with no gradient takes 7 ufunc calls, one
+    with a gradient 13. Only ``emb``'s gradient may be a ``RowGrad``. The
+    six small gradients are first copied into ``params.work``, so a step
+    allocates no parameter-sized temporary.
     """
     flat_g = _flat_grad(params, grads)
     t = state.t + 1

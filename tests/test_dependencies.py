@@ -1,7 +1,8 @@
 """numpy is lahn's only runtime dependency: every module of the package
 imports only the standard library, numpy and lahn itself. Each module
-imports on its own, and the package itself loads none of them. And
-``blocks`` keeps no state of its own beyond its worker pool."""
+imports on its own, and the package itself loads none of them. lahn runs
+in one process and one thread: no module imports a thread or process
+module, and ``blocks`` keeps no state of its own."""
 
 import ast
 import os
@@ -62,7 +63,7 @@ def _literal(node: ast.expr) -> bool:
 
 def test_blocks_keeps_no_module_state():
     # a pass's scratch belongs to its caller: the module assigns only
-    # upper-case constants, and its one cache is the per-process pool
+    # upper-case constants and caches nothing
     tree = ast.parse((SRC / "blocks.py").read_text(encoding="utf-8"))
     assert not any(isinstance(n, (ast.Global, ast.Nonlocal)) for n in ast.walk(tree))
     docstring, *body = tree.body
@@ -72,6 +73,12 @@ def test_blocks_keeps_no_module_state():
             assert all(isinstance(t, ast.Name) and t.id.lstrip("_").isupper() for t in node.targets), ast.unparse(node)
             assert _literal(node.value), ast.unparse(node)
         elif isinstance(node, ast.FunctionDef):
-            assert not node.decorator_list or node.name == "_workers", node.name
+            assert not node.decorator_list, node.name
         else:
             assert isinstance(node, (ast.Import, ast.ImportFrom)), ast.unparse(node)
+
+
+def test_single_process():
+    threads = {"threading", "_thread", "concurrent", "multiprocessing"}
+    found = {path.name: sorted(imported_roots(path) & threads) for path in sorted(SRC.glob("*.py"))}
+    assert {name: roots for name, roots in found.items() if roots} == {}
