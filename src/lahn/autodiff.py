@@ -177,8 +177,10 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     """Masked mean of embedding rows per example: [V x d], [B x T] -> [B x d].
 
     Row b is the mean of ``table[ids[b, t]]`` over the positions t where
-    ``mask[b, t]`` is true; masked positions contribute nothing. Only the
-    leading columns up to the last unmasked one are gathered. Backward
+    ``mask[b, t]`` is true. Masked positions are skipped by the sum, not
+    added as 0.0, so pad columns change no bit, and no masked copy of the
+    gather is made. Only the leading columns up to the last unmasked one are
+    gathered; every id, masked or not, must name a table row. Backward
     gives each unmasked token of example b the share ``g[b] / count[b]`` and
     sums the shares of each table row in row-major token order from 0.0,
     bit for bit a ``np.add.at`` of them into zeros. The sums reach the table
@@ -189,16 +191,17 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     if idx.ndim != 2 or keep.shape != idx.shape:
         raise ShapeError(f"embed_mean_pool needs [B x T] ids and mask, got {idx.shape} and {keep.shape}")
     n_rows = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        bad = idx[(idx < 0) | (idx >= n_rows)][0]
+    # as uint64 a negative id reads above every row, so one max checks both ends
+    if idx.size and idx.view(np.uint64).max() >= n_rows:
+        bad = idx[idx.view(np.uint64) >= n_rows][0]
         raise IndexError(f"id {int(bad)} out of range for table with {n_rows} rows")
     counts = keep.sum(axis=1)
-    if (counts == 0).any():
+    if not counts.all():
         raise ValueError("embed_mean_pool over an all-false mask row (empty sequence)")
     width = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1 if idx.size else 0
     idx, keep = idx[:, :width], keep[:, :width]
-    gathered = np.where(keep[:, :, None], table.values[idx], 0.0)
-    out = Tensor(gathered.sum(axis=1) / counts[:, None])
+    out = Tensor(np.sum(table.values[idx], axis=1, where=keep[:, :, None]))
+    out.values /= counts[:, None]
 
     def rule(g: np.ndarray) -> None:
         rows, slot = np.unique(idx[keep], return_inverse=True)
@@ -279,12 +282,20 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximate gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    """Tanh-approximate gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))), bitwise.
+
+    ``t`` and the output are each one array updated in place by the
+    expression's ufuncs on its operands in its order: t = v*v, *v, *0.044715,
+    +v, *c, tanh; out = 0.5*v, *(1 + t)."""
     v = x.values
-    # v * v * v, not v**3: numpy has no fast path for a cube
-    inner = _GELU_C * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * v * (1.0 + t))
+    t = v * v  # then * v, not v**3: numpy has no fast path for a cube
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = Tensor(0.5 * v)
+    out.values *= 1.0 + t
 
     def rule(g: np.ndarray) -> None:
         dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * v**2)

@@ -112,17 +112,18 @@ def export_embeddings(params: EncoderParams, split: EncodedSplit, path, batch_si
 
 def confound_probe(params: EncoderParams, test_split: EncodedSplit, batch_size: int = 16) -> dict:
     """Overall metrics plus the false-positive rate on identity-bearing
-    non-hate examples, the signature of the identity-term shortcut."""
-    id_flags = np.array([has_identity_token(t) for t in test_split.texts], dtype=bool)
-    if not id_flags.any():
+    non-hate examples, the signature of the identity-term shortcut. Only the
+    non-hate texts are tested for the rate; the hate texts are tested, up to
+    the first identity token, only when no non-hate text holds one, since a
+    confound split must hold an identity token somewhere."""
+    texts, labels = test_split.texts, test_split.labels
+    subset = [i for i in np.flatnonzero(labels == 0).tolist() if has_identity_token(texts[i])]
+    if not subset and not any(has_identity_token(t) for t, y in zip(texts, labels.tolist()) if y):
         raise ValueError("split carries no identity tokens; not a confound test split")
-    y_true, y_pred, overall = _scored(params, test_split, batch_size)
-    subset = id_flags & (y_true == 0)
-    n_subset = int(subset.sum())
-    fpr = float(y_pred[subset].mean()) if n_subset else 0.0
+    _, y_pred, overall = _scored(params, test_split, batch_size)
     return {
         "accuracy": overall.accuracy,
         "macro_f1": overall.macro_f1,
-        "identity_nonhate_n": n_subset,
-        "identity_fpr": fpr,
+        "identity_nonhate_n": len(subset),
+        "identity_fpr": float(y_pred[subset].mean()) if subset else 0.0,
     }

@@ -3,6 +3,7 @@ import inspect
 import math
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +81,15 @@ class TestValueSemantics:
         out = ad.embed_mean_pool(table, [[2, 0], [0, 1]], [[True, False], [True, False]])
         np.testing.assert_array_equal(out.values, [[4.0, 5.0], [0.0, 1.0]])
 
-    def test_embedding_out_of_range(self):
-        with pytest.raises(IndexError, match="3"):
-            ad.embed_mean_pool(ad.constant(np.zeros((3, 2))), [[0, 3]], [[True, True]])
-
-    def test_embedding_out_of_range_under_mask(self):
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("bad", [-1, -(2**63), 5, 2**62], ids=["-1", "-2**63", "n_rows", "2**62"])
+    def test_embedding_out_of_range(self, bad, masked):
         # a masked position is still an id: it must name a table row
-        with pytest.raises(IndexError, match="-1"):
-            ad.embed_mean_pool(ad.constant(np.zeros((3, 2))), [[1, -1]], [[True, False]])
+        ids = np.array([[0, 4, 2, 1], [3, 3, 0, 0]])
+        mask = np.array([[True, True, True, False], [True, True, False, False]])
+        ids[1, 3 if masked else 1] = bad
+        with pytest.raises(IndexError, match=rf"^id {re.escape(str(bad))} out of range for table with 5 rows$"):
+            ad.embed_mean_pool(ad.constant(np.zeros((5, 3))), ids, mask)
 
     def test_embedding_repeated_id_accumulates(self):
         table = ad.param(np.zeros((3, 2)))
@@ -244,6 +246,22 @@ class TestEmbedMeanPool:
         with ad.Tape() as tape:
             ad.embed_mean_pool(table, np.ones((8, 5), np.int64), np.ones((8, 5), bool))
         assert len(tape) == 1
+
+    def test_pool_allocates_about_one_gather(self):
+        # the masked sum reads the gather in place: no B x W x d masked copy
+        rng = np.random.default_rng(5)
+        table = ad.constant(rng.normal(size=(20_000, 64)))
+        ids = rng.integers(0, 20_000, size=(16, 64))
+        mask = rng.random((16, 64)) < 0.7
+        mask[:, -1] = True  # every column is gathered
+        gather = 16 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            ad.embed_mean_pool(table, ids, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gather <= peak < 1.25 * gather
 
     def test_shape_errors(self):
         table = ad.constant(np.zeros((3, 2)))
@@ -512,6 +530,21 @@ class TestGelu:
         v = np.random.default_rng(int(sigma)).normal(0.0, sigma, (64, 128))
         want = np.array([reference_gelu(x) for x in v.ravel()]).reshape(v.shape)
         np.testing.assert_allclose(ad.gelu(ad.constant(v)).values, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["normal", "wide", "edges"])
+    def test_bitwise_the_expression(self, case):
+        # the in-place kernel against the expression it replaces, bit for bit
+        rng = np.random.default_rng(9)
+        v = {
+            "normal": rng.normal(0.0, 2.0, (16, 64)),
+            "wide": rng.normal(0.0, 1.0, (300, 7)) * 10.0 ** rng.integers(-8, 9, (300, 7)),
+            "edges": np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e103, -1e103, 1e200, -1e200, np.inf, -np.inf]),
+        }[case]
+        c = math.sqrt(2.0 / math.pi)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = 0.5 * v * (1.0 + np.tanh(c * (v + 0.044715 * (v * v * v))))
+            got = ad.gelu(ad.constant(v)).values
+        assert got.tobytes() == want.tobytes()
 
     def test_zeros_tiny_huge_and_infinite_inputs(self):
         v = np.array([0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, 1e103, -1e103, np.inf, -np.inf])

@@ -304,12 +304,56 @@ class TestConfoundProbe:
         assert probe["identity_fpr"] == 0.0
         assert probe["accuracy"] == 1.0 and probe["macro_f1"] == 1.0
 
-    def test_split_without_identity_tokens_rejected(self):
+    def test_split_without_identity_tokens_rejected(self, monkeypatch):
         examples = [Example("plain words only", 0), Example("more words", 1)]
         vocab = build_vocab(["plain words only more words"], min_freq=1)
         params = init_params(0, EncoderDims(len(vocab), d_emb=2, hidden=2, d_feat=2))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the probe ran a forward on a split it rejects")
+
+        # rejected before any forward
+        monkeypatch.setattr(metrics, "forward", no_forward)
         with pytest.raises(ValueError, match="identity"):
             confound_probe(params, encode_examples(examples, vocab, 3))
+
+    def counted_identity_tests(self, monkeypatch) -> list[str]:
+        seen = []
+
+        def counting(text):
+            seen.append(text)
+            return has_identity_token(text)
+
+        monkeypatch.setattr(metrics, "has_identity_token", counting)
+        return seen
+
+    def test_tests_only_the_non_hate_texts(self, monkeypatch):
+        _, _, test = generate_confound_corpus(16, 0.5, seed=12)
+        vocab = build_vocab((e.text for e in test), min_freq=1)
+        enc = encode_examples(test, vocab, 16)
+        non_hate = [e.text for e in test if e.label == 0]
+        assert any(has_identity_token(t) for t in non_hate)
+        seen = self.counted_identity_tests(monkeypatch)
+        probe = confound_probe(handcrafted_classifier(vocab, "identity"), enc, batch_size=4)
+        assert seen == non_hate
+        assert probe["identity_nonhate_n"] == sum(map(has_identity_token, non_hate)) > 0
+
+    def test_identity_tokens_only_in_hate_rows(self, monkeypatch):
+        word = IDENTITY_TOKENS[0]
+        examples = [
+            Example("plain words only", 0),
+            Example("more plain words", 0),
+            Example("hateful plain words", 1),
+            Example(f"hateful {word} words", 1),
+            Example(f"{word} again", 1),
+        ]
+        vocab = build_vocab((e.text for e in examples), min_freq=1)
+        params = init_params(0, EncoderDims(len(vocab), d_emb=2, hidden=2, d_feat=2))
+        seen = self.counted_identity_tests(monkeypatch)
+        probe = confound_probe(params, encode_examples(examples, vocab, 4))
+        # both non-hate texts, then the hate texts up to the first identity one
+        assert seen == [e.text for e in examples[:4]]
+        assert probe["identity_nonhate_n"] == 0 and probe["identity_fpr"] == 0.0
 
     @pytest.mark.parametrize("kind", ["identity", "context", "random"])
     def test_overall_scores_equal_evaluate(self, kind):
