@@ -177,7 +177,7 @@ def _cmd_train(args) -> int:
     }
     if test is not None:
         test_enc = encode_examples(test, result.vocab, cfg.max_len)
-        summary["test"] = metrics.evaluate(result.best_params, test_enc, cfg.batch_size).to_dict()
+        summary["test"] = metrics.evaluate(result.best_params, test_enc).to_dict()
     _emit(summary)
     return 0
 
@@ -198,21 +198,21 @@ def _load_checkpoint_bundle(args):
 
 def _cmd_eval(args) -> int:
     _check_out(args.out)
-    params, cfg, encoded = _load_checkpoint_bundle(args)
+    params, _, encoded = _load_checkpoint_bundle(args)
     if args.probe:
         if not any(map(has_identity_token, encoded.texts)):
             raise UsageError(f"--data: {args.data}: no record holds an identity token for --probe")
-        report = metrics.confound_probe(params, encoded, cfg.batch_size)
+        report = metrics.confound_probe(params, encoded)
     else:
-        report = metrics.evaluate(params, encoded, cfg.batch_size).to_dict()
+        report = metrics.evaluate(params, encoded).to_dict()
     _emit(report, args.out)
     return 0
 
 
 def _cmd_export_embeddings(args) -> int:
     _check_out(args.out)
-    params, cfg, encoded = _load_checkpoint_bundle(args)
-    metrics.export_embeddings(params, encoded, args.out, cfg.batch_size)
+    params, _, encoded = _load_checkpoint_bundle(args)
+    metrics.export_embeddings(params, encoded, args.out)
     _emit({"rows": len(encoded), "out": str(args.out)})
     return 0
 
@@ -226,7 +226,7 @@ def _cmd_inspect_negatives(args) -> int:
         raise UsageError(f"--anchor: index {args.anchor} out of range for corpus of {len(encoded)}")
     strategy = Strategy.parse(args.strategy or cfg.strategy)
     k = args.k if args.k is not None else cfg.k
-    feats = metrics.features_of(params, encoded, cfg.batch_size)
+    feats = metrics.features_of(params, encoded)
     labels = encoded.labels
 
     # warm pass: the whole corpus through the queue, oldest-first, eval features

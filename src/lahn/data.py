@@ -73,6 +73,7 @@ class EncodedSplit:
             return EncodedSplit(self.ids[rows], self.labels[rows], self.texts[rows])
         return Example(self.texts[rows], int(self.labels[rows]))
 
+    # perfbench's eval-probe export check iterates a split's examples
     def __iter__(self):
         return map(Example, self.texts, self.labels.tolist())
 
@@ -196,12 +197,13 @@ def make_batches(split: EncodedSplit, batch_size: int, shuffle_seed: int) -> lis
     return [_to_batch(split, rows) for rows in parts if rows.size >= 2]
 
 
-def iter_eval_batches(split: EncodedSplit, batch_size: int):
-    """Order-preserving batches covering every example (size-1 tail kept)."""
+def iter_eval_batches(split: EncodedSplit, rows: int):
+    """Order-preserving batches of ``rows`` rows covering every example, the
+    last one ragged (a 1-row tail kept). ``metrics`` sizes them by memory."""
     if not split:
         raise ValueError("empty split")
-    for start in range(0, len(split), batch_size):
-        yield _to_batch(split, slice(start, start + batch_size))
+    for start in range(0, len(split), rows):
+        yield _to_batch(split, slice(start, start + rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Classification metrics, embedding export, and the identity-shortcut probe.
 
 Every evaluation forward runs without dropout in one loop that yields each
-batch's features and logits, and ``evaluate`` and ``confound_probe`` share
-one scoring step, so every function here is a deterministic map from
-(params, split) to its result.
+chunk's features and logits, so every function here is a deterministic map
+from (params, split) to its result. The loop sizes its chunks by memory
+(``EVAL_ELEMENTS``), not by a caller: the five scoring functions ignore
+their trailing ``batch_size``, kept until perfbench stops passing one.
 """
 
 from __future__ import annotations
@@ -64,33 +65,36 @@ def report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsRe
     )
 
 
-def _eval_outputs(params: EncoderParams, split: EncodedSplit, batch_size: int):
-    """Each batch's eval-mode features [b x d_feat] and logits [b x 2], in
-    split order. Callers keep only what they need of each batch, so scoring
-    a split never holds all of its features."""
-    for batch in iter_eval_batches(split, batch_size):
+# elements of one eval forward's pooled gather (rows x table width x d_emb),
+# 256 KB of float64. Twice this, each freed gather would raise glibc's mmap
+# threshold, changing how fast later 256 KB arrays in the process allocate
+EVAL_ELEMENTS = 1 << 15
+
+
+def _eval_outputs(params: EncoderParams, split: EncodedSplit):
+    """Each chunk's eval-mode features [b x d_feat] and logits [b x 2], in
+    split order, a chunk ``EVAL_ELEMENTS`` of gather (at least one row). Callers
+    keep what they need of each, so scoring never holds all of a split's features."""
+    rows = max(1, EVAL_ELEMENTS // max(1, split.ids.shape[1] * params.dims.d_emb))
+    for batch in iter_eval_batches(split, rows):
         out = forward(params, batch, training=False)
         yield out.feature.values, out.logits.values
 
 
-def predict(params: EncoderParams, split: EncodedSplit, batch_size: int = 16) -> np.ndarray:
-    """Argmax predictions over eval-mode forwards; equal logits predict 0."""
-    wins = [lg[:, 1] > lg[:, 0] for _, lg in _eval_outputs(params, split, batch_size)]
+def predict(params: EncoderParams, split: EncodedSplit, batch_size=None) -> np.ndarray:
+    """Argmax of eval-mode logits, equal logits predicting 0; ignores ``batch_size``."""
+    wins = [lg[:, 1] > lg[:, 0] for _, lg in _eval_outputs(params, split)]
     return np.concatenate(wins).astype(np.int64)
 
 
-def features_of(params: EncoderParams, split: EncodedSplit, batch_size: int = 16) -> np.ndarray:
-    return np.concatenate([f for f, _ in _eval_outputs(params, split, batch_size)])
+def features_of(params: EncoderParams, split: EncodedSplit, batch_size=None) -> np.ndarray:
+    """Eval-mode features [N x d_feat]; ignores ``batch_size``."""
+    return np.concatenate([f for f, _ in _eval_outputs(params, split)])
 
 
-def _scored(params: EncoderParams, split: EncodedSplit, batch_size: int):
-    """A split's true labels, predictions and report."""
-    y_pred = predict(params, split, batch_size)
-    return split.labels, y_pred, report_from_predictions(split.labels, y_pred)
-
-
-def evaluate(params: EncoderParams, split: EncodedSplit, batch_size: int = 16) -> MetricsReport:
-    return _scored(params, split, batch_size)[2]
+def evaluate(params: EncoderParams, split: EncodedSplit, batch_size=None) -> MetricsReport:
+    """The split's report; ignores ``batch_size``."""
+    return report_from_predictions(split.labels, predict(params, split))
 
 
 _ESCAPES = (("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
@@ -102,25 +106,27 @@ def _escape(text: str) -> str:
     return text
 
 
-def export_embeddings(params: EncoderParams, split: EncodedSplit, path, batch_size: int = 16) -> None:
-    """TSV rows: d_feat floats at 9 significant digits, label, escaped text."""
-    feats = features_of(params, split, batch_size)
+def export_embeddings(params: EncoderParams, split: EncodedSplit, path, batch_size=None) -> None:
+    """TSV rows of d_feat floats at 9 significant digits, label, escaped
+    text; ignores ``batch_size``."""
+    feats = features_of(params, split)
     row = "\t".join(["%.9g"] * feats.shape[1] + ["%s", "%s"]) + "\n"
     lines = [row % (*f, y, _escape(t)) for t, y, f in zip(split.texts, split.labels.tolist(), feats.tolist())]
     fileio.atomic_write_text(path, "".join(lines))
 
 
-def confound_probe(params: EncoderParams, test_split: EncodedSplit, batch_size: int = 16) -> dict:
+def confound_probe(params: EncoderParams, test_split: EncodedSplit, batch_size=None) -> dict:
     """Overall metrics plus the false-positive rate on identity-bearing
     non-hate examples, the signature of the identity-term shortcut. Only the
     non-hate texts are tested for the rate; the hate texts are tested, up to
     the first identity token, only when no non-hate text holds one, since a
-    confound split must hold an identity token somewhere."""
+    confound split must hold one somewhere. Ignores ``batch_size``."""
     texts, labels = test_split.texts, test_split.labels
     subset = [i for i in np.flatnonzero(labels == 0).tolist() if has_identity_token(texts[i])]
     if not subset and not any(has_identity_token(t) for t, y in zip(texts, labels.tolist()) if y):
         raise ValueError("split carries no identity tokens; not a confound test split")
-    _, y_pred, overall = _scored(params, test_split, batch_size)
+    y_pred = predict(params, test_split)
+    overall = report_from_predictions(labels, y_pred)
     return {
         "accuracy": overall.accuracy,
         "macro_f1": overall.macro_f1,

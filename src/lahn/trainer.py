@@ -396,7 +396,7 @@ def run_training(
         epoch_seed = int(state.streams[STREAM_SHUFFLE].integers(2**63))
         for batch in make_batches(train_enc, config.batch_size, epoch_seed):
             records.append(train_step(state, batch, config))
-        report = metrics.evaluate(state.params, val_enc, config.batch_size)
+        report = metrics.evaluate(state.params, val_enc)
         records.append(
             {"epoch": epoch, "val_accuracy": report.accuracy, "val_macro_f1": report.macro_f1}
         )
@@ -451,9 +451,7 @@ def run_ablation_grid(
                 }
                 if test_split is not None:
                     test_enc = encode_examples(test_split, result.vocab, cfg.max_len)
-                    rec["test_macro_f1"] = metrics.evaluate(
-                        result.best_params, test_enc, cfg.batch_size
-                    ).macro_f1
+                    rec["test_macro_f1"] = metrics.evaluate(result.best_params, test_enc).macro_f1
                 entry["per_seed"].append(rec)
             entry["median_val_macro_f1"] = median(r["val_macro_f1"] for r in entry["per_seed"])
             if test_split is not None:

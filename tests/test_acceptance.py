@@ -438,8 +438,8 @@ def test_criterion_6_behavioral_effect(capsys):
             )
             result = run_training(cfg, train, val)
             test_enc = encode_examples(test, result.vocab, cfg.max_len)
-            f1s.append(evaluate(result.best_params, test_enc, cfg.batch_size).macro_f1)
-            fprs.append(confound_probe(result.best_params, test_enc, cfg.batch_size)["identity_fpr"])
+            f1s.append(evaluate(result.best_params, test_enc).macro_f1)
+            fprs.append(confound_probe(result.best_params, test_enc)["identity_fpr"])
         medians[objective] = (median(f1s), median(fprs))
     ce_f1, ce_fpr = medians["ce"]
     la_f1, la_fpr = medians["lahn"]

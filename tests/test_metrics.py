@@ -122,43 +122,87 @@ class TestPredictAndEvaluate:
         vocab, enc, params = fitted(train)
         for _, t in params.named():
             t.values[:] = 0.0  # zero net: every logit row is [0, 0]
-        assert (predict(params, enc, batch_size=4) == 0).all()
+        assert (predict(params, enc) == 0).all()
 
     def test_batch_size_invariance(self):
+        # scoring the split whole, row by row or 16 rows at a time agrees
         train, _, _ = generate_confound_corpus(9, 0.5, seed=1)  # 18 examples, ragged tail
         vocab, enc, params = fitted(train)
-        p1 = predict(params, enc, batch_size=1)
-        p16 = predict(params, enc, batch_size=16)
-        np.testing.assert_array_equal(p1, p16)
-        r1 = evaluate(params, enc, batch_size=1)
-        r16 = evaluate(params, enc, batch_size=16)
-        assert r1 == r16
+        whole = predict(params, enc)
+        for rows in (1, 16):
+            parts = np.concatenate([predict(params, enc[i : i + rows]) for i in range(0, len(enc), rows)])
+            np.testing.assert_array_equal(parts, whole)
+            assert report_from_predictions(enc.labels, parts) == evaluate(params, enc)
 
     def test_features_are_batch_size_invariant(self):
         train, _, _ = generate_confound_corpus(6, 0.5, seed=2)
         vocab, enc, params = fitted(train)
-        f3 = features_of(params, enc, batch_size=3)
-        f16 = features_of(params, enc, batch_size=16)
-        assert f3.shape == (len(enc), 8)
-        np.testing.assert_array_equal(f3, f16)
+        f3 = np.concatenate([features_of(params, enc[i : i + 3]) for i in range(0, len(enc), 3)])
+        whole = features_of(params, enc)
+        assert whole.shape == (len(enc), 8)
+        np.testing.assert_array_equal(f3, whole)
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 16])
-    def test_one_loop_equals_per_batch_forwards(self, batch_size):
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_one_loop_equals_per_batch_forwards(self, rows, monkeypatch):
         train, _, _ = generate_confound_corpus(10, 0.5, seed=9)
         vocab, enc, params = fitted(train, dropout=0.5)  # eval mode must ignore it
-        enc = enc[:19]  # ragged tails: 1 at batch size 3, 3 at batch size 16
-        outs = [forward(params, b, training=False) for b in iter_eval_batches(enc, batch_size)]
+        enc = enc[:19]  # ragged tails: 1 at 3 rows a chunk, 3 at 16
+        monkeypatch.setattr(metrics, "EVAL_ELEMENTS", rows * enc.ids.shape[1] * params.dims.d_emb)
+        outs = [forward(params, b, training=False) for b in iter_eval_batches(enc, rows)]
         logits = np.concatenate([o.logits.values for o in outs])
         feats = np.concatenate([o.feature.values for o in outs])
-        np.testing.assert_array_equal(predict(params, enc, batch_size), np.argmax(logits, axis=1))
-        got = features_of(params, enc, batch_size)
+        np.testing.assert_array_equal(predict(params, enc), np.argmax(logits, axis=1))
+        got = features_of(params, enc)
         assert got.shape == feats.shape and got.tobytes() == feats.tobytes()
 
     def test_evaluate_empty_split_rejected(self):
         train, _, _ = generate_confound_corpus(4, 0.5, seed=3)
         _, enc, params = fitted(train)
         with pytest.raises(ValueError):
-            evaluate(params, enc[:0], batch_size=4)
+            evaluate(params, enc[:0])
+
+
+class TestEvalChunks:
+    def recorded_sizes(self, monkeypatch) -> list[int]:
+        sizes = []
+
+        def recording(params, batch, training, rng=None):
+            sizes.append(batch.size)
+            return forward(params, batch, training, rng)
+
+        monkeypatch.setattr(metrics, "forward", recording)
+        return sizes
+
+    @pytest.mark.parametrize("width, rows", [(8, 64), (24, 21), (1024, 1)])
+    def test_forwards_take_the_element_budget_in_rows(self, monkeypatch, width, rows):
+        train, _, _ = generate_confound_corpus(50, 0.5, seed=13)
+        _, enc, params = fitted(train, d_emb=64)
+        split = padded(enc, width)[:81]
+        assert max(1, metrics.EVAL_ELEMENTS // (width * 64)) == rows
+        sizes = self.recorded_sizes(monkeypatch)
+        predict(params, split)
+        tail = [81 % rows] if 81 % rows else []
+        assert sizes == [rows] * (81 // rows) + tail
+
+    def test_predictions_equal_those_of_two_halves(self):
+        train, _, _ = generate_confound_corpus(60, 0.5, seed=14)
+        _, enc, params = fitted(train, d_emb=64)  # 64 rows a chunk at width 8
+        assert enc.ids.shape[1] == 8 and len(enc) == 120
+        halves = np.concatenate([predict(params, enc[:67]), predict(params, enc[67:])])
+        np.testing.assert_array_equal(halves, predict(params, enc))
+
+    def test_a_positional_batch_size_is_ignored(self, tmp_path):
+        # the call shapes perfbench's workloads use
+        _, _, test = generate_confound_corpus(16, 0.5, seed=12)
+        _, enc, params = fitted(test)
+        for batch_size in (16, 1):
+            np.testing.assert_array_equal(predict(params, enc, batch_size), predict(params, enc))
+        np.testing.assert_array_equal(features_of(params, enc, 16), features_of(params, enc))
+        assert evaluate(params, enc, 16) == evaluate(params, enc)
+        assert confound_probe(params, enc, 16) == confound_probe(params, enc)
+        export_embeddings(params, enc, tmp_path / "16.tsv", 16)
+        export_embeddings(params, enc, tmp_path / "none.tsv")
+        assert (tmp_path / "16.tsv").read_bytes() == (tmp_path / "none.tsv").read_bytes()
 
 
 def reference_export(feats, split) -> bytes:
@@ -175,8 +219,8 @@ class TestExportEmbeddings:
         train, _, _ = generate_confound_corpus(6, 0.5, seed=8)
         vocab, enc, params = fitted(train)
         path = tmp_path / "emb.tsv"
-        export_embeddings(params, enc, path, batch_size=4)
-        assert path.read_bytes() == reference_export(features_of(params, enc, batch_size=4), enc)
+        export_embeddings(params, enc, path)
+        assert path.read_bytes() == reference_export(features_of(params, enc), enc)
 
     def test_extreme_values_and_escapes_equal_the_reference(self, tmp_path, monkeypatch):
         feats = np.random.default_rng(9).normal(0.0, 1.0, (4, 6))
@@ -189,7 +233,7 @@ class TestExportEmbeddings:
             Example("a\\backslash\\t", 1),
         ]
         split = encode_examples(examples, build_vocab(["a"], min_freq=1), 4)
-        monkeypatch.setattr(metrics, "features_of", lambda params, split, batch_size: feats)
+        monkeypatch.setattr(metrics, "features_of", lambda params, split: feats)
         path = tmp_path / "emb.tsv"
         export_embeddings(None, split, path)
         assert path.read_bytes() == reference_export(feats, split)
@@ -200,10 +244,10 @@ class TestExportEmbeddings:
         train, _, _ = generate_confound_corpus(4, 0.5, seed=4)
         vocab, enc, params = fitted(train)
         path = tmp_path / "emb.tsv"
-        export_embeddings(params, enc, path, batch_size=4)
+        export_embeddings(params, enc, path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(enc)
-        feats = features_of(params, enc, batch_size=4)
+        feats = features_of(params, enc)
         for line, e, f in zip(lines, enc, feats):
             cells = line.split("\t")
             assert len(cells) == 8 + 2  # d_feat floats, label, text
@@ -271,17 +315,30 @@ def padded(enc, max_len):
 
 
 class TestTableWidth:
-    @pytest.mark.parametrize("batch_size", [1, 5, 16])
-    def test_pad_columns_change_no_result(self, tmp_path, batch_size):
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    def test_pad_columns_change_no_result(self, tmp_path, monkeypatch, rows):
         train, _, _ = generate_confound_corpus(10, 0.5, seed=4)
         _, enc, params = fitted(train, dropout=0.5)
         wide = padded(enc, 16)
-        assert enc.ids.shape[1] < 16 == wide.ids.shape[1]
-        assert predict(params, enc, batch_size).tobytes() == predict(params, wide, batch_size).tobytes()
-        assert features_of(params, enc, batch_size).tobytes() == features_of(params, wide, batch_size).tobytes()
-        export_embeddings(params, enc, tmp_path / "narrow.tsv", batch_size)
-        export_embeddings(params, wide, tmp_path / "wide.tsv", batch_size)
+        assert (enc.ids.shape[1], wide.ids.shape[1]) == (8, 16)
+        # `rows` rows a chunk on the narrow table, half as many (at least 1) on the wide one
+        monkeypatch.setattr(metrics, "EVAL_ELEMENTS", rows * enc.ids.shape[1] * params.dims.d_emb)
+        assert predict(params, enc).tobytes() == predict(params, wide).tobytes()
+        assert features_of(params, enc).tobytes() == features_of(params, wide).tobytes()
+        export_embeddings(params, enc, tmp_path / "narrow.tsv")
+        export_embeddings(params, wide, tmp_path / "wide.tsv")
         assert (tmp_path / "narrow.tsv").read_bytes() == (tmp_path / "wide.tsv").read_bytes()
+
+    def test_default_budget_features_are_byte_equal_across_widths(self):
+        # 64, 32, 16 and 8 rows a chunk, each with a ragged tail
+        train, _, _ = generate_confound_corpus(2250, 0.5, seed=16)
+        vocab = build_vocab((e.text for e in train), min_freq=1)
+        enc = encode_examples(train, vocab, 64)
+        params = init_params(0, EncoderDims(vocab_size=len(vocab)))
+        assert enc.ids.shape == (4500, 8) and params.dims.d_emb == 64
+        feats = features_of(params, enc).tobytes()
+        for width in (16, 32, 64):
+            assert features_of(params, padded(enc, width)).tobytes() == feats, width
 
 
 class TestConfoundProbe:
@@ -289,7 +346,7 @@ class TestConfoundProbe:
         _, _, test = generate_confound_corpus(16, 1.0, seed=6)
         vocab = build_vocab((e.text for e in test), min_freq=1)
         enc = encode_examples(test, vocab, 16)
-        probe = confound_probe(handcrafted_classifier(vocab, "identity"), enc, batch_size=4)
+        probe = confound_probe(handcrafted_classifier(vocab, "identity"), enc)
         assert probe["identity_fpr"] == 1.0
         assert probe["identity_nonhate_n"] == sum(
             1 for e in test if e.label == 0 and has_identity_token(e.text)
@@ -300,7 +357,7 @@ class TestConfoundProbe:
         _, _, test = generate_confound_corpus(16, 1.0, seed=7)
         vocab = build_vocab((e.text for e in test), min_freq=1)
         enc = encode_examples(test, vocab, 16)
-        probe = confound_probe(handcrafted_classifier(vocab, "context"), enc, batch_size=4)
+        probe = confound_probe(handcrafted_classifier(vocab, "context"), enc)
         assert probe["identity_fpr"] == 0.0
         assert probe["accuracy"] == 1.0 and probe["macro_f1"] == 1.0
 
@@ -334,7 +391,7 @@ class TestConfoundProbe:
         non_hate = [e.text for e in test if e.label == 0]
         assert any(has_identity_token(t) for t in non_hate)
         seen = self.counted_identity_tests(monkeypatch)
-        probe = confound_probe(handcrafted_classifier(vocab, "identity"), enc, batch_size=4)
+        probe = confound_probe(handcrafted_classifier(vocab, "identity"), enc)
         assert seen == non_hate
         assert probe["identity_nonhate_n"] == sum(map(has_identity_token, non_hate)) > 0
 
@@ -364,8 +421,8 @@ class TestConfoundProbe:
             params = init_params(3, EncoderDims(len(vocab), d_emb=8, hidden=8, d_feat=8))
         else:
             params = handcrafted_classifier(vocab, kind)
-        probe = confound_probe(params, enc, batch_size=5)
-        report = evaluate(params, enc, batch_size=5)
+        probe = confound_probe(params, enc)
+        report = evaluate(params, enc)
         assert probe["accuracy"] == report.accuracy and probe["macro_f1"] == report.macro_f1
 
     def test_probe_keys(self):
