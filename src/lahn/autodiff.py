@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -177,10 +176,13 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
     """Masked mean of embedding rows per example: [V x d], [B x T] -> [B x d].
 
     Row b is the mean of ``table[ids[b, t]]`` over the positions t where
-    ``mask[b, t]`` is true. Masked positions are skipped by the sum, not
-    added as 0.0, so pad columns change no bit, and no masked copy of the
-    gather is made. Only the leading columns up to the last unmasked one are
-    gathered; every id, masked or not, must name a table row. Backward
+    ``mask[b, t]`` is true. Only the leading columns up to the last unmasked
+    one are gathered, token-major as [W x B x d]; every id, masked or not,
+    must name a table row. Masked slots are overwritten with +0.0 in place
+    and the W slices summed in token order from +0.0. A sum started at +0.0
+    never becomes -0.0 under round-to-nearest, so adding +0.0 changes no
+    bit, and a masked inf or NaN never reaches it: each row equals the sum
+    over its unmasked tokens alone. Backward
     gives each unmasked token of example b the share ``g[b] / count[b]`` and
     sums the shares of each table row in row-major token order from 0.0,
     bit for bit a ``np.add.at`` of them into zeros. The sums reach the table
@@ -200,7 +202,10 @@ def embed_mean_pool(table: Tensor, ids, mask) -> Tensor:
         raise ValueError("embed_mean_pool over an all-false mask row (empty sequence)")
     width = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1 if idx.size else 0
     idx, keep = idx[:, :width], keep[:, :width]
-    out = Tensor(np.sum(table.values[idx], axis=1, where=keep[:, :, None]))
+    gather = np.take(table.values, idx.T, axis=0)
+    gather[~keep.T] = 0.0
+    out = Tensor(np.add.reduce(gather, axis=0, initial=0.0))
+    del gather  # freed before the division makes its cast buffer, so the peak stays one gather
     out.values /= counts[:, None]
 
     def rule(g: np.ndarray) -> None:
@@ -216,17 +221,6 @@ def _sum_rows(slot: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     ``np.bincount`` over the flattened elements instead of a row-wise loop."""
     d = values.shape[1]
     return np.bincount((slot[:, None] * d + np.arange(d)).reshape(-1), values.reshape(-1), n * d).reshape(n, d)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != x.values.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = Tensor(x.values.reshape(shape).copy())
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, g.reshape(x.values.shape).copy())
-
-    return _record(out, (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -392,75 +386,3 @@ def masked_softmax_cross_entropy(logits: Tensor, valid, weights) -> Tensor:
         _accum(logits, float(g) * (w.sum(axis=1, keepdims=True) * sm - w))
 
     return _record(out, (logits,), rule)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    passed: bool
-    max_rel_error: float
-    n_coords: int
-    worst: tuple[int, int, float, float] | None  # input idx, flat idx, analytic, numeric
-    note: str = ""
-
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"grad_check {status}: max rel error {self.max_rel_error:.3e} over {self.n_coords} coords {self.note}"
-
-
-def grad_check(
-    f: Callable[..., Tensor],
-    inputs: Sequence[Tensor],
-    h: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradCheckReport:
-    """Compare analytic gradients of f(*inputs) against central differences.
-
-    f must be scalar-valued and deterministic (fix any rng it uses per call).
-    The numeric side only ever runs forward passes, so it is independent of
-    every backward rule it is checking. Relative error per coordinate is
-    |a - n| / max(|a|, |n|, 1e-6); the report carries the max.
-    """
-    for t in inputs:
-        t.zero_grad()
-    with Tape() as tape:
-        out = f(*inputs)
-        if not np.isfinite(out.values).all():
-            return GradCheckReport(False, math.inf, 0, None, "non-finite forward value")
-        tape.backward(out)
-    analytic = [
-        _dense_grad(t.grad, t.shape).copy() if t.grad is not None else np.zeros_like(t.values)
-        for t in inputs
-    ]
-    for a in analytic:
-        if not np.isfinite(a).all():
-            return GradCheckReport(False, math.inf, 0, None, "non-finite analytic gradient")
-
-    max_rel = 0.0
-    worst = None
-    n_coords = 0
-    for ti, t in enumerate(inputs):
-        flat = t.values.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            try:
-                flat[i] = orig + h
-                fp = float(f(*inputs).values)
-                flat[i] = orig - h
-                fm = float(f(*inputs).values)
-            finally:
-                flat[i] = orig
-            if not (math.isfinite(fp) and math.isfinite(fm)):
-                return GradCheckReport(False, math.inf, n_coords, worst, "non-finite perturbed value")
-            numeric = (fp - fm) / (2.0 * h)
-            ana = float(analytic[ti].reshape(-1)[i])
-            rel = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-6)
-            n_coords += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (ti, i, ana, numeric)
-    return GradCheckReport(max_rel < tol, max_rel, n_coords, worst)

@@ -58,8 +58,7 @@ class Example:
 class EncodedSplit:
     """A split encoded once: ``ids`` [N x W] int64, W the longest text's id
     count (row i is text i's ids, then PAD), ``labels`` [N] int64 and
-    ``texts``. A slice is an ``EncodedSplit`` of views; an int index gives
-    that row's ``Example``, as iterating does."""
+    ``texts``. A slice is an ``EncodedSplit`` of views."""
 
     ids: np.ndarray
     labels: np.ndarray
@@ -68,10 +67,8 @@ class EncodedSplit:
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, rows: slice | int) -> EncodedSplit | Example:
-        if isinstance(rows, slice):
-            return EncodedSplit(self.ids[rows], self.labels[rows], self.texts[rows])
-        return Example(self.texts[rows], int(self.labels[rows]))
+    def __getitem__(self, rows: slice) -> EncodedSplit:
+        return EncodedSplit(self.ids[rows], self.labels[rows], self.texts[rows])
 
     # perfbench's eval-probe export check iterates a split's examples
     def __iter__(self):

@@ -14,6 +14,7 @@ from statistics import median
 import numpy as np
 import pytest
 
+from gradcheck import GradCheckReport, grad_check, reshape
 from lahn import autodiff as ad
 from lahn import cli
 from lahn.data import Batch, encode_examples, generate_confound_corpus
@@ -34,9 +35,9 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _scalar_sum(t: ad.Tensor) -> ad.Tensor:
-    flat = ad.reshape(t, (1, int(np.prod(t.values.shape))))
+    flat = reshape(t, (1, int(np.prod(t.values.shape))))
     ones = ad.constant(np.ones((flat.values.shape[1], 1)))
-    return ad.reshape(ad.matmul(flat, ones), ())
+    return reshape(ad.matmul(flat, ones), ())
 
 
 def _one_hot_ce(logits: ad.Tensor, targets) -> ad.Tensor:
@@ -73,12 +74,12 @@ def _contrastive(sims: ad.Tensor, valid, tau: float) -> ad.Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
+def _per_op_checks(seed: int) -> list[GradCheckReport]:
     rng = np.random.default_rng(seed)
     reports = []
 
     def chk(f, *inputs, h=1e-5):
-        reports.append(ad.grad_check(f, list(inputs), h=h, tol=1e-4))
+        reports.append(grad_check(f, list(inputs), h=h, tol=1e-4))
 
     a = ad.param(rng.normal(size=(3, 4)))
     b = ad.param(rng.normal(size=(4, 2)))
@@ -106,7 +107,7 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     pad_valid = np.array([[True, True, True], [True, False, False], [True, True, False]])
     chk(lambda t: _contrastive(_cosine_blocks(t, pad_blocks), pad_valid, tau=0.5), padded)
     v = ad.param(rng.normal(size=4))
-    chk(lambda x: _scalar_sum(ad.reshape(x, (2, 2))), v)
+    chk(lambda x: _scalar_sum(reshape(x, (2, 2))), v)
 
     p = ad.param(rng.normal(size=4))
     q = ad.param(rng.normal(size=4))
@@ -157,7 +158,7 @@ def _per_op_checks(seed: int) -> list[ad.GradCheckReport]:
     return reports
 
 
-def _end_to_end_check(seed: int) -> ad.GradCheckReport:
+def _end_to_end_check(seed: int) -> GradCheckReport:
     """Full combined-loss graph: encoder forward with dropout, cosine
     similarities to frozen positives and padded frozen selected negatives,
     temperature-scaled contrastive term, classification term, mix at 0.1."""
@@ -187,7 +188,7 @@ def _end_to_end_check(seed: int) -> ad.GradCheckReport:
         return combined_loss(l_cl, l_ce, lam=0.1)
 
     inputs = [t for _, t in params.named()]
-    return ad.grad_check(f, inputs, h=1e-5, tol=1e-3)
+    return grad_check(f, inputs, h=1e-5, tol=1e-3)
 
 
 def test_criterion_1_gradient_suite(capsys):

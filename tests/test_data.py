@@ -366,17 +366,6 @@ class TestEncodedSplit:
         assert ids.shape == (300, 2)
         assert not isinstance(self._owner(ids), mmap.mmap)
 
-    def test_int_index_gives_the_rows_example(self):
-        examples, _, enc = self._split()
-        assert [enc[i] for i in range(len(enc))] == examples
-        assert enc[-1] == examples[-1] and enc[np.int64(1)] == examples[1]
-        assert type(enc[0].label) is int
-        with pytest.raises(IndexError):
-            enc[len(enc)]
-        part = enc[1:]
-        assert isinstance(part, data.EncodedSplit) and np.shares_memory(part.ids, enc.ids)
-        assert part[0] == examples[1]
-
     def test_iteration_yields_text_label_pairs(self):
         examples, _, enc = self._split()
         assert list(enc) == examples

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from lahn import autodiff as ad
 from lahn.objectives import (
     classification_loss,
@@ -138,7 +139,7 @@ class TestContrastiveLoss:
         sims, valid, positive = padded(
             (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5, size=6)), (0.3, [0.1])
         )
-        report = ad.grad_check(
+        report = grad_check(
             lambda s: contrastive_loss(s, valid, positive, tau=0.1), [sims], h=1e-5, tol=1e-4
         )
         assert report.passed, str(report)
@@ -166,7 +167,7 @@ class TestClassificationLoss:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         logits = ad.param(rng.normal(size=(4, 2)))
-        report = ad.grad_check(lambda t: classification_loss(t, [0, 1, 1, 0]), [logits])
+        report = grad_check(lambda t: classification_loss(t, [0, 1, 1, 0]), [logits])
         assert report.passed, str(report)
 
     @pytest.mark.parametrize("b", [16, 12])  # 12: a tail batch, where 1/B is inexact
@@ -312,7 +313,7 @@ class TestSclLoss:
             loss.values, naive_scl(feats.values.tolist(), labels, 0.5), atol=1e-10
         )
         # finite differences move only the rows away from the clamp
-        report = ad.grad_check(
+        report = grad_check(
             lambda r: scl_loss(ad.matmul(append_zero_row, r), labels, tau=0.5), [rows]
         )
         assert report.passed, str(report)
@@ -342,5 +343,5 @@ class TestSclLoss:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         feats = ad.param(rng.normal(size=(5, 4)))
-        report = ad.grad_check(lambda t: scl_loss(t, [0, 1, 0, 1, 1], tau=0.5), [feats])
+        report = grad_check(lambda t: scl_loss(t, [0, 1, 0, 1, 1], tau=0.5), [feats])
         assert report.passed, str(report)
