@@ -374,9 +374,12 @@ def run_training(
     """Epoch loop with per-epoch validation and best-checkpoint selection.
 
     The vocabulary is built from the training split only. When out_dir is
-    given, metrics.jsonl, vocab.txt, and the best/last checkpoints are
-    (re)written after every epoch, each atomically but not as a set: an
-    interrupted run can leave them from two consecutive epochs.
+    given, vocab.txt is written once before the first epoch; after every
+    epoch metrics.jsonl and then checkpoint_last.npz are rewritten, and in
+    an epoch that improves validation macro-F1 checkpoint_best.npz becomes
+    a hard link of that checkpoint_last.npz (a copy where the filesystem
+    has no hard links). Each file is replaced atomically but not as a set:
+    an interrupted run can leave them from two consecutive epochs.
     """
     config.validate()
     if len(train_split) < 2 or not val_split:
@@ -412,7 +415,8 @@ def run_training(
         if out is not None:
             _write_metrics_log(out, records)
             save_checkpoint(out / "checkpoint_last.npz", state.params, config.to_dict(), vocab)
-            if improved:
+            # best_params equal params in an improving epoch, so best's bytes are last's
+            if improved and not fileio.atomic_link(out / "checkpoint_last.npz", out / "checkpoint_best.npz"):
                 save_checkpoint(out / "checkpoint_best.npz", state.best_params, config.to_dict(), vocab)
     return RunResult(
         params=state.params,

@@ -1,5 +1,7 @@
+import errno
 import mmap
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -299,3 +301,74 @@ def test_mapped_zeros_of_a_dtype(shape):
     while isinstance(owner, np.ndarray):
         owner = owner.base
     assert isinstance(getattr(owner, "obj", owner), mmap.mmap) == (a.nbytes >= blocks._MAPPED_MIN_BYTES)
+
+
+def spy_mmap(monkeypatch, refuse=False):
+    """Put a subclass of ``mmap.mmap`` in its place that logs each
+    ``madvise`` call as (mapping size, advice); with ``refuse`` the call
+    raises ``OSError`` as a kernel that refuses the advice would."""
+    calls = []
+
+    class Spy(mmap.mmap):
+        def madvise(self, option, *args):
+            calls.append((len(self), option))
+            if refuse:
+                raise OSError(errno.EINVAL, "advice refused")
+            return super().madvise(option, *args)
+
+    monkeypatch.setattr(mmap, "mmap", Spy)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no MADV_HUGEPAGE on this platform")
+@pytest.mark.parametrize(
+    "shape, advised",
+    [((1 << 18,), True), ((20_000, 64), True), (((1 << 18) - 1,), False), ((blocks._MAPPED_MIN_BYTES // 8,), False)],
+)
+def test_mappings_of_two_mib_and_up_ask_for_huge_pages(monkeypatch, shape, advised):
+    # 1 << 18 float64 are exactly 2 MiB; one element fewer, or the smallest
+    # mapped array, keeps a mapping of small pages
+    calls = spy_mmap(monkeypatch)
+    a = blocks.mapped_zeros(shape)
+    assert calls == ([(a.nbytes, mmap.MADV_HUGEPAGE)] if advised else [])
+
+
+@pytest.mark.parametrize("refuse, advice", [(True, True), (False, False)])
+def test_refused_or_missing_advice_still_gives_a_zeroed_writable_array(monkeypatch, refuse, advice):
+    calls = spy_mmap(monkeypatch, refuse=refuse)
+    if not advice:
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    a = blocks.mapped_zeros((20_000, 64))
+    assert len(calls) == int(refuse and hasattr(mmap, "MADV_HUGEPAGE"))
+    assert a.shape == (20_000, 64) and not a.any()
+    a[...] = 2.5
+    assert (a == 2.5).all()
+
+
+def thp_mode():
+    """The bracketed transparent huge page mode, read only, or None."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as fh:
+            text = fh.read()
+    except OSError:
+        return None
+    return text[text.find("[") + 1 : text.find("]")] or None
+
+
+def anon_huge_kib():
+    with open("/proc/self/smaps_rollup") as fh:
+        for line in fh:
+            if line.startswith("AnonHugePages:"):
+                return int(line.split()[1])
+    return 0
+
+
+@pytest.mark.skipif(
+    not hasattr(mmap, "MADV_HUGEPAGE") or thp_mode() in (None, "never") or not os.path.exists("/proc/self/smaps_rollup"),
+    reason="transparent huge pages are off or cannot be counted",
+)
+def test_a_written_wide_table_is_backed_by_huge_pages():
+    before = anon_huge_kib()
+    a = blocks.mapped_zeros((20_000, 64))
+    a[...] = 1.0
+    assert anon_huge_kib() > before

@@ -1,14 +1,17 @@
 import dataclasses
+import errno
 import json
 import math
 import mmap
+import os
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lahn import autodiff as ad
-from lahn import blocks, sampler, trainer
+from lahn import blocks, metrics, sampler, trainer
 from lahn.data import PAD_ID, Batch, EncodedSplit, encode_examples, generate_confound_corpus, make_batches
 from lahn.encoder import FLAT_NAMES, EncoderDims, clone_params, init_params, load_checkpoint
 from lahn.momentum import ema_update
@@ -868,6 +871,74 @@ class TestRunTraining:
         step_recs = [r for r in result.records if "step" in r]
         assert any(r["l_cl"] != 0.0 for r in step_recs)
         assert all(r["queue_fill"] == 0.0 for r in step_recs)  # no queue outside lahn
+
+
+CHECKPOINTS = ("checkpoint_last.npz", "checkpoint_best.npz")
+EVALUATE = metrics.evaluate
+
+
+def scripted_run(monkeypatch, out, f1s):
+    """``run_training`` into ``out`` with each epoch's validation macro-F1
+    taken from ``f1s``. Returns, per epoch, the bytes of each checkpoint as
+    that epoch's writes left them."""
+    scripted, seen = iter(f1s), []
+
+    def checkpoints():
+        return {name: (out / name).read_bytes() for name in CHECKPOINTS if (out / name).exists()}
+
+    def evaluate(params, split):
+        seen.append(checkpoints())  # as the epoch before left them
+        return dataclasses.replace(EVALUATE(params, split), macro_f1=next(scripted))
+
+    monkeypatch.setattr(metrics, "evaluate", evaluate)
+    train, val, _ = tiny_corpus()
+    run_training(small_config(epochs=len(f1s)), train, val, out)
+    return seen[1:] + [checkpoints()]
+
+
+class TestLinkedBestCheckpoint:
+    """An improving epoch makes checkpoint_best.npz a second name of the
+    checkpoint_last.npz it just wrote."""
+
+    def test_an_improving_epoch_gives_best_the_bytes_of_last(self, monkeypatch, tmp_path):
+        (epoch,) = scripted_run(monkeypatch, tmp_path, [0.5])
+        assert epoch["checkpoint_best.npz"] == epoch["checkpoint_last.npz"]
+        assert os.path.samefile(tmp_path / "checkpoint_best.npz", tmp_path / "checkpoint_last.npz")
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_an_epoch_that_does_not_improve_leaves_best_alone(self, monkeypatch, tmp_path):
+        first, second, third = scripted_run(monkeypatch, tmp_path, [0.5, 0.4, 0.6])
+        assert second["checkpoint_last.npz"] != first["checkpoint_last.npz"]
+        assert second["checkpoint_best.npz"] == first["checkpoint_best.npz"] == first["checkpoint_last.npz"]
+        # the third epoch improves again
+        assert third["checkpoint_best.npz"] == third["checkpoint_last.npz"] != second["checkpoint_last.npz"]
+
+    def test_without_hard_links_best_gets_the_same_bytes_written(self, monkeypatch, tmp_path):
+        linked = scripted_run(monkeypatch, tmp_path / "linked", [0.5, 0.4, 0.6])
+
+        def link(src, dst, **kwargs):
+            raise OSError(errno.EPERM, "no hard links here")
+
+        monkeypatch.setattr(os, "link", link)
+        written = scripted_run(monkeypatch, tmp_path / "written", [0.5, 0.4, 0.6])
+        assert written == linked
+        best, last = (tmp_path / "written" / name for name in ("checkpoint_best.npz", "checkpoint_last.npz"))
+        assert not os.path.samefile(best, last)
+        assert stat.S_IMODE(best.stat().st_mode) == stat.S_IMODE(last.stat().st_mode)
+
+    def test_a_failing_rename_onto_best_leaves_no_temp_file(self, monkeypatch, tmp_path):
+        real = os.replace
+
+        def replace(src, dst, **kwargs):
+            if os.fspath(dst).endswith("checkpoint_best.npz"):
+                raise OSError(errno.EIO, "rename failed")
+            return real(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            scripted_run(monkeypatch, tmp_path, [0.5])
+        assert (tmp_path / "checkpoint_last.npz").exists()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint_last.npz", "metrics.jsonl", "vocab.txt"]
 
 
 class TestAblationGrid:
