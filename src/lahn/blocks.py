@@ -39,12 +39,12 @@ def mapped_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     memory mapping of its own.
 
     A training run keeps its parameters, Adam moments, parameter copies
-    and pass scratch in these, and ``data.encode_examples`` an encoded
-    split's id table, so freeing a large one unmaps it. A table freed into
-    the C heap stays resident, and small blocks allocated after it can keep
-    the next run from reusing its space, so a process that trains more than
-    once would peak higher by whole tables, depending on its allocation
-    history. The mapping is private, as heap memory is: a forked child's
+    and pass scratch in these, and ``data.encode_examples`` a split's id
+    table and staged ids, so freeing a large one unmaps it. A table freed
+    into the C heap stays resident, and small blocks allocated after it can
+    keep the next run from reusing its space, so a process that trains more
+    than once would peak higher by whole tables, depending on its
+    allocation history. The mapping is private, as heap memory is: a forked child's
     writes stay in the child.
 
     A mapping of ``_HUGE_MIN_BYTES`` or more is advised onto transparent

@@ -1,5 +1,5 @@
-"""Text pipeline: tokenization, vocabulary, JSONL ingestion, batching, and
-the synthetic confound corpus generator.
+"""Text pipeline: tokenization, vocabulary, encoding in pieces that keep
+temporaries small, JSONL io, batching, and the confound corpus generator.
 
 The corpus generator builds binary hate/non-hate sentences from templates
 where the class is decided by context tokens (negative adjectives, negation
@@ -15,6 +15,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,6 +26,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
+# a freed buffer above glibc's 128 KiB mmap threshold raises it for the process
+ENCODE_IDS = 1 << 13  # ids in one piece of encode_examples, 64 KiB
 
 # a run of word characters (neither whitespace nor punctuation), or one
 # punctuation character. Regex \s and str.split() split on the same code
@@ -89,10 +92,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def encode(self, text: str, max_len: int) -> list[int]:
-        """Ids of the first max_len tokens, unknown ones UNK; not padded."""
-        return [self.token_to_id.get(t, UNK_ID) for t in tokenize(text, max_len)]
-
     def save(self, path) -> None:
         # one token per line, line number = id
         fileio.atomic_write_text(path, "".join(t + "\n" for t in self.id_to_token))
@@ -103,6 +102,8 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
 
     Only the training split should be passed here.
     """
+    if max_size < 2 or min_freq < 1:
+        raise ValueError(f"need max_size >= 2 and min_freq >= 1, got max_size={max_size}, min_freq={min_freq}")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(tokenize(text))
@@ -113,16 +114,25 @@ def build_vocab(texts, min_freq: int = 2, max_size: int = 20000) -> Vocabulary:
 
 
 def encode_examples(examples, vocab: Vocabulary, max_len: int = 64) -> EncodedSplit:
-    """The examples' id table, labels and texts, in order. The table is as
-    wide as the longest text's ids (at most ``max_len``) and comes from
-    ``blocks.mapped_zeros``, so a large one has a mapping of its own;
-    PAD_ID is 0, so each zero row gets only its text's ids."""
+    """The examples' id table (zeros from ``blocks.mapped_zeros``, as wide as
+    the longest text's ids, at most ``max_len``), labels and texts, in order;
+    the table is filled in pieces of at most ``ENCODE_IDS`` ids."""
+    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)) or max_len < 1:
+        raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
     texts = [e.text for e in examples]
-    rows = [vocab.encode(text, max_len) for text in texts]
-    ids = blocks.mapped_zeros((len(rows), max(map(len, rows), default=0)), np.int64)
-    for row, tokens in zip(ids, rows):
-        row[: len(tokens)] = tokens
-    return EncodedSplit(ids, np.array([e.label for e in examples], dtype=np.int64), texts)
+    step, ends, lens = max(1, ENCODE_IDS // max_len), [0], blocks.mapped_zeros((len(texts),), np.int64)
+    # staged in mappings, so the heap keeps no hole; a text has <= len(text) ids
+    flat = blocks.mapped_zeros((min(sum(map(len, texts)), len(texts) * max_len),), np.int64)
+    for start in range(0, len(texts), step):
+        tokens = [tokenize(text, max_len) for text in texts[start : start + step]]
+        lens[start : start + step] = np.fromiter(map(len, tokens), np.int64, len(tokens))
+        ends.append(ends[-1] + int(lens[start : start + step].sum()))
+        ids = map(vocab.token_to_id.get, chain.from_iterable(tokens), repeat(UNK_ID))
+        flat[ends[-2] : ends[-1]] = np.fromiter(ids, np.int64, ends[-1] - ends[-2])
+    table = blocks.mapped_zeros((len(texts), int(lens.max(initial=0))), np.int64)
+    for start, a, b in zip(range(0, len(texts), step), ends, ends[1:]):
+        table[start : start + step][np.arange(table.shape[1]) < lens[start : start + step, None]] = flat[a:b]
+    return EncodedSplit(table, np.array([e.label for e in examples], dtype=np.int64), texts)
 
 
 def load_jsonl(path) -> list[Example]:

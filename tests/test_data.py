@@ -1,8 +1,10 @@
+import hashlib
 import json
 import mmap
 import re
 import string
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -45,6 +47,19 @@ def reference_tokenize(text: str) -> list[str]:
         if run:
             out.append("".join(run))
     return out
+
+
+def reference_encode(vocab, text: str, max_len: int) -> list[int]:
+    """The per-text encoder encode_examples replaced, kept as the oracle:
+    ids of the first max_len tokens, unknown ones UNK; not padded."""
+    return [vocab.token_to_id.get(t, UNK_ID) for t in tokenize(text, max_len)]
+
+
+def reference_table(vocab, texts, max_len: int) -> np.ndarray:
+    """reference_encode's rows padded with PAD to the longest one."""
+    rows = [reference_encode(vocab, text, max_len) for text in texts]
+    width = max(map(len, rows), default=0)
+    return np.array([row + [PAD_ID] * (width - len(row)) for row in rows], dtype=np.int64).reshape(len(rows), width)
 
 
 # whitespace that str.split() and regex \s both know beyond the ASCII set,
@@ -169,20 +184,32 @@ class TestVocabulary:
         v = build_vocab(texts, min_freq=1, max_size=10)
         assert len(v) == 10
 
+    @pytest.mark.parametrize("min_freq, max_size", [(1, 1), (1, 0), (0, 5), (-1, 5)])
+    def test_caps_below_the_reserved_tokens_are_rejected(self, min_freq, max_size):
+        # a max_size of 1 once sliced kept[:-1] and returned more tokens than its cap
+        name = "max_size" if max_size < 2 else "min_freq"
+        with pytest.raises(ValueError, match=name):
+            build_vocab(["a b c d"], min_freq, max_size)
+
+    def test_the_smallest_caps_keep_only_the_reserved_tokens(self):
+        assert build_vocab(["a b c d"], 1, 2).id_to_token == ["<pad>", "<unk>"]
+
     def test_encode_pads_and_truncates(self):
-        # encode gives a text's ids alone; the encoded table is as wide as
+        # reference_encode gives a text's ids alone; the encoded table is as wide as
         # its longest row and pads the shorter ones
         v = build_vocab(["x y z"], min_freq=1)
         ids = [v.token_to_id["x"], v.token_to_id["y"]]
-        assert v.encode("x y", max_len=5) == ids
+        assert reference_encode(v, "x y", max_len=5) == ids
         assert encode_examples([Example("x y", 0)], v, max_len=5).ids.tolist() == [ids]
         two = encode_examples([Example("x y", 0), Example("x y z", 1)], v, max_len=5)
         assert two.ids.tolist() == [ids + [PAD_ID], ids + [v.token_to_id["z"]]]
-        assert len(v.encode("x y z x y z", max_len=4)) == 4
+        assert len(reference_encode(v, "x y z x y z", max_len=4)) == 4
+        assert encode_examples([Example("x y z x y z", 0)], v, max_len=4).ids.shape == (1, 4)
 
     def test_unknown_token_maps_to_unk(self):
         v = build_vocab(["x"], min_freq=1)
-        assert v.encode("novel", max_len=2)[0] == UNK_ID
+        assert reference_encode(v, "novel", max_len=2)[0] == UNK_ID
+        assert encode_examples([Example("novel x", 0)], v, max_len=2).ids.tolist() == [[UNK_ID, v.token_to_id["x"]]]
 
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab(["alpha beta beta gamma"], min_freq=1)
@@ -329,10 +356,10 @@ class TestEncodedSplit:
         # the table is as wide as its longest row, at most max_len
         for max_len, width in ((1, 1), (3, 3), (6, 6), (64, 12)):
             _, vocab, enc = self._split(max_len)
-            assert width == max(len(vocab.encode(t, max_len)) for t in self.TEXTS)
+            assert width == max(len(reference_encode(vocab, t, max_len)) for t in self.TEXTS)
             assert enc.ids.dtype == np.int64 and enc.ids.shape == (len(self.TEXTS), width)
             for text, row in zip(self.TEXTS, enc.ids.tolist()):
-                ids = vocab.encode(text, max_len)
+                ids = reference_encode(vocab, text, max_len)
                 assert row == ids + [PAD_ID] * (width - len(ids))
         assert enc.labels.dtype == np.int64 and enc.labels.tolist() == [0, 1, 0, 1]
         assert enc.texts == list(self.TEXTS)
@@ -379,6 +406,119 @@ class TestEncodedSplit:
             make_batches(enc, 4, shuffle_seed=0)
         with pytest.raises(ValueError):
             next(data.iter_eval_batches(enc, 4))
+
+
+class TestEncodePieces:
+    """encode_examples in pieces of ENCODE_IDS ids against reference_encode
+    padded with PAD."""
+
+    VOCAB_TEXTS = ("a b c", "a b", "x, y")
+    TEXTS = (
+        "a b", " \t ", "novel a words", "a b c a b c a b c", "a, b! c. a? b; c:",
+        "c", "x y z novel x y z novel", "b", "a b c x y a b c x y a b c x y a, b",
+    )
+
+    @pytest.fixture(params=[1, 3, 7], autouse=True)
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(data, "ENCODE_IDS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 5, 64])
+    def test_pieces_that_split_the_data_match_the_reference(self, budget, max_len):
+        vocab = build_vocab(self.VOCAB_TEXTS, min_freq=1)
+        step = max(1, budget // max_len)
+        # the last text is the longest, and most settings end mid-piece
+        texts = list(self.TEXTS)
+        enc = encode_examples([Example(t, 0) for t in texts], vocab, max_len)
+        np.testing.assert_array_equal(enc.ids, reference_table(vocab, texts, max_len))
+        assert enc.ids.dtype == np.int64 and step < len(texts)  # more than one piece
+        assert enc.ids[1].tolist() == [PAD_ID] * enc.ids.shape[1]
+        assert enc.ids[2, 0] == UNK_ID
+
+    @pytest.mark.parametrize("max_len", [2, 8])
+    def test_longest_row_in_the_last_piece(self, budget, max_len):
+        vocab = build_vocab(self.VOCAB_TEXTS, min_freq=1)
+        texts = ["a"] * 4 + ["a b", "a b c x y a b c"]
+        enc = encode_examples([Example(t, 0) for t in texts], vocab, max_len)
+        assert enc.ids.shape == (6, max_len)
+        np.testing.assert_array_equal(enc.ids, reference_table(vocab, texts, max_len))
+
+    @pytest.mark.parametrize("max_len", [2, 64])
+    def test_a_split_of_one_character_tokens(self, budget, max_len):
+        # as many ids as characters: the most a split of texts can hold
+        vocab = build_vocab(self.VOCAB_TEXTS, min_freq=1)
+        texts = [",.;", "a,b", "!", "x", "\u0130,"]
+        enc = encode_examples([Example(t, 0) for t in texts], vocab, max_len)
+        np.testing.assert_array_equal(enc.ids, reference_table(vocab, texts, max_len))
+
+    def test_whitespace_only_split_is_zero_wide(self, budget):
+        vocab = build_vocab(self.VOCAB_TEXTS, min_freq=1)
+        assert encode_examples([Example(" ", 0), Example("\n", 1)], vocab, 4).ids.shape == (2, 0)
+
+    def test_empty_split(self, budget):
+        vocab = build_vocab(self.VOCAB_TEXTS, min_freq=1)
+        enc = encode_examples([], vocab, 4)
+        assert enc.ids.shape == (0, 0) and enc.ids.dtype == np.int64 and enc.labels.shape == (0,)
+
+
+@pytest.mark.parametrize("max_len", [0, -1, 2.0, True, "3", None])
+def test_encode_rejects_a_max_len_below_one_or_not_an_integer(max_len):
+    # a max_len of -1 once dropped each text's last token, and 0 gave a zero-wide table
+    vocab = build_vocab(["a b c"], min_freq=1)
+    with pytest.raises(ValueError, match="max_len"):
+        encode_examples([Example("a b c", 0)], vocab, max_len)
+
+
+def test_encode_accepts_a_numpy_integer_max_len():
+    vocab = build_vocab(["a b c"], min_freq=1)
+    ids = encode_examples([Example("a b c", 0)], vocab, np.int64(2)).ids
+    assert ids.tolist() == [reference_encode(vocab, "a b c", 2)]
+
+
+class TestProbeSplitEncoding:
+    """The 24 000 texts perfbench's eval-probe encodes at seed 70 (all three
+    splits of a rate-0.5 corpus), with the vocabulary of its ce model."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        vocab = build_vocab(e.text for e in generate_confound_corpus(150, 0.5, 70)[0])
+        return [e for split in generate_confound_corpus(8000, 0.5, 71) for e in split], vocab
+
+    def test_ids_equal_the_reference(self, probe):
+        examples, vocab = probe
+        ids = encode_examples(examples, vocab, 64).ids
+        want = reference_table(vocab, [e.text for e in examples], 64)
+        assert ids.shape == want.shape == (24000, 8)
+        assert hashlib.sha256(ids.tobytes()).hexdigest() == hashlib.sha256(want.tobytes()).hexdigest()
+
+    def test_heap_peak_stays_below_the_per_text_lists(self, probe):
+        # every text's id list held at once peaked at 3572 KiB, and the ids
+        # alone take 1.5 MB; staged in mappings, the heap holds the text
+        # list, the labels and one piece, about 600 KiB
+        examples, vocab = probe
+        tracemalloc.start()
+        try:
+            encode_examples(examples, vocab, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize("max_len", [1, 64])
+    def test_no_piece_asks_for_a_buffer_at_the_mmap_threshold(self, probe, monkeypatch, max_len):
+        # a freed buffer of 128 KiB or more raises glibc's mmap threshold
+        examples, vocab = probe
+        counts = []
+        fromiter = np.fromiter
+
+        def spy(it, dtype, count=-1):
+            counts.append(int(count))
+            return fromiter(it, dtype, count)
+
+        monkeypatch.setattr(np, "fromiter", spy)
+        encode_examples(examples, vocab, max_len)
+        assert len(counts) >= 2 * len(examples) * max_len // data.ENCODE_IDS
+        assert 0 < max(counts) and max(counts) * 8 < 128 * 1024
 
 
 def identity_rate(split, label):
