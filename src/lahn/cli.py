@@ -285,6 +285,10 @@ def _cmd_ablate(args) -> int:
         raise UsageError(f"--grid: {args.grid}: every cell must be a JSON object of config overrides")
     if not all(type(seed) is int and seed >= 0 for seed in seeds):
         raise UsageError(f"--grid: {args.grid}: seeds must be non-negative integers, got {seeds}")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--grid: {args.grid}: seeds must be distinct, got {seeds}")
+    if any("seed" in cell for cell in cells):
+        raise UsageError(f"--grid: {args.grid}: a cell may not set 'seed'; the 'seeds' list does")
     train, val, test = _load_splits(args)
     report = run_ablation_grid(cfg, cells, seeds, train, val, test)
     _emit(report, args.out)

@@ -2,11 +2,11 @@
 and their convex combination.
 
 ``contrastive_loss`` is the supervised-contrastive softmax over a cosine
-matrix; only its masks tell the objectives apart. Under lahn an anchor's row
-holds its own momentum view as the one positive and its selected hard
+matrix; only its masks tell the objectives apart. ``lahn_loss`` gives an
+anchor its own momentum view as the one positive and its selected hard
 negatives as the other valid entries (MoCo's InfoNCE over label-aware
-negatives). Under the in-batch SCL baseline every other example is valid
-and the same-label ones are positives.
+negatives). ``scl_loss``, the in-batch SCL baseline, makes every other
+example valid and the same-label ones positive.
 """
 
 from __future__ import annotations
@@ -90,3 +90,13 @@ def scl_loss(features: ad.Tensor, labels, tau: float) -> ad.Tensor:
     if not positive.any():
         return ad.constant(0.0)
     return contrastive_loss(ad.cosine(features, features), others, positive, tau)
+
+
+def lahn_loss(features: ad.Tensor, x_aug, negs, tau: float) -> ad.Tensor:
+    """``contrastive_loss`` with lahn's masks (module docstring) over [x_aug; the rows ``negs`` selected]."""
+    cols, slot = np.unique(negs.queue_indices[negs.valid], return_inverse=True)
+    rows = np.concatenate([x_aug, negs.snapshot_features[cols]])
+    positive = np.eye(len(x_aug), rows.shape[0], dtype=bool)
+    valid = positive.copy()
+    valid[np.nonzero(negs.valid)[0], len(x_aug) + slot] = True
+    return contrastive_loss(ad.cosine(features, ad.constant(rows)), valid, positive, tau)

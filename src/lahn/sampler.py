@@ -81,6 +81,7 @@ class HardNegativeBatch:
         indices = self.queue_indices[i, :n]
         return HardNegativeSet(self.snapshot_features[indices], indices, self.scores[i, :n])
 
+    # perfbench/tracer.py's Recorder._count_sampled iterates a batch's selections
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 

@@ -304,26 +304,16 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> dict:
             entry_ids = state.queue.enqueue_batch(x_aug, labels)
             # warmup: the contrastive term waits until the queue is a quarter full
             if state.queue.fill_fraction() >= WARMUP_FILL:
-                snap = state.queue.snapshot()
                 negs = sampler.sample_for_batch(
                     main_out.feature.values,
                     labels,
-                    snap,
+                    state.queue.snapshot(),
                     state.momentum,
                     Strategy.parse(config.strategy),
                     config.k,
                     exclude_ids=entry_ids,
                 )
-                # every anchor against [x_aug; the snapshot rows any anchor
-                # selected]: its own momentum view is its positive, its own
-                # selection the rest of its valid entries
-                cols, slot = np.unique(negs.queue_indices[negs.valid], return_inverse=True)
-                rows = np.concatenate([x_aug, snap.features[cols]])
-                positive = np.eye(batch.size, rows.shape[0], dtype=bool)
-                valid = positive.copy()
-                valid[np.nonzero(negs.valid)[0], batch.size + slot] = True
-                sims = ad.cosine(main_out.feature, ad.constant(rows))
-                l_cl = objectives.contrastive_loss(sims, valid, positive, config.tau)
+                l_cl = objectives.lahn_loss(main_out.feature, x_aug, negs, config.tau)
         elif config.objective == "scl":
             l_cl = objectives.scl_loss(main_out.feature, labels, config.tau)
         if l_cl is None:
@@ -439,8 +429,10 @@ def run_ablation_grid(
     """Per-cell, per-seed runs with medians; failed cells are marked, not fatal."""
     if not grid:
         raise ValueError("empty ablation grid")
-    if not seeds:
-        raise ValueError("no seeds given")
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"need distinct seeds, got {seeds}")
+    if any("seed" in cell for cell in grid):
+        raise ValueError("a grid cell may not set 'seed'; the seeds list does")
     cells = []
     for overrides in grid:
         entry: dict = {"overrides": overrides, "per_seed": []}

@@ -645,8 +645,10 @@ class TestAblate:
             ({"cells": [{"k": 2}], "seeds": [0, -1]}, "seeds"),
             ({"cells": [{"k": 2}], "seeds": [True]}, "seeds"),
             ({"cells": [{"k": 2}, 1], "seeds": [0]}, "cell"),
+            ({"cells": [{"seed": 5, "k": 2}], "seeds": [0, 1]}, "may not set 'seed'"),
+            ({"cells": [{"k": 2}], "seeds": [0, 0]}, "distinct"),
         ],
-        ids=["seed-string", "seed-negative", "seed-bool", "cell-not-object"],
+        ids=["seed-string", "seed-negative", "seed-bool", "cell-not-object", "cell-sets-seed", "seed-repeated"],
     )
     def test_bad_grid_is_usage_error(self, workdir, tmp_path, capsys, spec, detail):
         grid = tmp_path / "grid.json"

@@ -82,3 +82,23 @@ def test_single_process():
     threads = {"threading", "_thread", "concurrent", "multiprocessing"}
     found = {path.name: sorted(imported_roots(path) & threads) for path in sorted(SRC.glob("*.py"))}
     assert {name: roots for name, roots in found.items() if roots} == {}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that the file's module-level imports bind and that no
+    expression in it reads (``from __future__`` binds none)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_import_is_used():
+    # a move of code between modules can leave its imports behind
+    unused = {path.name: unused_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -9,8 +9,10 @@ from lahn.objectives import (
     classification_loss,
     combined_loss,
     contrastive_loss,
+    lahn_loss,
     scl_loss,
 )
+from lahn.sampler import HardNegativeBatch
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -253,13 +255,15 @@ class TestCombinedLoss:
             np.testing.assert_allclose(got, (1 - lam) * g_cl + lam * g_ce, atol=1e-12)
 
 
+def cos(a, b):
+    # plain python cosine with the engine's clamped norms
+    na = max(math.sqrt(math.fsum(x * x for x in a)), 1e-8)
+    nb = max(math.sqrt(math.fsum(x * x for x in b)), 1e-8)
+    return math.fsum(x * y for x, y in zip(a, b)) / (na * nb)
+
+
 def naive_scl(feats, labels, tau):
     # full double-loop reference with its own cosine
-    def cos(a, b):
-        na = max(math.sqrt(math.fsum(x * x for x in a)), 1e-8)
-        nb = max(math.sqrt(math.fsum(x * x for x in b)), 1e-8)
-        return math.fsum(x * y for x, y in zip(a, b)) / (na * nb)
-
     b = len(feats)
     per_anchor = []
     for i in range(b):
@@ -345,3 +349,45 @@ class TestSclLoss:
         feats = ad.param(rng.normal(size=(5, 4)))
         report = grad_check(lambda t: scl_loss(t, [0, 1, 0, 1, 1], tau=0.5), [feats])
         assert report.passed, str(report)
+
+
+def hand_batch(selections, snapshot, rng):
+    """A HardNegativeBatch whose anchor i selected the snapshot rows
+    ``selections[i]``, in that rank order, padded to the widest selection."""
+    width = max(len(sel) for sel in selections)
+    indices = np.full((len(selections), width), -1, dtype=np.int64)
+    for i, sel in enumerate(selections):
+        indices[i, : len(sel)] = sel
+    valid = indices >= 0
+    return HardNegativeBatch(
+        queue_indices=indices,
+        scores=np.where(valid, rng.uniform(size=indices.shape), 0.0),
+        valid=valid,
+        snapshot_features=snapshot,
+        cosine=rng.uniform(-1, 1, size=(len(selections), snapshot.shape[0])),
+    )
+
+
+class TestLahnLoss:
+    # anchors with 0, 1 and 3 negatives; anchor 2 ranks rows out of index
+    # order and takes the last snapshot row; row 1 is shared by anchors 1 and 2
+    SELECTIONS = [[], [1], [4, 1, 3]]
+
+    def test_mixed_selections_match_the_per_anchor_route(self):
+        rng = np.random.default_rng(12)
+        feats, x_aug, snapshot = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        negs = hand_batch(self.SELECTIONS, snapshot, rng)
+        for tau in (0.05, 0.5):
+            got = lahn_loss(ad.param(feats.copy()), x_aug, negs, tau).values
+            per_anchor = [
+                naive_contrastive(cos(f, pos), [cos(f, snapshot[j]) for j in sel], tau)
+                for f, pos, sel in zip(feats, x_aug, self.SELECTIONS)
+            ]
+            np.testing.assert_allclose(got, math.fsum(per_anchor) / len(per_anchor), rtol=1e-12, atol=1e-12)
+
+    def test_no_selection_scores_exactly_zero(self):
+        rng = np.random.default_rng(14)
+        negs = hand_batch([[], [], []], rng.normal(size=(5, 4)), rng)
+        assert negs.queue_indices.shape == (3, 0)
+        loss = lahn_loss(ad.param(rng.normal(size=(3, 4))), rng.normal(size=(3, 4)), negs, tau=0.05)
+        assert loss.values == 0.0

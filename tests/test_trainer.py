@@ -976,3 +976,18 @@ class TestAblationGrid:
             run_ablation_grid(small_config(), [], [0], train, val)
         with pytest.raises(ValueError):
             run_ablation_grid(small_config(), [{}], [], train, val)
+
+    @pytest.mark.parametrize(
+        "grid, seeds, match",
+        [([{"seed": 5, "k": 2}], [0, 1], "may not set 'seed'"), ([{"k": 2}], [0, 0], "distinct seeds")],
+        ids=["cell-sets-seed", "seed-repeated"],
+    )
+    def test_seed_overrides_rejected_before_any_run(self, monkeypatch, grid, seeds, match):
+        # a cell's seed would be overwritten by the seeds list, and a
+        # repeated seed would count one run twice in the medians
+        train, val, _ = tiny_corpus()
+        runs = []
+        monkeypatch.setattr(trainer, "run_training", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=match):
+            run_ablation_grid(small_config(), grid, seeds, train, val)
+        assert runs == []
